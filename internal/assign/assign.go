@@ -194,6 +194,9 @@ func (a *Assignment) chainIDs() []string {
 // layer closer to the CPU than the array home, and copies never placed
 // on the background layer.
 func (a *Assignment) Validate() error {
+	if a == nil {
+		return fmt.Errorf("assign: nil assignment")
+	}
 	nlayers := len(a.Platform.Layers)
 	bg := a.Platform.Background()
 	for _, arr := range a.Analysis.Program.Arrays {

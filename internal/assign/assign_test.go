@@ -1,12 +1,14 @@
 package assign
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"mhla/internal/model"
 	"mhla/internal/platform"
 	"mhla/internal/reuse"
+	"mhla/internal/workspace"
 )
 
 // testPlat builds the reference two-level platform used throughout the
@@ -244,7 +246,7 @@ func TestValidateRejections(t *testing.T) {
 
 func TestGreedyImprovesReuseProgram(t *testing.T) {
 	an := analyze(t, reuseProgram())
-	res, err := Search(an, testPlat(), DefaultOptions())
+	res, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), DefaultOptions())
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -270,7 +272,7 @@ func TestGreedyRespectsCapacity(t *testing.T) {
 	plat := testPlat()
 	plat.Layers[0].Capacity = 64 // too small for the 512B table copy
 	an := analyze(t, reuseProgram())
-	res, err := Search(an, plat, DefaultOptions())
+	res, err := Search(context.Background(), workspace.FromAnalysis(an), plat, DefaultOptions())
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -288,12 +290,12 @@ func TestExactEnginesAgree(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Objective = objective
 		opts.Engine = Exhaustive
-		ex, err := Search(an, testPlat(), opts)
+		ex, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), opts)
 		if err != nil {
 			t.Fatalf("exhaustive: %v", err)
 		}
 		opts.Engine = BranchBound
-		bb, err := Search(an, testPlat(), opts)
+		bb, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), opts)
 		if err != nil {
 			t.Fatalf("bnb: %v", err)
 		}
@@ -316,12 +318,12 @@ func TestGreedyNotBetterThanOptimal(t *testing.T) {
 		an := analyze(t, reuseProgram())
 		opts := DefaultOptions()
 		opts.Objective = objective
-		gr, err := Search(an, testPlat(), opts)
+		gr, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), opts)
 		if err != nil {
 			t.Fatalf("greedy: %v", err)
 		}
 		opts.Engine = BranchBound
-		bb, err := Search(an, testPlat(), opts)
+		bb, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), opts)
 		if err != nil {
 			t.Fatalf("bnb: %v", err)
 		}
@@ -333,8 +335,8 @@ func TestGreedyNotBetterThanOptimal(t *testing.T) {
 }
 
 func TestGreedyDeterministic(t *testing.T) {
-	a1, _ := Search(analyze(t, reuseProgram()), testPlat(), DefaultOptions())
-	a2, _ := Search(analyze(t, reuseProgram()), testPlat(), DefaultOptions())
+	a1, _ := Search(context.Background(), workspace.FromAnalysis(analyze(t, reuseProgram())), testPlat(), DefaultOptions())
+	a2, _ := Search(context.Background(), workspace.FromAnalysis(analyze(t, reuseProgram())), testPlat(), DefaultOptions())
 	if a1.Assignment.String() != a2.Assignment.String() {
 		t.Errorf("greedy not deterministic:\n%s\nvs\n%s", a1.Assignment, a2.Assignment)
 	}

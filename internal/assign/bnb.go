@@ -102,34 +102,6 @@ type option struct {
 	levels, layers []int
 }
 
-// chainOptionsFor enumerates every monotone selection of the chain's
-// candidates on the on-chip layers (including the empty selection),
-// skipping copies that exceed their layer's capacity outright.
-func chainOptionsFor(plat *platform.Platform, ch *reuse.Chain) []option {
-	onChip := plat.OnChipLayers()
-	opts := []option{{}}
-	var rec func(minLevel, maxLayerExcl int, levels, layers []int)
-	rec = func(minLevel, maxLayerExcl int, levels, layers []int) {
-		for lv := minLevel; lv <= ch.Depth(); lv++ {
-			cand := ch.Candidate(lv)
-			for _, ly := range onChip {
-				if ly >= maxLayerExcl {
-					continue
-				}
-				if cand.Bytes > plat.Layers[ly].Capacity {
-					continue
-				}
-				nl := append(append([]int(nil), levels...), lv)
-				ny := append(append([]int(nil), layers...), ly)
-				opts = append(opts, option{levels: nl, layers: ny})
-				rec(lv+1, ly, nl, ny)
-			}
-		}
-	}
-	rec(0, len(plat.Layers), nil, nil)
-	return opts
-}
-
 // expandTargetTasks is the number of independent subtree roots the
 // exact engines split the decision tree into. It is a constant — not
 // a function of Options.Workers — so the task decomposition, and with
@@ -245,8 +217,8 @@ func newSpace(ctx context.Context, ws *workspace.Workspace, plat *platform.Platf
 	}
 	// Per-point chain options are the shared shape catalog filtered by
 	// this platform's capacities: the feasible subsequence of the
-	// catalog's pre-order enumeration is chainOptionsFor's enumeration
-	// exactly (order included), so the decision space — and every
+	// catalog's pre-order enumeration is the capacity-skipping
+	// per-platform enumeration exactly (order included), so the decision space — and every
 	// downstream tie-break — is unchanged. The inner option slices and
 	// object descriptors are shared read-only with the catalog.
 	s.cat = catalogFor(ws, plat)

@@ -9,10 +9,9 @@ import (
 )
 
 // This file holds the cross-sweep half of the exact engines' setup:
-// the per-chain option catalogs. newSpace used to re-enumerate every
-// chain's selections (chainOptionsFor), rebuild their lifetime-object
-// descriptors and re-index them by option key at every sweep point,
-// even though none of that depends on layer capacities — only on the
+// the per-chain option catalogs. Enumerating every chain's selections,
+// building their lifetime-object descriptors and indexing them by
+// option key does not depend on layer capacities — only on the
 // workspace's chains and the platform's *shape* (how many layers, and
 // which are on-chip). The catalog enumerates the selections once,
 // capacity-unfiltered, caches them on the workspace keyed by platform
@@ -27,10 +26,9 @@ import (
 // every search over the workspace (Workspace.Memo serializes the
 // one-time build).
 type chainCatalog struct {
-	// full[ci] is the pre-order enumeration of chain ci's options —
-	// exactly chainOptionsFor's order with the capacity skip removed,
-	// so filtering it by capacity reproduces the per-platform
-	// enumeration element for element.
+	// full[ci] is the pre-order enumeration of chain ci's options
+	// with no capacity skip, so filtering it by capacity reproduces
+	// the per-platform enumeration element for element.
 	full [][]option
 	// objs[ci][fi] are the space consumers option full[ci][fi] places
 	// (ready-made lifetime objects, aligned with full).
@@ -48,11 +46,11 @@ func catalogKey(plat *platform.Platform) string {
 
 // chainOptionsAll enumerates every monotone selection of the chain's
 // candidates over the on-chip layers, including selections that exceed
-// layer capacities: chainOptionsFor without the capacity skip. The
-// recursion shape (and with it the pre-order) is identical, so the
-// capacity-feasible subsequence of the result is chainOptionsFor's
-// enumeration exactly (extensions of an infeasible pair contain that
-// pair, so filtering cannot resurrect a pruned subtree out of order).
+// layer capacities. Its capacity-feasible subsequence is exactly the
+// enumeration that skips oversized copies while recursing (extensions
+// of an infeasible pair contain that pair, so filtering cannot
+// resurrect a pruned subtree out of order); the catalog tests check
+// this against that per-platform enumeration.
 func chainOptionsAll(nlayers int, onChip []int, ch *reuse.Chain) []option {
 	opts := []option{{}}
 	var rec func(minLevel, maxLayerExcl int, levels, layers []int)
@@ -111,8 +109,8 @@ func catalogFor(ws *workspace.Workspace, plat *platform.Platform) *chainCatalog 
 }
 
 // optionFeasible reports whether every copy the option places fits its
-// layer's capacity outright — the filter chainOptionsFor applied
-// during enumeration.
+// layer's capacity outright — the per-platform filter over the shared
+// catalog enumeration.
 func optionFeasible(plat *platform.Platform, ch *reuse.Chain, op option) bool {
 	for k, lv := range op.levels {
 		if ch.Candidate(lv).Bytes > plat.Layers[op.layers[k]].Capacity {

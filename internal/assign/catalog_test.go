@@ -12,9 +12,39 @@ import (
 	"reflect"
 	"testing"
 
+	"mhla/internal/platform"
 	"mhla/internal/reuse"
 	"mhla/internal/workspace"
 )
+
+// chainOptionsFor is the oracle per-platform enumeration: every
+// monotone selection of the chain's candidates on the on-chip layers
+// (including the empty selection), skipping copies that exceed their
+// layer's capacity outright while recursing.
+func chainOptionsFor(plat *platform.Platform, ch *reuse.Chain) []option {
+	onChip := plat.OnChipLayers()
+	opts := []option{{}}
+	var rec func(minLevel, maxLayerExcl int, levels, layers []int)
+	rec = func(minLevel, maxLayerExcl int, levels, layers []int) {
+		for lv := minLevel; lv <= ch.Depth(); lv++ {
+			cand := ch.Candidate(lv)
+			for _, ly := range onChip {
+				if ly >= maxLayerExcl {
+					continue
+				}
+				if cand.Bytes > plat.Layers[ly].Capacity {
+					continue
+				}
+				nl := append(append([]int(nil), levels...), lv)
+				ny := append(append([]int(nil), layers...), ly)
+				opts = append(opts, option{levels: nl, layers: ny})
+				rec(lv+1, ly, nl, ny)
+			}
+		}
+	}
+	rec(0, len(plat.Layers), nil, nil)
+	return opts
+}
 
 func TestCatalogFilterMatchesPerPlatformEnumeration(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {

@@ -28,6 +28,7 @@ import (
 	"mhla/internal/assign"
 	"mhla/internal/progen"
 	"mhla/internal/reuse"
+	"mhla/internal/workspace"
 )
 
 // diffConfig keeps the instances small enough that 200+ exhaustive
@@ -53,7 +54,7 @@ func searchScenario(t *testing.T, sc *progen.Scenario, engine assign.Engine, wor
 	opts.Workers = workers
 	// Seeded engines get a scenario-stable seed; the rest ignore it.
 	opts.Seed = sc.Seed
-	res, err := assign.SearchContext(context.Background(), an, sc.Platform, opts)
+	res, err := assign.Search(context.Background(), workspace.FromAnalysis(an), sc.Platform, opts)
 	if err != nil {
 		t.Fatalf("seed %d: %v engine: %v", sc.Seed, engine, err)
 	}

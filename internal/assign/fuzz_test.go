@@ -8,6 +8,7 @@ import (
 	"mhla/internal/assign"
 	"mhla/internal/progen"
 	"mhla/internal/reuse"
+	"mhla/internal/workspace"
 )
 
 // FuzzAssign drives the three search engines over progen scenarios
@@ -57,7 +58,7 @@ func FuzzAssign(f *testing.F) {
 		opts.Workers = int(workers)                 // may be negative
 		opts.MaxStates = int(maxStates % 100_000)   // may be negative
 
-		res, err := assign.SearchContext(context.Background(), an, sc.Platform, opts)
+		res, err := assign.Search(context.Background(), workspace.FromAnalysis(an), sc.Platform, opts)
 		if err != nil {
 			// Invalid options must be typed; invalid platforms come
 			// from platform.Validate. Either way: error, not panic.

@@ -1,11 +1,13 @@
 package assign
 
 import (
+	"context"
 	"testing"
 
 	"mhla/internal/model"
 	"mhla/internal/platform"
 	"mhla/internal/reuse"
+	"mhla/internal/workspace"
 )
 
 // TestExactSearchStateCap: hitting MaxStates must return a usable
@@ -16,7 +18,7 @@ func TestExactSearchStateCap(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Engine = Exhaustive
 	opts.MaxStates = 1
-	res, err := Search(an, testPlat(), opts)
+	res, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), opts)
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -40,7 +42,7 @@ func TestGreedyIterationCap(t *testing.T) {
 	an := analyze(t, reuseProgram())
 	opts := DefaultOptions()
 	opts.MaxGreedyIters = 1
-	res, err := Search(an, testPlat(), opts)
+	res, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), opts)
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -75,7 +77,7 @@ func TestGreedyNoImprovingMove(t *testing.T) {
 	an := analyze(t, p)
 	plat := testPlat()
 	plat.Layers[0].Capacity = 64
-	res, err := Search(an, plat, DefaultOptions())
+	res, err := Search(context.Background(), workspace.FromAnalysis(an), plat, DefaultOptions())
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -103,12 +105,12 @@ func TestSearchEngineConsistencyThreeLevel(t *testing.T) {
 	plat := threeLevelPlat()
 	opts := DefaultOptions()
 	opts.Engine = BranchBound
-	bb, err := Search(an, plat, opts)
+	bb, err := Search(context.Background(), workspace.FromAnalysis(an), plat, opts)
 	if err != nil {
 		t.Fatalf("bnb: %v", err)
 	}
 	opts.Engine = Exhaustive
-	ex, err := Search(an, plat, opts)
+	ex, err := Search(context.Background(), workspace.FromAnalysis(an), plat, opts)
 	if err != nil {
 		t.Fatalf("exhaustive: %v", err)
 	}
@@ -116,7 +118,7 @@ func TestSearchEngineConsistencyThreeLevel(t *testing.T) {
 		t.Errorf("bnb %v != exhaustive %v", bb.Cost.Energy, ex.Cost.Energy)
 	}
 	opts.Engine = Greedy
-	gr, err := Search(an, plat, opts)
+	gr, err := Search(context.Background(), workspace.FromAnalysis(an), plat, opts)
 	if err != nil {
 		t.Fatalf("greedy: %v", err)
 	}
@@ -149,7 +151,7 @@ func TestRefetchPolicySearch(t *testing.T) {
 	an := analyze(t, reuseProgram())
 	opts := DefaultOptions()
 	opts.Policy = reuse.Refetch
-	res, err := Search(an, testPlat(), opts)
+	res, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), opts)
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -158,7 +160,7 @@ func TestRefetchPolicySearch(t *testing.T) {
 	}
 	// Slide must be at least as good as refetch on this reuse-heavy
 	// program.
-	slide, err := Search(an, testPlat(), DefaultOptions())
+	slide, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestExactOptimumMonotoneInCapacity(t *testing.T) {
 			prevCap := int64(0)
 			for _, cap := range monotonicLadder {
 				plat := ladderPlatform(sc.Platform, li, cap)
-				fresh, err := assign.SearchWorkspace(context.Background(), ws, plat, opts)
+				fresh, err := assign.Search(context.Background(), ws, plat, opts)
 				if err != nil {
 					t.Fatalf("seed %d cap %d: search: %v", sc.Seed, cap, err)
 				}
@@ -99,7 +99,7 @@ func TestExactOptimumMonotoneInCapacity(t *testing.T) {
 				if prev != nil {
 					wopts := opts
 					wopts.Incumbent = prev.Assignment
-					warm, err := assign.SearchWorkspace(context.Background(), ws, plat, wopts)
+					warm, err := assign.Search(context.Background(), ws, plat, wopts)
 					if err != nil {
 						t.Fatalf("seed %d cap %d: warm search: %v", sc.Seed, cap, err)
 					}

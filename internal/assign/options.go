@@ -169,19 +169,18 @@ type Options struct {
 	Deadline time.Duration
 	// Incumbent, when non-nil, warm-starts the BranchBound engine with
 	// a known-good assignment — typically a neighboring L1-sweep
-	// point's optimum (explore.SweepWorkspace chains sweep points this
-	// way; see that package). The incumbent must have been built over
-	// the same workspace the search runs on (SearchWorkspace rejects a
-	// mismatch with a typed *OptionError); it may have been built for
+	// point's optimum (explore.Run chains branch-and-bound sweep
+	// points this way; see that package). The incumbent must have been
+	// built over the same workspace the search runs on (Search rejects
+	// a mismatch with a typed *OptionError); it may have been built for
 	// a *different* platform — it is re-validated and re-scored under
 	// the search's platform, and the search silently keeps its own
 	// greedy seed when the incumbent no longer maps or fits, or scores
-	// no better. A complete warm-started
-	// search returns byte-identical assignments and costs to a
-	// greedy-seeded one; only the explored state count shrinks (an
-	// incomplete search — MaxStates exhausted — may differ, as the
-	// budget then cuts a differently-shaped tree). Greedy and
-	// Exhaustive ignore the seed.
+	// no better. A complete warm-started search returns byte-identical
+	// assignments and costs to a greedy-seeded one; only the explored
+	// state count shrinks (an incomplete search — MaxStates exhausted —
+	// may differ, as the budget then cuts a differently-shaped tree).
+	// Greedy and Exhaustive ignore the seed.
 	Incumbent *Assignment
 	// Progress, when non-nil, receives periodic search snapshots:
 	// after every greedy iteration and every few thousand explored
@@ -199,7 +198,7 @@ func (o Options) IsZero() bool {
 }
 
 // OptionError reports an invalid search option or facade input. It is
-// returned (possibly wrapped) by SearchContext and by the pkg/mhla
+// returned (possibly wrapped) by Search and by the pkg/mhla
 // facade; use errors.As to recover the offending field.
 type OptionError struct {
 	// Field names the rejected option, e.g. "Workers".
@@ -313,29 +312,18 @@ type EngineRun struct {
 	Won bool
 }
 
-// Search runs the assignment step on an analyzed program. It is
-// SearchContext with a background context.
-func Search(an *reuse.Analysis, plat *platform.Platform, opts Options) (*Result, error) {
-	return SearchContext(context.Background(), an, plat, opts)
-}
-
-// SearchContext runs the assignment step on an analyzed program,
-// honoring cancellation and deadlines: when ctx is cancelled the
-// engines stop promptly and SearchContext returns ctx.Err(). It
-// compiles the program-side workspace tables itself; callers that
-// evaluate one program on many platforms (the L1 sweep, the batch
-// Explorer) compile once and call SearchWorkspace instead.
-func SearchContext(ctx context.Context, an *reuse.Analysis, plat *platform.Platform, opts Options) (*Result, error) {
-	return SearchWorkspace(ctx, workspace.FromAnalysis(an), plat, opts)
-}
-
-// SearchWorkspace runs the assignment step over a precompiled
-// workspace. All engines read the workspace's program-side tables
-// (spans, lifetime objects, compute cycles) and rebuild only the
-// platform-dependent half (option catalogs, cost contributions) per
-// call, so evaluating one program against many platforms analyzes the
-// program exactly once.
-func SearchWorkspace(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options) (*Result, error) {
+// Search runs the assignment step over a compiled workspace, honoring
+// cancellation and deadlines: when ctx is cancelled the engines stop
+// promptly and Search returns ctx.Err(). All engines read the
+// workspace's program-side tables (spans, lifetime objects, compute
+// cycles) and rebuild only the platform-dependent half (option
+// catalogs, cost contributions) per call, so evaluating one program
+// against many platforms analyzes the program exactly once. Callers
+// holding only an analysis wrap it with workspace.FromAnalysis.
+func Search(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options) (*Result, error) {
+	if ws == nil {
+		return nil, &OptionError{Field: "Workspace", Reason: "nil workspace"}
+	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}

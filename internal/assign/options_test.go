@@ -49,13 +49,20 @@ func TestOptionsValidateTyped(t *testing.T) {
 			if oe.Error() == "" {
 				t.Error("empty error message")
 			}
-			// SearchContext must reject the same way, before touching
-			// any engine.
-			if _, err := assign.SearchContext(context.Background(), an, sc.Platform, opts); !errors.As(err, &oe) {
-				t.Errorf("SearchContext returned %v, want *OptionError", err)
+			// Search must reject the same way, before touching any
+			// engine.
+			if _, err := assign.Search(context.Background(), workspace.FromAnalysis(an), sc.Platform, opts); !errors.As(err, &oe) {
+				t.Errorf("Search returned %v, want *OptionError", err)
 			}
 		})
 	}
+	t.Run("nil workspace", func(t *testing.T) {
+		_, err := assign.Search(context.Background(), nil, sc.Platform, base)
+		var oe *assign.OptionError
+		if !errors.As(err, &oe) || oe.Field != "Workspace" {
+			t.Errorf("Search(nil workspace) = %v, want *OptionError{Field: Workspace}", err)
+		}
+	})
 }
 
 // TestOptionsZeroStillDefaults: zero counts keep meaning "use the
@@ -70,7 +77,7 @@ func TestOptionsZeroStillDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := assign.SearchContext(context.Background(), an, sc.Platform, zero)
+	res, err := assign.Search(context.Background(), workspace.FromAnalysis(an), sc.Platform, zero)
 	if err != nil {
 		t.Fatalf("zero options search failed: %v", err)
 	}
@@ -98,13 +105,13 @@ func TestIncumbentForeignWorkspaceRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ores, err := assign.SearchWorkspace(context.Background(), workspace.FromAnalysis(oan), other.Platform, opts)
+	ores, err := assign.Search(context.Background(), workspace.FromAnalysis(oan), other.Platform, opts)
 	if err != nil {
 		t.Fatalf("other search: %v", err)
 	}
 
 	opts.Incumbent = ores.Assignment
-	_, err = assign.SearchWorkspace(context.Background(), ws, sc.Platform, opts)
+	_, err = assign.Search(context.Background(), ws, sc.Platform, opts)
 	var oe *assign.OptionError
 	if !errors.As(err, &oe) {
 		t.Fatalf("foreign incumbent returned %v, want *OptionError", err)
@@ -115,7 +122,7 @@ func TestIncumbentForeignWorkspaceRejected(t *testing.T) {
 
 	// The same workspace is fine — even under a different platform
 	// (the incumbent is re-validated and re-scored).
-	own, err := assign.SearchWorkspace(context.Background(), ws, sc.Platform, func() assign.Options {
+	own, err := assign.Search(context.Background(), ws, sc.Platform, func() assign.Options {
 		o := sc.Options
 		o.Engine = assign.BranchBound
 		return o
@@ -124,7 +131,7 @@ func TestIncumbentForeignWorkspaceRejected(t *testing.T) {
 		t.Fatalf("own search: %v", err)
 	}
 	opts.Incumbent = own.Assignment
-	if _, err := assign.SearchWorkspace(context.Background(), ws, sc.Platform, opts); err != nil {
+	if _, err := assign.Search(context.Background(), ws, sc.Platform, opts); err != nil {
 		t.Errorf("same-workspace incumbent rejected: %v", err)
 	}
 }

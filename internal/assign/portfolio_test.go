@@ -14,6 +14,7 @@ import (
 
 	"mhla/internal/assign"
 	"mhla/internal/reuse"
+	"mhla/internal/workspace"
 )
 
 // portfolioSeeds is the scenario count of the portfolio property
@@ -100,7 +101,7 @@ func TestDifferentialPortfolioProgressMonotone(t *testing.T) {
 				scores = append(scores, p.BestScore)
 				states = append(states, p.States)
 			}
-			res, err := assign.SearchContext(context.Background(), an, sc.Platform, opts)
+			res, err := assign.Search(context.Background(), workspace.FromAnalysis(an), sc.Platform, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +138,7 @@ func TestDifferentialPortfolioDeadline(t *testing.T) {
 		opts.Engine = assign.Portfolio
 		opts.Seed = sc.Seed
 		opts.Deadline = deadline
-		res, err := assign.SearchContext(context.Background(), an, sc.Platform, opts)
+		res, err := assign.Search(context.Background(), workspace.FromAnalysis(an), sc.Platform, opts)
 		if err != nil {
 			t.Fatalf("deadline %v: %v", deadline, err)
 		}
@@ -159,7 +160,7 @@ func TestDifferentialPortfolioDeadline(t *testing.T) {
 	opts.Engine = assign.Portfolio
 	opts.Seed = sc.Seed
 	opts.Deadline = time.Second
-	res, err := assign.SearchContext(context.Background(), an, sc.Platform, opts)
+	res, err := assign.Search(context.Background(), workspace.FromAnalysis(an), sc.Platform, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestDifferentialLNSAnytime(t *testing.T) {
 	opts.Engine = assign.Stochastic
 	opts.Seed = sc.Seed
 	opts.Deadline = time.Nanosecond
-	res, err := assign.SearchContext(context.Background(), an, sc.Platform, opts)
+	res, err := assign.Search(context.Background(), workspace.FromAnalysis(an), sc.Platform, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestDifferentialLNSAnytime(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	opts.Deadline = 0
-	if _, err := assign.SearchContext(cancelled, an, sc.Platform, opts); err == nil {
+	if _, err := assign.Search(cancelled, workspace.FromAnalysis(an), sc.Platform, opts); err == nil {
 		t.Error("pre-cancelled LNS search succeeded")
 	}
 }

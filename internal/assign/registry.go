@@ -3,26 +3,22 @@ package assign
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"mhla/internal/platform"
 	"mhla/internal/workspace"
 )
 
 // This file is the engine registry: the single place search algorithms
-// are named, described and dispatched. The hard-wired greedy/BnB/
-// exhaustive switch grew a stochastic and a portfolio engine, and the
-// transport layers (facade, server, CLIs) need one authoritative list
-// of names and capabilities instead of three parallel switch
-// statements — adding an engine is now one RegisterEngine call.
+// are named, described and dispatched. The transport layers (facade,
+// server, CLIs) read one authoritative list of names and capabilities
+// from it, so adding an engine is one row in the engines table.
 
 // EngineFunc runs one search algorithm over a precompiled workspace.
 // It returns nil when ctx is cancelled before a result exists; the
 // anytime engines (Anytime capability) instead return their best
 // incumbent, flagged incomplete, once they hold one. Implementations
 // must not mutate the workspace and must set Result.Engine; Baseline
-// is filled in by SearchWorkspace.
+// is filled in by Search.
 type EngineFunc func(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options) *Result
 
 // EngineInfo describes one registered engine: its registry name (also
@@ -53,83 +49,15 @@ type EngineInfo struct {
 	UsesSeed bool
 }
 
-// engineRegistry holds the registered engines. Built-ins register in
-// init; external packages may add engines at program start (the map is
-// guarded for safety, but registration after searches began is not a
-// supported pattern).
-var engineRegistry = struct {
-	sync.RWMutex
-	entries map[Engine]engineEntry
-}{entries: map[Engine]engineEntry{}}
-
 type engineEntry struct {
 	info EngineInfo
 	fn   EngineFunc
 }
 
-// RegisterEngine adds an engine to the registry. Empty names, nil
-// functions and duplicate names are rejected with a typed
-// *OptionError — a duplicate registration is always a bug, never a
-// legitimate override.
-func RegisterEngine(info EngineInfo, fn EngineFunc) error {
-	if info.Name == "" {
-		return &OptionError{Field: "Engine", Reason: "empty engine name"}
-	}
-	if fn == nil {
-		return &OptionError{Field: "Engine", Reason: fmt.Sprintf("nil engine function for %q", info.Name)}
-	}
-	engineRegistry.Lock()
-	defer engineRegistry.Unlock()
-	if _, dup := engineRegistry.entries[info.Name]; dup {
-		return &OptionError{Field: "Engine", Reason: fmt.Sprintf("engine %q already registered", info.Name)}
-	}
-	engineRegistry.entries[info.Name] = engineEntry{info: info, fn: fn}
-	return nil
-}
-
-// LookupEngine resolves an engine name ("" means the default greedy
-// engine). Unknown names fail with a typed *OptionError naming the
-// Engine field, the same rejection Options.Validate reports.
-func LookupEngine(name Engine) (EngineInfo, EngineFunc, error) {
-	name = name.normalized()
-	engineRegistry.RLock()
-	e, ok := engineRegistry.entries[name]
-	engineRegistry.RUnlock()
-	if !ok {
-		return EngineInfo{}, nil, &OptionError{Field: "Engine", Reason: fmt.Sprintf("unknown engine %q", name)}
-	}
-	return e.info, e.fn, nil
-}
-
-// Engines lists the registered engines sorted by name. The slice is
-// freshly allocated; callers may keep it.
-func Engines() []EngineInfo {
-	engineRegistry.RLock()
-	infos := make([]EngineInfo, 0, len(engineRegistry.entries))
-	for _, e := range engineRegistry.entries {
-		infos = append(infos, e.info)
-	}
-	engineRegistry.RUnlock()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	return infos
-}
-
-// mustRegisterEngine registers a built-in engine; the built-in set is
-// registered exactly once from init, so failure is a programming
-// error.
-func mustRegisterEngine(info EngineInfo, fn EngineFunc) {
-	if err := RegisterEngine(info, fn); err != nil {
-		panic(err)
-	}
-}
-
-func init() {
-	mustRegisterEngine(EngineInfo{
-		Name:          Greedy,
-		Summary:       "steepest-descent heuristic of the MHLA tool (default)",
-		Deterministic: true,
-	}, greedySearch)
-	mustRegisterEngine(EngineInfo{
+// engines is the engine registry, sorted by name. It is a fixed
+// table: the built-in set is the whole set, so lookups need no lock.
+var engines = []engineEntry{
+	{EngineInfo{
 		Name:          BranchBound,
 		Summary:       "parallel branch and bound; optimal for small/medium problems",
 		Exact:         true,
@@ -137,8 +65,8 @@ func init() {
 		UsesWorkers:   true,
 	}, func(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options) *Result {
 		return exactSearch(ctx, ws, plat, opts, true)
-	})
-	mustRegisterEngine(EngineInfo{
+	}},
+	{EngineInfo{
 		Name:          Exhaustive,
 		Summary:       "unpruned full enumeration; the reference oracle for tests",
 		Exact:         true,
@@ -146,20 +74,48 @@ func init() {
 		UsesWorkers:   true,
 	}, func(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options) *Result {
 		return exactSearch(ctx, ws, plat, opts, false)
-	})
-	mustRegisterEngine(EngineInfo{
+	}},
+	{EngineInfo{
+		Name:          Greedy,
+		Summary:       "steepest-descent heuristic of the MHLA tool (default)",
+		Deterministic: true,
+	}, greedySearch},
+	{EngineInfo{
 		Name:          Stochastic,
 		Summary:       "seeded large-neighborhood search over assignments, greedy-seeded",
 		Anytime:       true,
 		Deterministic: true,
 		UsesSeed:      true,
-	}, lnsSearch)
-	mustRegisterEngine(EngineInfo{
+	}, lnsSearch},
+	{EngineInfo{
 		Name:          Portfolio,
 		Summary:       "races greedy, branch and bound and LNS under one deadline",
 		Anytime:       true,
 		Deterministic: true,
 		UsesWorkers:   true,
 		UsesSeed:      true,
-	}, portfolioSearch)
+	}, portfolioSearch},
+}
+
+// LookupEngine resolves an engine name ("" means the default greedy
+// engine). Unknown names fail with a typed *OptionError naming the
+// Engine field, the same rejection Options.Validate reports.
+func LookupEngine(name Engine) (EngineInfo, EngineFunc, error) {
+	name = name.normalized()
+	for _, e := range engines {
+		if e.info.Name == name {
+			return e.info, e.fn, nil
+		}
+	}
+	return EngineInfo{}, nil, &OptionError{Field: "Engine", Reason: fmt.Sprintf("unknown engine %q", name)}
+}
+
+// Engines lists the registered engines sorted by name. The slice is
+// freshly allocated; callers may keep it.
+func Engines() []EngineInfo {
+	infos := make([]EngineInfo, len(engines))
+	for i, e := range engines {
+		infos[i] = e.info
+	}
+	return infos
 }

@@ -27,7 +27,7 @@ func TestPaperClaims(t *testing.T) {
 	}
 	var rows []row
 	for _, app := range apps.All() {
-		res, err := Run(app.Build(apps.Paper), Config{Platform: energy.TwoLevel(app.L1)})
+		res, err := runProgram(app.Build(apps.Paper), Config{Platform: energy.TwoLevel(app.L1)})
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
@@ -101,7 +101,7 @@ func TestPaperClaims(t *testing.T) {
 func TestTEEnergyInvariant(t *testing.T) {
 	for _, app := range apps.All() {
 		for _, l1 := range []int64{512, 2048, 8192} {
-			res, err := Run(app.Build(apps.Test), Config{Platform: energy.TwoLevel(l1)})
+			res, err := runProgram(app.Build(apps.Test), Config{Platform: energy.TwoLevel(l1)})
 			if err != nil {
 				t.Fatalf("%s/%d: %v", app.Name, l1, err)
 			}

@@ -1,9 +1,9 @@
 // Package core orchestrates the complete MHLA-with-time-extensions
 // flow of the paper. External consumers use the pkg/mhla facade; the
-// direct entry points are:
+// direct entry point runs over a compiled workspace:
 //
-//	result, err := core.Run(program, core.Config{Platform: energy.TwoLevel(4096)})
-//	result, err := core.RunContext(ctx, program, cfg) // cancellable
+//	ws, err := workspace.Compile(program)
+//	result, err := core.Run(ctx, ws, core.Config{Platform: energy.TwoLevel(4096)})
 //
 // The flow is the paper's two-step exploration:
 //
@@ -61,9 +61,8 @@ type ProgressFunc func(Progress)
 // WireSearchProgress chains a flow-level progress callback onto the
 // search options: the engine's snapshots are forwarded as PhaseAssign
 // flow progress after any callback already configured on the options.
-// RunContext applies it internally; facade helpers that drive the
-// assignment layer directly (Search, Partition) use it to get the
-// same semantics.
+// Run applies it internally; facade helpers that drive the assignment
+// layer directly (Search, Partition) use it to get the same semantics.
 func WireSearchProgress(s assign.Options, fn ProgressFunc) assign.Options {
 	if fn == nil {
 		return s
@@ -123,56 +122,18 @@ type Result struct {
 	Portfolio []assign.EngineRun
 }
 
-// Run executes the full flow on a program. It is RunContext with a
-// background context.
-func Run(p *model.Program, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), p, cfg)
-}
-
-// RunContext executes the full flow on a program, honoring ctx: when
-// it is cancelled mid-flow (including deep inside a long assignment
-// search) RunContext returns promptly with ctx.Err(). It compiles the
-// program's workspace (validation + data-reuse analysis + the
-// program-side tables) itself; callers evaluating one program on many
-// platforms compile once with workspace.Compile and call RunWorkspace
-// per platform instead.
-func RunContext(ctx context.Context, p *model.Program, cfg Config) (*Result, error) {
-	search, enter, err := flowSetup(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Validate the program before the first progress callback, so a
-	// rejected input never emits a phantom PhaseAnalyze entry.
-	if p == nil {
-		return nil, fmt.Errorf("core: nil program")
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if err := enter(ctx, PhaseAnalyze); err != nil {
-		return nil, err
-	}
-	ws, err := workspace.Compile(p)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	pending, err := beginCompiled(ctx, ws, cfg, search, enter)
-	if err != nil {
-		return nil, err
-	}
-	return pending.Finish(ctx)
-}
-
-// RunWorkspace executes the full flow over a precompiled workspace:
-// program validation, the data-reuse analysis and the program-side
-// tables are reused as-is, and only the platform-dependent work — the
-// assignment search, the time-extension scheduling, the operating
-// point evaluation — runs per call. The concurrent L1 sweep
-// (internal/explore) and the batch Explorer (pkg/mhla) fan many
-// RunWorkspace calls out against one shared workspace; the workspace
-// is immutable, so concurrent calls are safe.
-func RunWorkspace(ctx context.Context, ws *workspace.Workspace, cfg Config) (*Result, error) {
-	pending, err := BeginWorkspace(ctx, ws, cfg)
+// Run executes the full flow over a compiled workspace (see
+// workspace.Compile): program validation, the data-reuse analysis and
+// the program-side tables are reused as-is, and only the
+// platform-dependent work — the assignment search, the time-extension
+// scheduling, the operating point evaluation — runs per call. It
+// honors ctx: when it is cancelled mid-flow (including deep inside a
+// long assignment search) Run returns promptly with ctx.Err(). The
+// workspace is immutable, so the concurrent L1 sweep
+// (internal/explore) and the batch Explorer (pkg/mhla) fan many Run
+// calls out against one shared workspace.
+func Run(ctx context.Context, ws *workspace.Workspace, cfg Config) (*Result, error) {
+	pending, err := Begin(ctx, ws, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -189,88 +150,75 @@ func RunWorkspace(ctx context.Context, ws *workspace.Workspace, cfg Config) (*Re
 // later points' searches on the sweep's worker pool. A Pending is
 // used by at most one goroutine at a time; Finish consumes it.
 type Pending struct {
-	cfg   Config
-	res   *Result
-	enter func(context.Context, Phase) error
+	cfg Config
+	res *Result
 }
 
 // Assignment is the step-1 decision, available before Finish — the
 // warm-start handoff of the incremental sweep.
 func (p *Pending) Assignment() *assign.Assignment { return p.res.Assignment }
 
-// BeginWorkspace runs the flow through the assignment step (step 1)
-// over a precompiled workspace and pauses. RunWorkspace is
-// BeginWorkspace + Finish, so both halves are one code path; callers
-// that need nothing between the steps should call RunWorkspace.
-func BeginWorkspace(ctx context.Context, ws *workspace.Workspace, cfg Config) (*Pending, error) {
+// Begin runs the flow through the assignment step (step 1) over a
+// compiled workspace and pauses. Run is Begin + Finish, so both
+// halves are one code path; callers that need nothing between the
+// steps call Run.
+func Begin(ctx context.Context, ws *workspace.Workspace, cfg Config) (*Pending, error) {
 	if ws == nil {
 		return nil, fmt.Errorf("core: nil workspace")
 	}
-	search, enter, err := flowSetup(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// The analyze phase is entered for a uniform progress stream even
-	// though the compiled analysis makes it instantaneous.
-	if err := enter(ctx, PhaseAnalyze); err != nil {
-		return nil, err
-	}
-	return beginCompiled(ctx, ws, cfg, search, enter)
-}
-
-// flowSetup validates the flow configuration and prepares the
-// normalized search options and the phase-entry hook shared by
-// RunContext and RunWorkspace. The hook takes the context explicitly
-// because the two flow halves (Begin, Finish) may run under different
-// calls with the same configuration.
-func flowSetup(cfg Config) (assign.Options, func(context.Context, Phase) error, error) {
-	search := cfg.Search
 	if cfg.Platform == nil {
-		return search, nil, fmt.Errorf("core: no platform configured")
+		return nil, fmt.Errorf("core: no platform configured")
 	}
 	if err := cfg.Platform.Validate(); err != nil {
-		return search, nil, fmt.Errorf("core: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	search := cfg.Search
 	if search.IsZero() {
 		search = assign.DefaultOptions()
 	}
 	if err := search.Validate(); err != nil {
-		return search, nil, fmt.Errorf("core: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	enter := func(ctx context.Context, ph Phase) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(Progress{Phase: ph})
-		}
-		return nil
-	}
-	return WireSearchProgress(search, cfg.Progress), enter, nil
-}
-
-// beginCompiled is step 1 (the assignment search) over a compiled
-// workspace and validated configuration.
-func beginCompiled(ctx context.Context, ws *workspace.Workspace, cfg Config, search assign.Options, enter func(context.Context, Phase) error) (*Pending, error) {
-	res := &Result{Program: ws.Program, Platform: cfg.Platform, Analysis: ws.Analysis}
-
-	if err := enter(ctx, PhaseAssign); err != nil {
+	// The analyze phase is entered for a uniform progress stream even
+	// though the compiled analysis makes it instantaneous.
+	if err := cfg.enter(ctx, PhaseAnalyze); err != nil {
 		return nil, err
 	}
-	sr, err := assign.SearchWorkspace(ctx, ws, cfg.Platform, search)
+	if err := cfg.enter(ctx, PhaseAssign); err != nil {
+		return nil, err
+	}
+	sr, err := assign.Search(ctx, ws, cfg.Platform, WireSearchProgress(search, cfg.Progress))
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	res.Assignment = sr.Assignment
-	res.Original = sr.Baseline
-	res.MHLA = sr.Cost
-	res.SearchStates = sr.States
-	res.Engine = sr.Engine
-	res.Portfolio = sr.Portfolio
-	return &Pending{cfg: cfg, res: res, enter: enter}, nil
+	return &Pending{cfg: cfg, res: &Result{
+		Program:      ws.Program,
+		Platform:     cfg.Platform,
+		Analysis:     ws.Analysis,
+		Assignment:   sr.Assignment,
+		Original:     sr.Baseline,
+		MHLA:         sr.Cost,
+		SearchStates: sr.States,
+		Engine:       sr.Engine,
+		Portfolio:    sr.Portfolio,
+	}}, nil
+}
+
+// enter marks the flow entering a phase: it fails with ctx.Err() once
+// ctx is cancelled and otherwise reports the phase to the progress
+// callback. The context is explicit because the two flow halves
+// (Begin, Finish) may run under different calls.
+func (cfg Config) enter(ctx context.Context, ph Phase) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if cfg.Progress != nil {
+		cfg.Progress(Progress{Phase: ph})
+	}
+	return nil
 }
 
 // Finish runs the remaining flow of a paused point: the
@@ -280,7 +228,7 @@ func (p *Pending) Finish(ctx context.Context) (*Result, error) {
 	cfg, res := p.cfg, p.res
 
 	// Step 2: time extensions.
-	if err := p.enter(ctx, PhaseExtend); err != nil {
+	if err := cfg.enter(ctx, PhaseExtend); err != nil {
 		return nil, err
 	}
 	if cfg.DisableTE {
@@ -300,7 +248,7 @@ func (p *Pending) Finish(ctx context.Context) (*Result, error) {
 	}
 
 	// Ideal: every block transfer hidden.
-	if err := p.enter(ctx, PhaseEvaluate); err != nil {
+	if err := cfg.enter(ctx, PhaseEvaluate); err != nil {
 		return nil, err
 	}
 	res.Ideal = res.Assignment.Evaluate(assign.EvalOptions{Ideal: true})

@@ -119,6 +119,9 @@ type copyRuntime struct {
 
 // Simulate runs the timeline for the given TE plan.
 func Simulate(plan *te.Plan) (*Result, error) {
+	if plan == nil {
+		return nil, fmt.Errorf("dmasim: nil plan")
+	}
 	return simulate(plan.Assignment, plan)
 }
 

@@ -1,6 +1,7 @@
 package dmasim
 
 import (
+	"context"
 	"testing"
 
 	"mhla/internal/apps"
@@ -10,6 +11,7 @@ import (
 	"mhla/internal/model"
 	"mhla/internal/reuse"
 	"mhla/internal/te"
+	"mhla/internal/workspace"
 )
 
 // runApp executes the full flow for one app/scale.
@@ -19,7 +21,11 @@ func runApp(t *testing.T, name string, scale apps.Scale) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(app.Build(scale), core.Config{Platform: energy.TwoLevel(app.L1)})
+	ws, err := workspace.Compile(app.Build(scale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(context.Background(), ws, core.Config{Platform: energy.TwoLevel(app.L1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +246,11 @@ func TestNoDMAPlatformSimulates(t *testing.T) {
 	// Without a DMA engine every transfer is a software copy; the
 	// event model must still match the analytical count exactly.
 	app, _ := apps.ByName("me")
-	res, err := core.Run(app.Build(apps.Test), core.Config{Platform: energy.TwoLevelNoDMA(app.L1)})
+	ws, err := workspace.Compile(app.Build(apps.Test))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(context.Background(), ws, core.Config{Platform: energy.TwoLevelNoDMA(app.L1)})
 	if err != nil {
 		t.Fatal(err)
 	}

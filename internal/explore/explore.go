@@ -5,11 +5,11 @@
 // exploration for different memory layer sizes" the technique claims
 // as its purpose.
 //
-// The sweep compiles the program's workspace (validation, data-reuse
-// analysis, lifetime tables) exactly once and evaluates the sweep
-// points concurrently over a bounded worker pool: every point shares
-// the immutable workspace and rebuilds only the platform-dependent
-// half of the flow. Results are deterministic — Points come back in
+// The sweep runs over the program's compiled workspace (validation,
+// data-reuse analysis, lifetime tables — see workspace.Compile) and
+// evaluates the sweep points concurrently over a bounded worker pool:
+// every point shares the immutable workspace and rebuilds only the
+// platform-dependent half of the flow. Results are deterministic — Points come back in
 // size order and each point's Result is independent of scheduling.
 package explore
 
@@ -26,7 +26,6 @@ import (
 	"mhla/internal/assign"
 	"mhla/internal/core"
 	"mhla/internal/energy"
-	"mhla/internal/model"
 	"mhla/internal/pareto"
 	"mhla/internal/workspace"
 )
@@ -63,8 +62,8 @@ type Sweep struct {
 	Points []Point
 }
 
-// Options configure a workspace sweep beyond the per-point flow
-// configuration.
+// Options configure a sweep: the per-point flow configuration and the
+// sweep's own parallelism.
 type Options struct {
 	// Config is the per-point flow configuration; Config.Platform is
 	// ignored (the sweep constructs the two-level platform per size).
@@ -77,46 +76,10 @@ type Options struct {
 	Workers int
 }
 
-// Run sweeps the given on-chip sizes for one program using the
-// two-level experiment platform. A zero options value means
-// assign.DefaultOptions(). It is RunContext with a background
-// context.
-func Run(p *model.Program, sizes []int64, opts assign.Options) (*Sweep, error) {
-	return RunContext(context.Background(), p, sizes, opts)
-}
-
-// RunContext sweeps the given on-chip sizes for one program, honoring
-// cancellation between and inside sweep points: when ctx is cancelled
-// it returns promptly with ctx.Err().
-func RunContext(ctx context.Context, p *model.Program, sizes []int64, opts assign.Options) (*Sweep, error) {
-	return RunFlow(ctx, p, sizes, core.Config{Search: opts})
-}
-
-// RunFlow is RunContext with the full flow configuration (progress
-// callbacks, DisableTE, ...); cfg.Platform is ignored — the sweep
-// constructs the two-level platform per size. The program is compiled
-// once and the points run concurrently (GOMAXPROCS workers); use
-// SweepWorkspace directly to bound the workers or to reuse an
-// existing workspace.
-func RunFlow(ctx context.Context, p *model.Program, sizes []int64, cfg core.Config) (*Sweep, error) {
-	// Validate the search options once up front, so a bad
-	// configuration fails fast with the typed error instead of
-	// surfacing wrapped in the first sweep point's size context.
-	if !cfg.Search.IsZero() {
-		if err := cfg.Search.Validate(); err != nil {
-			return nil, fmt.Errorf("explore: %w", err)
-		}
-	}
-	ws, err := workspace.Compile(p)
-	if err != nil {
-		return nil, fmt.Errorf("explore: %w", err)
-	}
-	return SweepWorkspace(ctx, ws, sizes, Options{Config: cfg})
-}
-
-// SweepWorkspace sweeps the given on-chip sizes over a precompiled
-// workspace: the program-side analysis is shared read-only by every
-// point. With the greedy or exhaustive engine the points are
+// Run sweeps the given on-chip sizes over a compiled workspace using
+// the two-level experiment platform; nil or empty sizes mean
+// DefaultSizes. The program-side analysis is shared read-only by
+// every point. With the greedy or exhaustive engine the points are
 // independent and are evaluated concurrently on a bounded worker
 // pool; with the branch-and-bound engine the sweep is one incremental
 // search — sizes are searched in ascending order along a warm-start
@@ -139,7 +102,7 @@ func RunFlow(ctx context.Context, p *model.Program, sizes []int64, cfg core.Conf
 // each point's outcome is a pure function of (workspace, size), so
 // the reported error is deterministic at every worker count. When ctx
 // is cancelled the sweep returns promptly with ctx.Err().
-func SweepWorkspace(ctx context.Context, ws *workspace.Workspace, sizes []int64, opts Options) (*Sweep, error) {
+func Run(ctx context.Context, ws *workspace.Workspace, sizes []int64, opts Options) (*Sweep, error) {
 	if ws == nil {
 		return nil, fmt.Errorf("explore: nil workspace")
 	}
@@ -219,7 +182,7 @@ func SweepWorkspace(ctx context.Context, ws *workspace.Workspace, sizes []int64,
 				}
 				pcfg := cfg
 				pcfg.Platform = energy.TwoLevel(sizes[i])
-				res, err := core.RunWorkspace(ctx, ws, pcfg)
+				res, err := core.Run(ctx, ws, pcfg)
 				results[i], errs[i] = res, err
 				if err != nil {
 					failed.Store(true)
@@ -310,7 +273,7 @@ func sweepChained(ctx context.Context, ws *workspace.Workspace, sizes []int64, c
 		pcfg := cfg
 		pcfg.Platform = energy.TwoLevel(sizes[idx])
 		pcfg.Search.Incumbent = incumbent
-		pending, err := core.BeginWorkspace(ctx, ws, pcfg)
+		pending, err := core.Begin(ctx, ws, pcfg)
 		if err != nil {
 			errs[idx] = err
 			break

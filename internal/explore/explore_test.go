@@ -1,19 +1,32 @@
 package explore
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
 	"mhla/internal/apps"
 	"mhla/internal/assign"
+	"mhla/internal/core"
+	"mhla/internal/model"
+	"mhla/internal/workspace"
 )
+
+// sweepProgram compiles a program's workspace and sweeps it.
+func sweepProgram(p *model.Program, sizes []int64, opts assign.Options) (*Sweep, error) {
+	ws, err := workspace.Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return Run(context.Background(), ws, sizes, Options{Config: core.Config{Search: opts}})
+}
 
 func TestSweepDurbin(t *testing.T) {
 	app, _ := apps.ByName("durbin")
 	p := app.Build(apps.Test)
 	sizes := []int64{256, 1024, 4096}
-	sw, err := Run(p, sizes, assign.DefaultOptions())
+	sw, err := sweepProgram(p, sizes, assign.DefaultOptions())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -37,7 +50,7 @@ func TestSweepDurbin(t *testing.T) {
 
 func TestSweepFrontierNonEmpty(t *testing.T) {
 	app, _ := apps.ByName("voice")
-	sw, err := Run(app.Build(apps.Test), []int64{256, 1024, 4096}, assign.DefaultOptions())
+	sw, err := sweepProgram(app.Build(apps.Test), []int64{256, 1024, 4096}, assign.DefaultOptions())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -91,7 +104,7 @@ func TestDefaultSizes(t *testing.T) {
 
 func TestSweepCSVAndString(t *testing.T) {
 	app, _ := apps.ByName("sobel")
-	sw, err := Run(app.Build(apps.Test), []int64{512}, assign.DefaultOptions())
+	sw, err := sweepProgram(app.Build(apps.Test), []int64{512}, assign.DefaultOptions())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -119,7 +132,7 @@ func TestSweepSchemaEngineProvenance(t *testing.T) {
 	for _, engine := range []assign.Engine{assign.Greedy, assign.BranchBound, assign.Stochastic} {
 		opts := assign.DefaultOptions()
 		opts.Engine = engine
-		sw, err := Run(p, []int64{512}, opts)
+		sw, err := sweepProgram(p, []int64{512}, opts)
 		if err != nil {
 			t.Fatalf("%v: Run: %v", engine, err)
 		}
@@ -160,7 +173,7 @@ func TestSweepSchemaEngineProvenance(t *testing.T) {
 
 func TestSweepDefaultsWhenNoSizes(t *testing.T) {
 	app, _ := apps.ByName("durbin")
-	sw, err := Run(app.Build(apps.Test), nil, assign.DefaultOptions())
+	sw, err := sweepProgram(app.Build(apps.Test), nil, assign.DefaultOptions())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -55,7 +55,11 @@ func TestSweepWorkspaceWarmStartMatchesFresh(t *testing.T) {
 			t.Parallel()
 			fresh := make([]*core.Result, len(warmSizes))
 			for i, l1 := range warmSizes {
-				res, err := core.RunContext(context.Background(), sc.Program,
+				fws, err := workspace.Compile(sc.Program)
+				if err != nil {
+					t.Fatalf("seed %d: fresh compile at %dB: %v", sc.Seed, l1, err)
+				}
+				res, err := core.Run(context.Background(), fws,
 					core.Config{Platform: energy.TwoLevel(l1), Search: warmOptions(sc)})
 				if err != nil {
 					t.Fatalf("seed %d: fresh run at %dB: %v", sc.Seed, l1, err)
@@ -68,7 +72,7 @@ func TestSweepWorkspaceWarmStartMatchesFresh(t *testing.T) {
 			}
 			var first *explore.Sweep
 			for _, workers := range []int{1, 2, 4, 8} {
-				sw, err := explore.SweepWorkspace(context.Background(), ws, warmSizes, explore.Options{
+				sw, err := explore.Run(context.Background(), ws, warmSizes, explore.Options{
 					Config:  core.Config{Search: warmOptions(sc)},
 					Workers: workers,
 				})
@@ -116,7 +120,7 @@ func TestSweepWorkspaceWarmStartCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = explore.SweepWorkspace(ctx, ws, warmSizes, explore.Options{
+	_, err = explore.Run(ctx, ws, warmSizes, explore.Options{
 		Config:  core.Config{Search: warmOptions(sc)},
 		Workers: 4,
 	})

@@ -51,7 +51,11 @@ func sweepOptions(sc *progen.Scenario) assign.Options {
 // tables per call) at one size — the pre-workspace behavior.
 func freshPoint(t *testing.T, sc *progen.Scenario, l1 int64) *core.Result {
 	t.Helper()
-	res, err := core.RunContext(context.Background(), sc.Program,
+	ws, err := workspace.Compile(sc.Program)
+	if err != nil {
+		t.Fatalf("seed %d: fresh compile at %dB: %v", sc.Seed, l1, err)
+	}
+	res, err := core.Run(context.Background(), ws,
 		core.Config{Platform: energy.TwoLevel(l1), Search: sweepOptions(sc)})
 	if err != nil {
 		t.Fatalf("seed %d: fresh run at %dB: %v", sc.Seed, l1, err)
@@ -140,7 +144,7 @@ func TestSweepWorkspaceMatchesFreshRuns(t *testing.T) {
 				t.Fatalf("seed %d: compile: %v", sc.Seed, err)
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
-				sw, err := explore.SweepWorkspace(context.Background(), ws, sweepSizes, explore.Options{
+				sw, err := explore.Run(context.Background(), ws, sweepSizes, explore.Options{
 					Config:  core.Config{Search: sweepOptions(sc)},
 					Workers: workers,
 				})
@@ -181,7 +185,7 @@ func TestSweepWorkspaceSerializesProgress(t *testing.T) {
 	snaps := 0
 	opts := sweepOptions(sc)
 	opts.Progress = func(assign.Progress) { snaps++ }
-	_, err = explore.SweepWorkspace(context.Background(), ws, sweepSizes, explore.Options{
+	_, err = explore.Run(context.Background(), ws, sweepSizes, explore.Options{
 		Config: core.Config{
 			Search:   opts,
 			Progress: func(pr core.Progress) { phases = append(phases, pr.Phase) },
@@ -208,7 +212,7 @@ func TestSweepWorkspaceCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := explore.SweepWorkspace(ctx, ws, sweepSizes, explore.Options{Workers: 4}); err != context.Canceled {
+	if _, err := explore.Run(ctx, ws, sweepSizes, explore.Options{Workers: 4}); err != context.Canceled {
 		t.Errorf("cancelled sweep returned %v, want context.Canceled", err)
 	}
 }
@@ -216,7 +220,7 @@ func TestSweepWorkspaceCancellation(t *testing.T) {
 // TestSweepWorkspaceNil: a nil workspace is rejected, not
 // dereferenced.
 func TestSweepWorkspaceNil(t *testing.T) {
-	if _, err := explore.SweepWorkspace(context.Background(), nil, sweepSizes, explore.Options{}); err == nil {
+	if _, err := explore.Run(context.Background(), nil, sweepSizes, explore.Options{}); err == nil {
 		t.Error("nil workspace accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"mhla/internal/core"
 	"mhla/internal/energy"
 	"mhla/internal/lifetime"
+	"mhla/internal/workspace"
 )
 
 func TestMapAllAppsValidAndFits(t *testing.T) {
@@ -19,7 +21,11 @@ func TestMapAllAppsValidAndFits(t *testing.T) {
 	for _, app := range apps.All() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
-			res, err := core.Run(app.Build(apps.Test), core.Config{Platform: energy.TwoLevel(app.L1)})
+			ws, err := workspace.Compile(app.Build(apps.Test))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.Run(context.Background(), ws, core.Config{Platform: energy.TwoLevel(app.L1)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +146,11 @@ func TestQuickStaticPlacementIsSum(t *testing.T) {
 
 func TestMapString(t *testing.T) {
 	app, _ := apps.ByName("me")
-	res, err := core.Run(app.Build(apps.Test), core.Config{Platform: energy.TwoLevel(app.L1)})
+	ws, err := workspace.Compile(app.Build(apps.Test))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(context.Background(), ws, core.Config{Platform: energy.TwoLevel(app.L1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +168,11 @@ func TestMapString(t *testing.T) {
 
 func TestMapRejectsInvalidAssignment(t *testing.T) {
 	app, _ := apps.ByName("me")
-	res, err := core.Run(app.Build(apps.Test), core.Config{Platform: energy.TwoLevel(app.L1)})
+	ws, err := workspace.Compile(app.Build(apps.Test))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(context.Background(), ws, core.Config{Platform: energy.TwoLevel(app.L1)})
 	if err != nil {
 		t.Fatal(err)
 	}

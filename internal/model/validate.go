@@ -19,8 +19,11 @@ import (
 //   - every referenced array registered with the program
 //
 // The reuse analysis and the simulators rely on these invariants, so
-// all entry points of internal/core validate first.
+// they validate first (the flow does so once, in workspace.Compile).
 func (p *Program) Validate() error {
+	if p == nil {
+		return fmt.Errorf("model: nil program")
+	}
 	if p.Name == "" {
 		return fmt.Errorf("model: program has no name")
 	}

@@ -1,12 +1,14 @@
 package modelio
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"mhla/internal/apps"
 	"mhla/internal/core"
 	"mhla/internal/energy"
+	"mhla/internal/workspace"
 )
 
 func TestRoundTripAllApps(t *testing.T) {
@@ -29,11 +31,19 @@ func TestRoundTripAllApps(t *testing.T) {
 				t.Errorf("round-trip changed the program:\n%s\nvs\n%s", orig, back)
 			}
 			plat := energy.TwoLevel(app.L1)
-			r1, err := core.Run(orig, core.Config{Platform: plat})
+			ws1, err := workspace.Compile(orig)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := core.Run(back, core.Config{Platform: plat})
+			r1, err := core.Run(context.Background(), ws1, core.Config{Platform: plat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws2, err := workspace.Compile(back)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2, err := core.Run(context.Background(), ws2, core.Config{Platform: plat})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +87,11 @@ func TestDecodeProgramFromHandWrittenJSON(t *testing.T) {
 		t.Errorf("counts = %v", counts)
 	}
 	// And it runs through the full flow.
-	res, err := core.Run(p, core.Config{Platform: energy.TwoLevel(1024)})
+	ws, err := workspace.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(context.Background(), ws, core.Config{Platform: energy.TwoLevel(1024)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func taskCost(ws *workspace.Workspace, l1 int64, opts assign.Options) (*core.Res
 	if l1 == 0 {
 		// No partition: the task runs out of the box. Evaluate on a
 		// minimal platform; the baseline ignores the scratchpad.
-		res, err := core.RunWorkspace(ctx, ws, core.Config{Platform: energy.TwoLevel(256), DisableTE: true})
+		res, err := core.Run(ctx, ws, core.Config{Platform: energy.TwoLevel(256), DisableTE: true})
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +84,7 @@ func taskCost(ws *workspace.Workspace, l1 int64, opts assign.Options) (*core.Res
 		res.MHLA, res.TE, res.Ideal = res.Original, res.Original, res.Original
 		return res, nil
 	}
-	return core.RunWorkspace(ctx, ws, core.Config{Platform: energy.TwoLevel(l1), Search: opts})
+	return core.Run(ctx, ws, core.Config{Platform: energy.TwoLevel(l1), Search: opts})
 }
 
 // Partition splits the budget among the tasks, minimizing the summed

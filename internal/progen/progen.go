@@ -11,10 +11,10 @@
 // Typical use:
 //
 //	sc := progen.Generate(seed)
-//	an, _ := reuse.Analyze(sc.Program)
+//	ws, _ := workspace.Compile(sc.Program)
 //	opts := sc.Options
 //	opts.Engine = assign.BranchBound
-//	res, _ := assign.SearchContext(ctx, an, sc.Platform, opts)
+//	res, _ := assign.Search(ctx, ws, sc.Platform, opts)
 //
 // The generator builds the program incrementally — one loop nest at a
 // time — and sizes every array from the actual index ranges of the

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"mhla/internal/assign"
 	"mhla/internal/core"
 	"mhla/internal/energy"
+	"mhla/internal/workspace"
 )
 
 func testResults(t *testing.T) []AppResult {
@@ -15,7 +17,11 @@ func testResults(t *testing.T) []AppResult {
 	var out []AppResult
 	for _, name := range []string{"durbin", "voice"} {
 		app, _ := apps.ByName(name)
-		res, err := core.Run(app.Build(apps.Test), core.Config{Platform: energy.TwoLevel(app.L1)})
+		ws, err := workspace.Compile(app.Build(apps.Test))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Run(context.Background(), ws, core.Config{Platform: energy.TwoLevel(app.L1)})
 		if err != nil {
 			t.Fatalf("Run(%s): %v", name, err)
 		}
@@ -86,7 +92,11 @@ func TestFigure2UsesCustomOptions(t *testing.T) {
 	app, _ := apps.ByName("durbin")
 	opts := assign.DefaultOptions()
 	opts.Objective = assign.MinTime
-	res, err := core.Run(app.Build(apps.Test), core.Config{Platform: energy.TwoLevel(app.L1), Search: opts})
+	ws, err := workspace.Compile(app.Build(apps.Test))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(context.Background(), ws, core.Config{Platform: energy.TwoLevel(app.L1), Search: opts})
 	if err != nil {
 		t.Fatal(err)
 	}

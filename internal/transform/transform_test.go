@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"mhla/internal/model"
 	"mhla/internal/reuse"
 	"mhla/internal/sim"
+	"mhla/internal/workspace"
 )
 
 // matmul builds C = A x B with the column-major walk of B that makes
@@ -100,11 +102,19 @@ func TestTileAndInterchangeImproveMatmulMHLA(t *testing.T) {
 		t.Fatal(err)
 	}
 	plat := int64(4096)
-	r1, err := core.Run(p, core.Config{Platform: energy.TwoLevel(plat)})
+	ws1, err := workspace.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := core.Run(blocked, core.Config{Platform: energy.TwoLevel(plat)})
+	r1, err := core.Run(context.Background(), ws1, core.Config{Platform: energy.TwoLevel(plat)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws2, err := workspace.Compile(blocked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := core.Run(context.Background(), ws2, core.Config{Platform: energy.TwoLevel(plat)})
 	if err != nil {
 		t.Fatal(err)
 	}

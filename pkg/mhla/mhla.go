@@ -319,14 +319,18 @@ func TeeProgress(fns ...ProgressFunc) ProgressFunc {
 // automatically.
 func Compile(p *Program) (*Workspace, error) { return workspace.Compile(p) }
 
-// checkWorkspace verifies a configured workspace matches the program
-// the entry point received (a nil program is allowed — the workspace
-// carries its own).
-func (c *config) checkWorkspace(p *Program) error {
-	if c.workspace != nil && p != nil && p != c.workspace.Program {
-		return &assign.OptionError{Field: "Workspace", Reason: "workspace was compiled for a different program"}
+// compiled returns the workspace an entry point runs on: the
+// configured one, which must have been compiled for p (a nil p is
+// allowed — the workspace carries its own), or else a fresh compile
+// of p.
+func (c *config) compiled(p *Program) (*Workspace, error) {
+	if c.workspace == nil {
+		return Compile(p)
 	}
-	return nil
+	if p != nil && p != c.workspace.Program {
+		return nil, &assign.OptionError{Field: "Workspace", Reason: "workspace was compiled for a different program"}
+	}
+	return c.workspace, nil
 }
 
 // Run executes the full two-step MHLA+TE flow on a program and
@@ -339,13 +343,11 @@ func Run(ctx context.Context, p *Program, opts ...Option) (*Result, error) {
 	if cfg.err != nil {
 		return nil, cfg.err
 	}
-	if err := cfg.checkWorkspace(p); err != nil {
+	ws, err := cfg.compiled(p)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.workspace != nil {
-		return core.RunWorkspace(ctx, cfg.workspace, cfg.coreConfig())
-	}
-	return core.RunContext(ctx, p, cfg.coreConfig())
+	return core.Run(ctx, ws, cfg.coreConfig())
 }
 
 // Search runs the assignment step alone on an analyzed program (step
@@ -357,10 +359,13 @@ func Search(ctx context.Context, an *Analysis, plat *Platform, opts ...Option) (
 	if cfg.err != nil {
 		return nil, cfg.err
 	}
+	if an == nil {
+		return nil, fmt.Errorf("mhla: nil analysis")
+	}
 	if plat == nil {
 		plat = cfg.platform
 	}
-	return assign.SearchContext(ctx, an, plat, cfg.assignOptions())
+	return assign.Search(ctx, workspace.FromAnalysis(an), plat, cfg.assignOptions())
 }
 
 // ParseObjective parses an objective name: "energy", "time" or "edp".
@@ -415,7 +420,7 @@ func ParsePolicy(s string) (Policy, error) {
 // assignOptions exposes the accumulated assignment options for the
 // helpers (Search, Partition) that drive the assignment layer
 // directly, wiring the flow-level progress callback into the engine
-// the way core.RunContext does.
+// the way core.Run does.
 func (c *config) assignOptions() assign.Options {
 	return core.WireSearchProgress(c.search, c.progress)
 }

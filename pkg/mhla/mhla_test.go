@@ -181,31 +181,48 @@ func TestPolicySelection(t *testing.T) {
 	}
 }
 
+// TestWithProgress: both the compiling path and the WithWorkspace
+// path report the same phase sequence, plus search snapshots.
 func TestWithProgress(t *testing.T) {
-	var phases []mhla.Phase
-	var searchSnapshots int
-	_, err := mhla.Run(context.Background(), reuseProgram(), mhla.WithL1(1024),
-		mhla.WithProgress(func(p mhla.Progress) {
-			if p.Search == (mhla.SearchProgress{}) {
-				phases = append(phases, p.Phase)
-			} else {
-				searchSnapshots++
-			}
-		}))
+	prog := reuseProgram()
+	ws, err := mhla.Compile(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []mhla.Phase{mhla.PhaseAnalyze, mhla.PhaseAssign, mhla.PhaseExtend, mhla.PhaseEvaluate}
-	if len(phases) != len(want) {
-		t.Fatalf("phases %v, want %v", phases, want)
-	}
-	for i := range want {
-		if phases[i] != want[i] {
-			t.Fatalf("phases %v, want %v", phases, want)
-		}
-	}
-	if searchSnapshots == 0 {
-		t.Error("no search progress snapshots delivered")
+	for _, c := range []struct {
+		name string
+		opts []mhla.Option
+	}{
+		{"compile", nil},
+		{"workspace", []mhla.Option{mhla.WithWorkspace(ws)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var phases []mhla.Phase
+			var searchSnapshots int
+			opts := append([]mhla.Option{mhla.WithL1(1024),
+				mhla.WithProgress(func(p mhla.Progress) {
+					if p.Search == (mhla.SearchProgress{}) {
+						phases = append(phases, p.Phase)
+					} else {
+						searchSnapshots++
+					}
+				})}, c.opts...)
+			if _, err := mhla.Run(context.Background(), prog, opts...); err != nil {
+				t.Fatal(err)
+			}
+			want := []mhla.Phase{mhla.PhaseAnalyze, mhla.PhaseAssign, mhla.PhaseExtend, mhla.PhaseEvaluate}
+			if len(phases) != len(want) {
+				t.Fatalf("phases %v, want %v", phases, want)
+			}
+			for i := range want {
+				if phases[i] != want[i] {
+					t.Fatalf("phases %v, want %v", phases, want)
+				}
+			}
+			if searchSnapshots == 0 {
+				t.Error("no search progress snapshots delivered")
+			}
+		})
 	}
 }
 

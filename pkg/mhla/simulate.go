@@ -62,19 +62,12 @@ func Simulate(ctx context.Context, p *Program, cacheCfg CacheConfig, opts ...Opt
 	if cfg.err != nil {
 		return nil, cfg.err
 	}
-	if err := cfg.checkWorkspace(p); err != nil {
-		return nil, err
-	}
 	if err := cacheCfg.Validate(cfg.platform); err != nil {
 		return nil, &assign.OptionError{Field: "CacheConfig", Reason: err.Error()}
 	}
-	ws := cfg.workspace
-	if ws == nil {
-		var err error
-		ws, err = Compile(p)
-		if err != nil {
-			return nil, err
-		}
+	ws, err := cfg.compiled(p)
+	if err != nil {
+		return nil, err
 	}
 	return cachesim.Simulate(ctx, ws, cfg.platform, cacheCfg)
 }

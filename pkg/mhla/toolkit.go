@@ -2,7 +2,6 @@ package mhla
 
 import (
 	"context"
-	"fmt"
 
 	"mhla/internal/dmasim"
 	"mhla/internal/explore"
@@ -65,17 +64,11 @@ func SweepL1(ctx context.Context, p *Program, sizes []int64, opts ...Option) (*S
 	if cfg.err != nil {
 		return nil, cfg.err
 	}
-	if err := cfg.checkWorkspace(p); err != nil {
+	ws, err := cfg.compiled(p)
+	if err != nil {
 		return nil, err
 	}
-	ws := cfg.workspace
-	if ws == nil {
-		var err error
-		if ws, err = Compile(p); err != nil {
-			return nil, fmt.Errorf("explore: %w", err)
-		}
-	}
-	return explore.SweepWorkspace(ctx, ws, sizes, explore.Options{
+	return explore.Run(ctx, ws, sizes, explore.Options{
 		Config:  cfg.coreConfig(),
 		Workers: cfg.sweepWorkers,
 	})

@@ -111,3 +111,32 @@ func TestFacadeInputValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestFacadeNilInputs: a nil program, analysis, assignment or plan is
+// rejected with an error at every facade entry point, never a panic.
+func TestFacadeNilInputs(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"Run", func() error { _, err := mhla.Run(ctx, nil); return err }},
+		{"Compile", func() error { _, err := mhla.Compile(nil); return err }},
+		{"SweepL1", func() error { _, err := mhla.SweepL1(ctx, nil, nil); return err }},
+		{"Simulate", func() error { _, err := mhla.Simulate(ctx, nil, mhla.CacheConfig{}); return err }},
+		{"Search", func() error { _, err := mhla.Search(ctx, nil, nil); return err }},
+		{"Analyze", func() error { _, err := mhla.Analyze(nil); return err }},
+		{"Extend", func() error { _, err := mhla.Extend(nil); return err }},
+		{"ExtendWithWrites", func() error { _, err := mhla.ExtendWithWrites(nil); return err }},
+		{"SimulateTrace", func() error { _, err := mhla.SimulateTrace(nil, 0); return err }},
+		{"SimulateDMA", func() error { _, err := mhla.SimulateDMA(nil); return err }},
+		{"Layout", func() error { _, err := mhla.Layout(nil); return err }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.call(); err == nil {
+				t.Errorf("%s(nil) returned no error", c.name)
+			}
+		})
+	}
+}
