@@ -265,26 +265,34 @@ func (a *Assignment) Objects(layer int) []lifetime.Object {
 	}
 	for _, id := range a.chainIDs() {
 		ca := a.Chains[id]
-		ci := a.ws.ChainIndex[id]
 		for i, lv := range ca.Levels {
-			if ca.Layers[i] != layer {
-				continue
+			if ca.Layers[i] == layer {
+				objs = append(objs, a.CopyObject(id, lv))
 			}
-			obj := a.ws.CandObjs[ci][lv]
-			for class := range ca.Chain.Candidate(lv).Classes {
-				ex, ok := a.Extras[StreamKey{Chain: id, Level: lv, Class: class}]
-				if !ok {
-					continue
-				}
-				obj.Bytes += ex.Bytes
-				if s := ca.Chain.BlockIndex - ex.HoistBlocks; s < obj.Start {
-					obj.Start = s
-				}
-			}
-			objs = append(objs, obj)
 		}
 	}
 	return objs
+}
+
+// CopyObject returns the lifetime object of copy candidate (chain,
+// level) as Objects places it: the candidate's bytes plus the
+// time-extension extras of all its streams, live from the earliest
+// hoisted block to the chain's block.
+func (a *Assignment) CopyObject(chainID string, level int) lifetime.Object {
+	ci := a.ws.ChainIndex[chainID]
+	ch := a.ws.Chains[ci]
+	obj := a.ws.CandObjs[ci][level]
+	for class := range ch.Candidate(level).Classes {
+		ex, ok := a.Extras[StreamKey{Chain: chainID, Level: level, Class: class}]
+		if !ok {
+			continue
+		}
+		obj.Bytes += ex.Bytes
+		if s := ch.BlockIndex - ex.HoistBlocks; s < obj.Start {
+			obj.Start = s
+		}
+	}
+	return obj
 }
 
 // PeakUsage returns the peak occupancy of the given layer under the

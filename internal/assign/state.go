@@ -89,9 +89,9 @@ func (s *space) buildTables() {
 // performs no heap allocation.
 type searchState struct {
 	sp *space
-	// trackers holds one incremental occupancy profile per bounded
-	// layer (nil for layers with Capacity 0, which Fits ignores).
-	trackers []*lifetime.Tracker
+	// occ holds the incremental occupancy profile of every bounded
+	// layer.
+	occ *Occupancy
 	// homes is the current home layer of every array (index-aligned
 	// with sp.arrays); undecided arrays sit on the background layer,
 	// which is also the out-of-the-box placement.
@@ -107,21 +107,14 @@ type searchState struct {
 func newSearchState(s *space) *searchState {
 	st := &searchState{
 		sp:       s,
-		trackers: make([]*lifetime.Tracker, len(s.plat.Layers)),
+		occ:      newOccupancy(s.plat, s.nblocks, s.opts.InPlace),
 		homes:    make([]int, len(s.arrays)),
 		chainSel: make([]int, len(s.chains)),
-	}
-	for i := range s.plat.Layers {
-		if s.plat.Layers[i].Capacity > 0 {
-			st.trackers[i] = lifetime.NewTracker(s.nblocks, s.opts.InPlace)
-		}
 	}
 	for ai := range s.arrays {
 		st.homes[ai] = s.bg
 		if s.arrayUsed[ai] {
-			if tr := st.trackers[s.bg]; tr != nil {
-				tr.Place(s.arrayObjs[ai])
-			}
+			st.occ.Place(s.bg, s.arrayObjs[ai])
 		}
 	}
 	for ci := range s.chains {
@@ -130,32 +123,11 @@ func newSearchState(s *space) *searchState {
 	return st
 }
 
-// fits reports whether every bounded layer's peak occupancy is within
-// its capacity — the incremental equivalent of Assignment.Fits, an
-// O(layers) check over maintained peaks instead of a from-scratch
-// profile rebuild.
-func (st *searchState) fits() bool {
-	for i, tr := range st.trackers {
-		if tr != nil && tr.Peak() > st.sp.plat.Layers[i].Capacity {
-			return false
-		}
-	}
-	return true
-}
-
 // moveArray rehomes array ai, moving its lifetime object between the
 // affected layer trackers.
 func (st *searchState) moveArray(ai, from, to int) {
 	st.homes[ai] = to
-	if !st.sp.arrayUsed[ai] {
-		return
-	}
-	if tr := st.trackers[from]; tr != nil {
-		tr.Unplace(st.sp.arrayObjs[ai])
-	}
-	if tr := st.trackers[to]; tr != nil {
-		tr.Place(st.sp.arrayObjs[ai])
-	}
+	st.occ.moveArray(st.sp.ws, ai, from, to)
 }
 
 // apply takes decision oi at the given depth (an array home while
@@ -176,7 +148,7 @@ func (st *searchState) apply(depth, oi int) bool {
 			return true
 		}
 		st.moveArray(depth, s.bg, home)
-		if !st.fits() {
+		if !st.occ.Fits() {
 			st.moveArray(depth, home, s.bg)
 			return false
 		}
@@ -192,11 +164,9 @@ func (st *searchState) apply(depth, oi int) bool {
 		return true
 	}
 	for _, od := range s.chainObjs[ci][oi] {
-		if tr := st.trackers[od.layer]; tr != nil {
-			tr.Place(od.obj)
-		}
+		st.occ.Place(od.layer, od.obj)
 	}
-	if !st.fits() {
+	if !st.occ.Fits() {
 		st.undo(depth, oi)
 		return false
 	}
@@ -216,9 +186,7 @@ func (st *searchState) undo(depth, oi int) {
 	ci := depth - len(s.arrays)
 	st.chainSel[ci] = -1
 	for _, od := range s.chainObjs[ci][oi] {
-		if tr := st.trackers[od.layer]; tr != nil {
-			tr.Unplace(od.obj)
-		}
+		st.occ.Unplace(od.layer, od.obj)
 	}
 }
 

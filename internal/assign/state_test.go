@@ -103,7 +103,7 @@ func stateSpace(t *testing.T, seed int64) *space {
 func checkStateMatchesBatch(t *testing.T, seed int64, st *searchState) {
 	t.Helper()
 	a := st.materialize()
-	for li, tr := range st.trackers {
+	for li, tr := range st.occ.trackers {
 		if tr == nil {
 			continue
 		}

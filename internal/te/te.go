@@ -140,18 +140,32 @@ func ExtendWithOptions(a *assign.Assignment, opts Options) (*Plan, error) {
 	}
 
 	// Step 2: greedy order — descending BT_time/size, stable by key.
-	sort.SliceStable(plan.Streams, func(i, j int) bool {
-		a, b := plan.Streams[i], plan.Streams[j]
-		if a.SortFactor != b.SortFactor {
-			return a.SortFactor > b.SortFactor
+	// Each stream's key is rendered once, not per comparison.
+	type keyed struct {
+		st  *Stream
+		key string
+	}
+	order := make([]keyed, len(plan.Streams))
+	for i, st := range plan.Streams {
+		order[i] = keyed{st, st.Key.String()}
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if a.st.SortFactor != b.st.SortFactor {
+			return a.st.SortFactor > b.st.SortFactor
 		}
-		return a.Key.String() < b.Key.String()
+		return a.key < b.key
 	})
+	for i := range order {
+		plan.Streams[i] = order[i].st
+	}
 
 	// Step 3: extend each BT while dependences and the size
-	// constraint allow, until fully hidden.
+	// constraint allow, until fully hidden. The occupancy starts from
+	// the assignment's objects and follows every accepted extension.
+	occ := work.Occupancy()
 	for _, st := range plan.Streams {
-		extendStream(work, st, iterCycles, blockBusy)
+		extendStream(work, occ, st, iterCycles, blockBusy)
 	}
 
 	// Step 4: dma_priority().
@@ -162,7 +176,7 @@ func ExtendWithOptions(a *assign.Assignment, opts Options) (*Plan, error) {
 }
 
 // extendStream applies the per-BT extension loop of Figure 1.
-func extendStream(work *assign.Assignment, st *Stream, iterCycles map[*model.Loop]int64, blockBusy []int64) {
+func extendStream(work *assign.Assignment, occ *assign.Occupancy, st *Stream, iterCycles map[*model.Loop]int64, blockBusy []int64) {
 	ws := work.Workspace()
 	if len(st.FreedomLoops) == 0 && !fillCanHoist(ws, st) {
 		return
@@ -171,15 +185,8 @@ func extendStream(work *assign.Assignment, st *Stream, iterCycles map[*model.Loo
 
 	if st.LoopIndex < 0 {
 		// Initial fill: prefetch during the previous top-level block.
-		key := st.Key
-		prev, had := work.Extras[key]
-		work.Extras[key] = assign.Extra{Bytes: prev.Bytes, HoistBlocks: 1}
-		if !work.Fits() {
-			if had {
-				work.Extras[key] = prev
-			} else {
-				delete(work.Extras, key)
-			}
+		prev := work.Extras[st.Key]
+		if !setExtra(work, occ, st, assign.Extra{Bytes: prev.Bytes, HoistBlocks: 1}) {
 			st.SizeLimited = true
 			return
 		}
@@ -190,17 +197,11 @@ func extendStream(work *assign.Assignment, st *Stream, iterCycles map[*model.Loo
 	}
 
 	// Steady and wrap classes: cross freedom loops innermost first.
-	key := st.Key
 	for _, li := range st.FreedomLoops {
 		// fits_size: each crossed loop keeps one more update in
 		// flight.
-		prev := work.Extras[key]
-		work.Extras[key] = assign.Extra{Bytes: prev.Bytes + st.Bytes, HoistBlocks: prev.HoistBlocks}
-		if !work.Fits() {
-			work.Extras[key] = prev
-			if prev.Bytes == 0 {
-				delete(work.Extras, key)
-			}
+		prev := work.Extras[st.Key]
+		if !setExtra(work, occ, st, assign.Extra{Bytes: prev.Bytes + st.Bytes, HoistBlocks: prev.HoistBlocks}) {
 			st.SizeLimited = true
 			return
 		}
@@ -211,6 +212,31 @@ func extendStream(work *assign.Assignment, st *Stream, iterCycles map[*model.Loo
 			return
 		}
 	}
+}
+
+// setExtra sets the stream's extra to ex when the copy, grown by it,
+// still fits every bounded layer: it swaps the copy's old lifetime
+// object for the grown one in the occupancy and checks the peaks. On
+// overflow it restores the previous extra and object and reports
+// false.
+func setExtra(work *assign.Assignment, occ *assign.Occupancy, st *Stream, ex assign.Extra) bool {
+	prev, had := work.Extras[st.Key]
+	old := work.CopyObject(st.ChainID, st.Level)
+	work.Extras[st.Key] = ex
+	grown := work.CopyObject(st.ChainID, st.Level)
+	occ.Unplace(st.Layer, old)
+	occ.Place(st.Layer, grown)
+	if occ.Fits() {
+		return true
+	}
+	occ.Unplace(st.Layer, grown)
+	occ.Place(st.Layer, old)
+	if had {
+		work.Extras[st.Key] = prev
+	} else {
+		delete(work.Extras, st.Key)
+	}
+	return false
 }
 
 // freedomLoops computes the loops the BT initiation may be hoisted
