@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -165,13 +166,12 @@ type space struct {
 	base   contrib
 	start  *Assignment
 
-	// Greedy-seeded incumbent (branch and bound only). The seed score
-	// is folded from the same per-decision contributions, in the same
-	// order, as the DFS accumulates leaf scores, so the two are
-	// bit-comparable.
+	// Seeded incumbent (branch and bound only; nil until installSeed
+	// accepts one). The seed score is folded from the same
+	// per-decision contributions, in the same order, as the DFS
+	// accumulates leaf scores, so the two are bit-comparable.
 	seed      *Assignment
 	seedScore float64
-	hasSeed   bool
 
 	// Shared worker state. bestBits carries the global incumbent
 	// score (float bits, lowered by CAS) for progress reporting.
@@ -311,136 +311,62 @@ func (s *space) suffixAt(depth int) contrib {
 // the initial branch-and-bound incumbent, so every subtree task starts
 // with a strong deterministic bound (this replaces cross-task bound
 // sharing, which would make the explored tree depend on scheduling).
-// It reports false when greedy was cancelled or — defensively — when
-// its result does not map onto the decision tables. The mapping is
-// O(1) per decision: homes are matched against the (tiny) per-array
-// home list, selections against the option-key index.
-func (s *space) seedIncumbent() bool {
+// Nothing is installed when greedy was cancelled. A greedy result
+// always replays: it was built under this platform, whose unbounded
+// background layer takes every array the replay has not yet rehomed.
+func (s *space) seedIncumbent() {
 	gopts := s.opts
 	gopts.Progress = nil
-	gr := greedySearch(s.ctx, s.ws, s.plat, gopts)
-	if gr == nil {
-		return false
+	if gr := greedySearch(s.ctx, s.ws, s.plat, gopts); gr != nil {
+		s.installSeed(gr.Assignment)
 	}
-	a := gr.Assignment
-	acc := s.base
-	for i, arr := range s.arrays {
-		home := a.ArrayHome[arr.Name]
-		found := false
-		for _, h := range s.arrayOpts[i] {
-			if h == home {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-		acc = acc.plus(arrayContrib(s.plat, arr, home))
-	}
-	for i, ch := range s.chains {
-		var lv, ly []int
-		if ca := a.Chains[ch.ID]; ca != nil {
-			lv, ly = ca.Levels, ca.Layers
-		}
-		home := a.ArrayHome[ch.Array.Name]
-		if len(lv) != len(ly) {
-			return false
-		}
-		if len(ly) > 0 && ly[0] >= home {
-			return false
-		}
-		oi, ok := s.lookupOption(i, lv, ly)
-		if !ok {
-			return false
-		}
-		acc = acc.plus(s.chainContribTab[i][home*len(s.chainOpts[i])+oi])
-	}
-	s.seed = a
-	s.seedScore = s.opts.Objective.contribScore(acc)
-	s.hasSeed = true
-	s.publishBest(s.seedScore)
-	return true
 }
 
-// seedWarm installs a caller-provided warm-start incumbent — in the
-// L1 sweep's incremental search, the previous (smaller) point's
-// optimal assignment — as the initial branch-and-bound bound. The
-// incumbent's decisions are mapped onto this search's decision tables
-// and replayed through a searchState, which re-checks structural
-// validity and capacity feasibility under the *current* platform, and
-// its score is re-folded from the current platform's per-decision
-// contributions (never carried over: per-size platforms differ in
-// costs, not just capacity). An incumbent that no longer maps or fits
-// is rejected and the search keeps the greedy seed; so is one whose
-// re-folded score does not beat the already-installed greedy seed
-// (seedWarm runs after seedIncumbent) — keeping the stronger of the
-// two bounds guarantees a warm-started search never explores more
-// states than a fresh one, even when the neighboring optimum is a
-// poor fit for the current platform.
-//
-// Like the greedy seed, an accepted warm seed is a feasible leaf of
-// the decision tree whose score is folded in the same order as DFS
-// leaf scores, so it is bit-comparable with them; the search still
-// returns the DFS-first leaf attaining the global minimum, which is
-// what keeps a warm-started complete search byte-identical to a
-// greedy-seeded one in everything but the explored state count. The
-// cross-size dominance pruning this enables is exactly the ordinary
-// bound test: partial assignments whose optimistic bound cannot beat
-// the neighboring point's re-scored optimum are cut from the first
-// root expansion on. The seed assignment itself is re-materialized
-// over the current platform, so the MaxStates fallback path returns a
-// correctly-priced assignment too.
-func (s *space) seedWarm(inc *Assignment) bool {
-	decisions, ok := s.mapDecisions(inc)
+// installSeed installs an assignment as the branch-and-bound incumbent
+// when it replays under this search's platform and its score, folded
+// from the per-decision contributions in the same depth order as DFS
+// leaf scores (so the two are bit-comparable), strictly beats the
+// installed seed. Both the greedy seed and a caller's warm start
+// (Options.Incumbent — in the L1 sweep's incremental search, the
+// previous, smaller point's optimum) come through here. A warm start
+// is re-validated and re-scored under the *current* platform (per-size
+// platforms differ in costs, not just capacity); one that no longer
+// maps or fits, or scores no better than the greedy seed, is rejected,
+// so a warm-started search never explores more states than a fresh
+// one. The search still returns the DFS-first leaf attaining the
+// global minimum, which keeps a warm-started complete search
+// byte-identical to a greedy-seeded one in everything but the explored
+// state count. The seed is re-materialized from the replayed state, so
+// the MaxStates fallback returns an assignment priced under this
+// platform.
+func (s *space) installSeed(a *Assignment) {
+	st, decisions, ok := s.replay(a)
 	if !ok {
-		return false
+		return
 	}
-	st := newSearchState(s)
-	acc := s.base
-	for depth, oi := range decisions {
-		if !st.apply(depth, oi) {
-			for d := depth - 1; d >= 0; d-- {
-				st.undo(d, decisions[d])
-			}
-			return false
-		}
-		acc = acc.plus(st.contribAt(depth, oi))
+	score := s.foldScore(st, decisions)
+	if s.seed != nil && score >= s.seedScore {
+		return
 	}
-	score := s.opts.Objective.contribScore(acc)
-	if s.hasSeed && score >= s.seedScore {
-		return false
-	}
-	s.seed = st.materialize()
-	s.seedScore = score
-	s.hasSeed = true
-	s.publishBest(s.seedScore)
-	return true
+	s.seed, s.seedScore = st.materialize(), score
+	s.publishBest(score)
 }
 
-// mapDecisions maps an assignment's decisions (array homes, chain
-// selections) onto this search's decision tables, in the fixed search
-// order: one option index per decision level. ok is false when a home
-// or selection does not exist in the tables under the current
-// platform — an incumbent from a smaller L1 may name layers or
-// options this point filtered out. The mapping is structural only;
-// capacity feasibility is the caller's replay through a searchState.
-// Both warm-start seeding (seedWarm) and the stochastic engine's
-// greedy seeding (lns.go) read assignments back into decision vectors
-// through this one helper.
-func (s *space) mapDecisions(a *Assignment) ([]int, bool) {
-	decisions := make([]int, 0, s.levels())
+// replay maps an assignment's decisions (array homes, chain
+// selections) onto this search's decision tables in the fixed search
+// order and applies each to a fresh searchState, returning the state
+// and the decision vector (one option index per level). ok is false
+// when a home or selection does not exist in the tables under the
+// current platform — an incumbent from a smaller L1 may name layers
+// or options this point filtered out — or a decision does not fit;
+// the state is then dropped, so there is nothing to roll back.
+func (s *space) replay(a *Assignment) (st *searchState, decisions []int, ok bool) {
+	st = newSearchState(s)
+	decisions = make([]int, 0, s.levels())
 	for i, arr := range s.arrays {
-		home := a.ArrayHome[arr.Name]
-		hi := -1
-		for j, h := range s.arrayOpts[i] {
-			if h == home {
-				hi = j
-				break
-			}
-		}
-		if hi < 0 {
-			return nil, false
+		hi := slices.Index(s.arrayOpts[i], a.ArrayHome[arr.Name])
+		if hi < 0 || !st.apply(i, hi) {
+			return nil, nil, false
 		}
 		decisions = append(decisions, hi)
 	}
@@ -450,15 +376,15 @@ func (s *space) mapDecisions(a *Assignment) ([]int, bool) {
 			lv, ly = ca.Levels, ca.Layers
 		}
 		if len(lv) != len(ly) {
-			return nil, false
+			return nil, nil, false
 		}
 		oi, ok := s.lookupOption(i, lv, ly)
-		if !ok {
-			return nil, false
+		if !ok || !st.apply(len(s.arrays)+i, oi) {
+			return nil, nil, false
 		}
 		decisions = append(decisions, oi)
 	}
-	return decisions, true
+	return st, decisions, true
 }
 
 // pruneSubtree reports whether the subtree with the given optimistic
@@ -634,7 +560,7 @@ func exactSearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Pl
 		// explored tree can only shrink.
 		s.seedIncumbent()
 		if opts.Incumbent != nil {
-			s.seedWarm(opts.Incumbent)
+			s.installSeed(opts.Incumbent)
 		}
 	}
 	if ctx.Err() != nil {
@@ -650,32 +576,25 @@ func exactSearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Pl
 		workers = len(tasks)
 	}
 
+	// Workers pull tasks in index order (one worker runs them
+	// sequentially); the merge below reads results in task order.
 	results := make([]taskResult, len(tasks))
-	if workers <= 1 {
-		for i := range tasks {
-			if s.cancelled.Load() {
-				break
-			}
-			results[i] = s.searchTask(tasks[i])
-		}
-	} else {
-		var nextTask atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(nextTask.Add(1)) - 1
-					if i >= len(tasks) || s.cancelled.Load() {
-						return
-					}
-					results[i] = s.searchTask(tasks[i])
+	var nextTask atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(nextTask.Add(1)) - 1
+				if i >= len(tasks) || s.cancelled.Load() {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				results[i] = s.searchTask(tasks[i])
+			}
+		}()
 	}
+	wg.Wait()
 	if s.cancelled.Load() || ctx.Err() != nil {
 		return nil
 	}
@@ -704,7 +623,7 @@ func exactSearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Pl
 		// was reached. Fall back to the greedy seed, else to the
 		// out-of-the-box baseline.
 		complete = false
-		if s.hasSeed {
+		if s.seed != nil {
 			best = s.seed
 		} else {
 			best = s.start

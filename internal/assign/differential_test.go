@@ -256,3 +256,78 @@ func TestDifferentialGreedyNeverBeatsExact(t *testing.T) {
 		})
 	}
 }
+
+// TestDifferentialSeedReplay: the greedy assignment must replay onto
+// the exact engines' decision tables on every scenario. Branch and
+// bound installs it as its seed: the materialized seed equals greedy's
+// assignment decision for decision, and its folded score matches the
+// objective score of greedy's evaluated cost. LNS starts its walk from
+// it instead of falling back to greedy's result (which would leave the
+// state count at greedy's).
+func TestDifferentialSeedReplay(t *testing.T) {
+	for seed := int64(0); seed < diffSeeds(); seed++ {
+		sc := diffConfig.Generate(seed)
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			an, err := reuse.Analyze(sc.Program)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seedA, score := assign.GreedySeed(context.Background(), workspace.FromAnalysis(an), sc.Platform, sc.Options)
+			if seedA == nil {
+				t.Fatal("greedy seed did not install")
+			}
+			gr := searchScenario(t, sc, assign.Greedy, 1)
+			if !assignmentsEqual(seedA, gr.Assignment) {
+				t.Errorf("materialized seed differs from greedy:\n%svs\n%s", seedA, gr.Assignment)
+			}
+			if got := seedA.Evaluate(assign.EvalOptions{}); !reflect.DeepEqual(got, gr.Cost) {
+				t.Errorf("materialized seed costs %+v, greedy %+v", got, gr.Cost)
+			}
+			if gs := sc.Options.Objective.Score(gr.Cost); math.Abs(score-gs) > 1e-9*math.Max(1, math.Abs(gs)) {
+				t.Errorf("folded seed score %v != greedy score %v", score, gs)
+			}
+			if ls := searchScenario(t, sc, assign.Stochastic, 1); ls.States <= gr.States {
+				t.Errorf("LNS evaluated %d states, greedy %d: the walk never started", ls.States, gr.States)
+			}
+		})
+	}
+}
+
+// TestDifferentialBnBStateCap: branch and bound capped at one state
+// per task must still return a valid, fitting assignment priced by its
+// own Evaluate that never scores worse than greedy, its seed.
+func TestDifferentialBnBStateCap(t *testing.T) {
+	for seed := int64(0); seed < diffSeeds(); seed++ {
+		sc := diffConfig.Generate(seed)
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			an, err := reuse.Analyze(sc.Program)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := sc.Options
+			opts.Engine = assign.BranchBound
+			opts.MaxStates = 1
+			opts.Workers = 2
+			res, err := assign.Search(context.Background(), workspace.FromAnalysis(an), sc.Platform, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Assignment.Validate(); err != nil {
+				t.Errorf("capped assignment invalid: %v", err)
+			}
+			if !res.Assignment.Fits() {
+				t.Error("capped assignment over capacity")
+			}
+			if got := res.Assignment.Evaluate(assign.EvalOptions{}); !reflect.DeepEqual(res.Cost, got) {
+				t.Errorf("reported cost %+v != evaluated %+v", res.Cost, got)
+			}
+			gr := searchScenario(t, sc, assign.Greedy, 1)
+			obj := sc.Options.Objective
+			if bs, gs := obj.Score(res.Cost), obj.Score(gr.Cost); bs > gs+1e-9*math.Max(1, math.Abs(gs)) {
+				t.Errorf("capped bnb score %v worse than greedy %v", bs, gs)
+			}
+		})
+	}
+}

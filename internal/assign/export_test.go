@@ -8,11 +8,17 @@ import (
 )
 
 // OracleGreedy runs the clone-per-move reference greedy engine
-// (greedy_oracle_test.go) with Search's iteration-cap default, for the
-// external differential tests.
+// (greedy_oracle_test.go), for the external differential tests.
 func OracleGreedy(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options) *Result {
-	if opts.MaxGreedyIters == 0 {
-		opts.MaxGreedyIters = 10_000
-	}
 	return oracleGreedySearch(ctx, ws, plat, opts)
+}
+
+// GreedySeed installs branch and bound's greedy seed on a fresh search
+// space, as exactSearch does, and returns the materialized seed — the
+// MaxStates fallback result — with its folded score; the seed is nil
+// when it did not install.
+func GreedySeed(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options) (*Assignment, float64) {
+	s := newSpace(ctx, ws, plat, opts, true)
+	s.seedIncumbent()
+	return s.seed, s.seedScore
 }

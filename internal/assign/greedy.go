@@ -13,6 +13,10 @@ import (
 	"mhla/internal/workspace"
 )
 
+// maxGreedyIters caps greedy iterations: a safety net, as the search
+// terminates on its own because cost strictly decreases.
+const maxGreedyIters = 10_000
+
 // greedySearch is the steepest-descent heuristic of the MHLA tool:
 // start from the out-of-the-box placement (everything in background
 // memory, no copies) and repeatedly apply the feasible move with the
@@ -25,7 +29,7 @@ import (
 func greedySearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options) *Result {
 	g := newGreedy(ctx, ws, plat, opts)
 	g.curScore = g.score()
-	for iter := 0; iter < opts.MaxGreedyIters; iter++ {
+	for iter := 0; iter < maxGreedyIters; iter++ {
 		g.found = false
 		if !g.scan() {
 			return nil

@@ -38,7 +38,7 @@ func oracleGreedySearch(ctx context.Context, ws *workspace.Workspace, plat *plat
 	curScore := opts.Objective.Score(curCost)
 	states := 0
 
-	for iter := 0; iter < opts.MaxGreedyIters; iter++ {
+	for iter := 0; iter < maxGreedyIters; iter++ {
 		var best *Assignment
 		var bestCost Cost
 		bestCrit := 0.0

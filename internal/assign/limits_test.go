@@ -36,36 +36,6 @@ func TestExactSearchStateCap(t *testing.T) {
 	}
 }
 
-// TestGreedyIterationCap: a single greedy iteration applies exactly
-// the best first move and still yields a valid improvement.
-func TestGreedyIterationCap(t *testing.T) {
-	an := analyze(t, reuseProgram())
-	opts := DefaultOptions()
-	opts.MaxGreedyIters = 1
-	res, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), opts)
-	if err != nil {
-		t.Fatalf("Search: %v", err)
-	}
-	if len(res.Assignment.Selections())+countOnChipHomes(res.Assignment) != 1 {
-		t.Errorf("one iteration made %d selections and %d homes",
-			len(res.Assignment.Selections()), countOnChipHomes(res.Assignment))
-	}
-	if res.Cost.Energy >= res.Baseline.Energy {
-		t.Error("single move did not improve")
-	}
-}
-
-func countOnChipHomes(a *Assignment) int {
-	bg := a.Platform.Background()
-	n := 0
-	for _, home := range a.ArrayHome {
-		if home != bg {
-			n++
-		}
-	}
-	return n
-}
-
 // TestGreedyNoImprovingMove: a program with no reuse and a tiny
 // layer leaves the baseline untouched.
 func TestGreedyNoImprovingMove(t *testing.T) {

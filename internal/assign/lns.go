@@ -60,27 +60,14 @@ func lnsSearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Plat
 	if gr == nil {
 		return nil
 	}
-	relabel := func() *Result {
-		res := *gr
-		res.Engine = Stochastic
-		return &res
-	}
+	// Replay the greedy assignment onto the decision tables (it always
+	// replays: it was built under this platform). With no decisions
+	// there is nothing to re-decide, and greedy's result stands.
 	levels := s.levels()
-	if levels == 0 {
-		return relabel()
-	}
-	// Map the greedy assignment onto the decision tables and replay it
-	// through a searchState. Greedy results always map (they were
-	// built under this platform); the fallbacks are defensive.
-	cur, ok := s.mapDecisions(gr.Assignment)
-	if !ok {
-		return relabel()
-	}
-	st := newSearchState(s)
-	for depth, oi := range cur {
-		if !st.apply(depth, oi) {
-			return relabel()
-		}
+	st, cur, ok := s.replay(gr.Assignment)
+	if levels == 0 || !ok {
+		gr.Engine = Stochastic
+		return gr
 	}
 	curScore := s.foldScore(st, cur)
 	best := append([]int(nil), cur...)

@@ -88,15 +88,6 @@ func (e Engine) normalized() Engine {
 	return e
 }
 
-// UsesWorkers reports whether the engine honors Options.Workers (the
-// registry's UsesWorkers capability; unknown names report false).
-// Transport layers use this to decide which nesting level of a sweep
-// or batch owns the parallelism.
-func (e Engine) UsesWorkers() bool {
-	info, _, err := LookupEngine(e)
-	return err == nil && info.UsesWorkers
-}
-
 // String names the engine (the registry name; "" prints as the greedy
 // default it selects).
 func (e Engine) String() string { return string(e.normalized()) }
@@ -144,9 +135,6 @@ type Options struct {
 	// search that would finish under the cap is never truncated —
 	// regardless of the worker count.
 	MaxStates int
-	// MaxGreedyIters caps greedy iterations (a safety net; the search
-	// terminates on its own because cost strictly decreases).
-	MaxGreedyIters int
 	// Workers caps the goroutines the exact engines (BranchBound,
 	// Exhaustive) fan their independent subtree searches over. 0 means
 	// GOMAXPROCS; 1 forces a single-threaded search. The result is
@@ -192,7 +180,7 @@ type Options struct {
 // zero value as "use DefaultOptions".
 func (o Options) IsZero() bool {
 	return o.Policy == 0 && o.Objective == 0 && !o.InPlace && o.Engine == "" &&
-		!o.GainPerByte && o.MaxStates == 0 && o.MaxGreedyIters == 0 &&
+		!o.GainPerByte && o.MaxStates == 0 &&
 		o.Workers == 0 && o.Seed == 0 && o.Deadline == 0 &&
 		o.Progress == nil && o.Incumbent == nil
 }
@@ -233,9 +221,6 @@ func (o Options) Validate() error {
 	if o.MaxStates < 0 {
 		return &OptionError{Field: "MaxStates", Reason: fmt.Sprintf("negative state cap %d", o.MaxStates)}
 	}
-	if o.MaxGreedyIters < 0 {
-		return &OptionError{Field: "MaxGreedyIters", Reason: fmt.Sprintf("negative iteration cap %d", o.MaxGreedyIters)}
-	}
 	if o.Workers < 0 {
 		return &OptionError{Field: "Workers", Reason: fmt.Sprintf("negative worker count %d", o.Workers)}
 	}
@@ -253,13 +238,12 @@ func (o Options) Validate() error {
 // granularities at higher space cost.
 func DefaultOptions() Options {
 	return Options{
-		Policy:         reuse.Slide,
-		Objective:      MinEnergy,
-		InPlace:        true,
-		Engine:         Greedy,
-		GainPerByte:    true,
-		MaxStates:      500_000,
-		MaxGreedyIters: 10_000,
+		Policy:      reuse.Slide,
+		Objective:   MinEnergy,
+		InPlace:     true,
+		Engine:      Greedy,
+		GainPerByte: true,
+		MaxStates:   500_000,
 	}
 }
 
@@ -336,12 +320,9 @@ func Search(ctx context.Context, ws *workspace.Workspace, plat *platform.Platfor
 	// The incumbent's decisions are replayed against this workspace's
 	// decision tables, so it must come from the same compiled
 	// workspace. The platform may differ (that is the point of the
-	// warm-start chain) — seedWarm re-validates and re-scores it.
+	// warm-start chain) — installSeed re-validates and re-scores it.
 	if opts.Incumbent != nil && opts.Incumbent.ws != ws {
 		return nil, &OptionError{Field: "Incumbent", Reason: "incumbent assignment was built over a different workspace"}
-	}
-	if opts.MaxGreedyIters == 0 {
-		opts.MaxGreedyIters = 10_000
 	}
 	if opts.MaxStates == 0 {
 		opts.MaxStates = 500_000

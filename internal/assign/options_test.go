@@ -23,7 +23,6 @@ func TestOptionsValidateTyped(t *testing.T) {
 	}{
 		{"negative workers", func(o *assign.Options) { o.Workers = -1 }, "Workers"},
 		{"negative max states", func(o *assign.Options) { o.MaxStates = -10 }, "MaxStates"},
-		{"negative greedy iters", func(o *assign.Options) { o.MaxGreedyIters = -1 }, "MaxGreedyIters"},
 		{"unknown engine", func(o *assign.Options) { o.Engine = assign.Engine("nope") }, "Engine"},
 		{"negative deadline", func(o *assign.Options) { o.Deadline = -1 }, "Deadline"},
 		{"unknown objective", func(o *assign.Options) { o.Objective = assign.Objective(-1) }, "Objective"},

@@ -44,8 +44,8 @@
 // the line containing its first byte.
 //
 // The simulator is deterministic by construction: the trace order is
-// fixed, all state updates are sequential, and concurrent multi-config
-// sweeps (SimulateAll) are byte-identical at every worker count.
+// fixed and all state updates are sequential, so concurrent
+// simulations sharing one workspace are byte-identical.
 package cachesim
 
 import (

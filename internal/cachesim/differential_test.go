@@ -1,7 +1,6 @@
 package cachesim
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -158,72 +157,6 @@ func TestCrossModelDifferential(t *testing.T) {
 			if res.Energy < 0 || math.IsNaN(res.Energy) || math.IsInf(res.Energy, 0) {
 				t.Errorf("seed %d variant %d: bad energy %v", seed, vi, res.Energy)
 			}
-		}
-	}
-}
-
-// TestSimulateAllDeterministic: a concurrent multi-config sweep renders
-// byte-identical results at every worker count.
-func TestSimulateAllDeterministic(t *testing.T) {
-	var want [][]byte
-	for _, workers := range []int{1, 2, 4, 8} {
-		var got [][]byte
-		for seed := int64(1); seed <= 6; seed++ {
-			sc := diffConfig.Generate(seed)
-			ws, err := workspace.Compile(sc.Program)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			plain := ConfigFor(sc.Platform, 0, 0)
-			nextline := Config{Levels: append([]LevelConfig(nil), plain.Levels...)}
-			for i := range nextline.Levels {
-				nextline.Levels[i].Prefetcher = PrefetchNextLine
-			}
-			cfgs := []Config{{}, plain, nextline}
-			results, err := SimulateAll(context.Background(), ws, sc.Platform, cfgs, workers)
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
-			for _, r := range results {
-				b, err := r.JSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, b)
-			}
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers %d: %d results, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Errorf("workers %d result %d diverges from sequential run:\n%s\nvs\n%s",
-					workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestSimulateAllError: a failing configuration cancels the sweep and
-// surfaces its own error, deterministically.
-func TestSimulateAllError(t *testing.T) {
-	sc := progen.Generate(1)
-	ws, err := workspace.Compile(sc.Program)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := []Config{
-		{},
-		{Levels: []LevelConfig{{Sets: 3, Ways: 1, LineBytes: 32}}}, // invalid
-		{},
-	}
-	for _, workers := range []int{1, 4} {
-		if _, err := SimulateAll(context.Background(), ws, sc.Platform, cfgs, workers); err == nil {
-			t.Errorf("workers %d: invalid config accepted", workers)
 		}
 	}
 }

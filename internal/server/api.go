@@ -165,12 +165,17 @@ func decodeStrictBytes(data []byte, dst any) *apiError {
 }
 
 // isExactEngine reports whether the requested engine name resolves to
-// an engine that honors Workers (the parallel exact engines; the
-// default greedy engine ignores it). Unknown names report false —
-// they are rejected by options() anyway.
+// an engine that honors Workers (the registry's UsesWorkers
+// capability: the parallel exact engines; the default greedy engine
+// ignores it). Unknown names report false — they are rejected by
+// options() anyway.
 func isExactEngine(engine string) bool {
-	e, err := mhla.ParseEngine(engine)
-	return err == nil && e.UsesWorkers()
+	for _, info := range mhla.Engines() {
+		if string(info.Name) == engine {
+			return info.UsesWorkers
+		}
+	}
+	return false
 }
 
 // searchParams are the flow knobs shared by the compute endpoints,
