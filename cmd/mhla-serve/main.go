@@ -1,7 +1,7 @@
 // Command mhla-serve runs the MHLA flow as a long-lived HTTP JSON
 // service over the compiled-workspace cache: POST /v1/run evaluates
 // the four operating points of a program+platform, POST /v1/sweep
-// runs the concurrent L1 trade-off sweep, POST /v1/batch fans an
+// runs the L1 trade-off sweep, POST /v1/batch fans an
 // Explorer grid over catalog applications, POST /v1/simulate replays
 // the trace-driven cache simulator, GET /v1/apps lists the catalog
 // and GET /healthz reports liveness plus cache, in-flight and job

@@ -65,9 +65,6 @@ func engineListing() string {
 		if info.Deterministic {
 			caps = append(caps, "deterministic")
 		}
-		if info.UsesWorkers {
-			caps = append(caps, "workers")
-		}
 		if info.UsesSeed {
 			caps = append(caps, "seed")
 		}

@@ -345,7 +345,7 @@ func TestGreedyDeterministic(t *testing.T) {
 func TestIterCyclesAndBlockBusy(t *testing.T) {
 	an := analyze(t, reuseProgram())
 	a := New(an, testPlat(), reuse.Slide)
-	iter := a.IterCycles()
+	iter, busy := a.BusyCycles()
 	// Inner loop i: 1 read at SDRAM (18) + 1 compute = 19/iter.
 	// Outer loop rep: 256 * 19.
 	var inner, outer *model.Loop
@@ -357,7 +357,6 @@ func TestIterCyclesAndBlockBusy(t *testing.T) {
 	if got := iter[outer]; got != 256*19 {
 		t.Errorf("outer iter cycles = %d, want %d", got, 256*19)
 	}
-	busy := a.BlockBusyCycles()
 	if busy[0] != 16*256*19 {
 		t.Errorf("block busy = %d, want %d", busy[0], 16*256*19)
 	}

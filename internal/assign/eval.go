@@ -243,13 +243,13 @@ func (a *Assignment) accessLayerBySite() map[*model.Access]int {
 	return m
 }
 
-// IterCycles returns the steady-state CPU busy cycles (compute plus
-// access latency, no transfer stalls) of ONE iteration of every loop
-// of the program under this assignment. The time-extension step uses
-// these as the cycles one extension level hides.
-func (a *Assignment) IterCycles() map[*model.Loop]int64 {
+// BusyCycles returns the CPU busy cycles (compute plus access
+// latency, no transfer stalls) under this assignment in one walk of
+// the program: perLoop holds ONE iteration of every loop — the cycles
+// one time-extension level hides — and perBlock every top-level block.
+func (a *Assignment) BusyCycles() (perLoop map[*model.Loop]int64, perBlock []int64) {
 	sites := a.accessLayerBySite()
-	out := make(map[*model.Loop]int64)
+	perLoop = make(map[*model.Loop]int64)
 	var body func(nodes []model.Node) int64
 	body = func(nodes []model.Node) int64 {
 		var cyc int64
@@ -257,7 +257,7 @@ func (a *Assignment) IterCycles() map[*model.Loop]int64 {
 			switch n := n.(type) {
 			case *model.Loop:
 				it := body(n.Body)
-				out[n] = it
+				perLoop[n] = it
 				cyc += int64(n.Trip) * it
 			case *model.Access:
 				layer := sites[n]
@@ -269,38 +269,11 @@ func (a *Assignment) IterCycles() map[*model.Loop]int64 {
 		}
 		return cyc
 	}
-	for _, b := range a.Analysis.Program.Blocks {
-		body(b.Body)
-	}
-	return out
-}
-
-// BlockBusyCycles returns the CPU busy cycles (compute + accesses, no
-// stalls) of every top-level block under this assignment.
-func (a *Assignment) BlockBusyCycles() []int64 {
-	sites := a.accessLayerBySite()
-	var body func(nodes []model.Node) int64
-	body = func(nodes []model.Node) int64 {
-		var cyc int64
-		for _, n := range nodes {
-			switch n := n.(type) {
-			case *model.Loop:
-				cyc += int64(n.Trip) * body(n.Body)
-			case *model.Access:
-				layer := sites[n]
-				cyc += a.accessWords(n.Array.ElemSize, layer) *
-					a.Platform.AccessCycles(layer, n.Kind == model.Write)
-			case *model.Compute:
-				cyc += n.Cycles
-			}
-		}
-		return cyc
-	}
-	out := make([]int64, len(a.Analysis.Program.Blocks))
+	perBlock = make([]int64, len(a.Analysis.Program.Blocks))
 	for bi, b := range a.Analysis.Program.Blocks {
-		out[bi] = body(b.Body)
+		perBlock[bi] = body(b.Body)
 	}
-	return out
+	return perLoop, perBlock
 }
 
 // Summary renders the cost for reports.

@@ -41,10 +41,6 @@ type EngineInfo struct {
 	// platform, options) when no Deadline is set — byte-identical at
 	// every worker count and, for seeded engines, per seed.
 	Deterministic bool
-	// UsesWorkers reports whether the engine honors Options.Workers;
-	// transport layers use it to decide which nesting level of a sweep
-	// or batch owns the parallelism.
-	UsesWorkers bool
 	// UsesSeed reports whether the engine reads Options.Seed.
 	UsesSeed bool
 }
@@ -62,7 +58,6 @@ var engines = []engineEntry{
 		Summary:       "parallel branch and bound; optimal for small/medium problems",
 		Exact:         true,
 		Deterministic: true,
-		UsesWorkers:   true,
 	}, func(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options) *Result {
 		return exactSearch(ctx, ws, plat, opts, true)
 	}},
@@ -71,7 +66,6 @@ var engines = []engineEntry{
 		Summary:       "unpruned full enumeration; the reference oracle for tests",
 		Exact:         true,
 		Deterministic: true,
-		UsesWorkers:   true,
 	}, func(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options) *Result {
 		return exactSearch(ctx, ws, plat, opts, false)
 	}},
@@ -92,7 +86,6 @@ var engines = []engineEntry{
 		Summary:       "races greedy, branch and bound and LNS under one deadline",
 		Anytime:       true,
 		Deterministic: true,
-		UsesWorkers:   true,
 		UsesSeed:      true,
 	}, portfolioSearch},
 }

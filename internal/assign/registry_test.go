@@ -12,11 +12,11 @@ import (
 // the transport layers and the differential harness dispatch on.
 func TestRegistryBuiltins(t *testing.T) {
 	want := []assign.EngineInfo{
-		{Name: assign.BranchBound, Exact: true, Deterministic: true, UsesWorkers: true},
-		{Name: assign.Exhaustive, Exact: true, Deterministic: true, UsesWorkers: true},
+		{Name: assign.BranchBound, Exact: true, Deterministic: true},
+		{Name: assign.Exhaustive, Exact: true, Deterministic: true},
 		{Name: assign.Greedy, Deterministic: true},
 		{Name: assign.Stochastic, Anytime: true, Deterministic: true, UsesSeed: true},
-		{Name: assign.Portfolio, Anytime: true, Deterministic: true, UsesWorkers: true, UsesSeed: true},
+		{Name: assign.Portfolio, Anytime: true, Deterministic: true, UsesSeed: true},
 	}
 	infos := assign.Engines()
 	if len(infos) != len(want) {

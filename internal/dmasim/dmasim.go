@@ -185,7 +185,7 @@ func simulate(a *assign.Assignment, plan *te.Plan) (*Result, error) {
 		copiesByBlock[sel.Chain.BlockIndex] = append(copiesByBlock[sel.Chain.BlockIndex], cr)
 	}
 
-	iter := a.IterCycles()
+	iter, _ := a.BusyCycles()
 	sites := accessLayers(a)
 	pool := newChannelPool(dmaChannels(a))
 

@@ -72,45 +72,55 @@ type Options struct {
 	// itself.
 	Config core.Config
 	// Workers bounds the sweep points evaluated concurrently; <= 0
-	// means GOMAXPROCS. Results are identical at every worker count.
+	// means GOMAXPROCS. When more than one independent point runs at
+	// a time, each point's search runs on one worker
+	// (Config.Search.Workers is overridden to 1); the chained
+	// branch-and-bound searches run one at a time and keep
+	// Config.Search.Workers. Results are identical either way, at
+	// every worker count.
 	Workers int
 }
 
 // Run sweeps the given on-chip sizes over a compiled workspace using
 // the two-level experiment platform; nil or empty sizes mean
 // DefaultSizes. The program-side analysis is shared read-only by
-// every point. With the greedy or exhaustive engine the points are
-// independent and are evaluated concurrently on a bounded worker
-// pool; with the branch-and-bound engine the sweep is one incremental
-// search — sizes are searched in ascending order along a warm-start
-// chain (each point's optimum, re-scored under the next platform,
-// seeds the next point's incumbent; see assign.Options.Incumbent)
-// while the platform-shape option catalog is shared across points and
-// the finished points' time-extension/evaluation work overlaps later
-// searches on the worker pool. Any Incumbent configured on
-// opts.Config.Search is overwritten by the chain.
+// every point.
 //
-// Either way the returned Points are in input size order and
-// byte-identical to a sequential fresh-per-point sweep at every
-// worker count — warm-start chaining only shrinks each point's
-// explored state count (Result.SearchStates), and the chain order is
-// a pure function of (workspace, sizes), never of scheduling. A
-// failing point stops further points from being dispatched (points
-// already in flight finish), and the first failure in evaluation
-// order — input order for the concurrent path, ascending-size chain
-// order for the incremental path — is returned as the sweep error;
-// each point's outcome is a pure function of (workspace, size), so
-// the reported error is deterministic at every worker count. When ctx
-// is cancelled the sweep returns promptly with ctx.Err().
+// One worker pool claims the points in ascending-size order (ties
+// keep input order). With the branch-and-bound engine the sweep is
+// one incremental search: each point waits for its predecessor's
+// optimum on a one-slot handoff, searches with it as the warm-start
+// incumbent (see assign.Options.Incumbent), passes its own optimum on
+// and only then runs its time-extension/evaluation tail, which
+// overlaps the next point's search. Any Incumbent configured on
+// opts.Config.Search is overwritten by the chain. Every other engine
+// skips the handoff, so its points run independently. Inside a
+// parallel sweep each independent point's search runs on one worker
+// (see Options.Workers).
+//
+// The returned Points are in input size order and byte-identical to a
+// sequential fresh-per-point sweep at every worker count — warm-start
+// chaining only shrinks each point's explored state count
+// (Result.SearchStates), and the chain order is a pure function of
+// (workspace, sizes), never of scheduling. A failing point stops
+// further points from being claimed (points already claimed finish),
+// and the first failure in ascending-size order is returned as the
+// sweep error, for every engine: each point's outcome is a pure
+// function of (workspace, size), so the reported error is
+// deterministic at every worker count. When ctx is cancelled the
+// sweep returns promptly with ctx.Err().
 func Run(ctx context.Context, ws *workspace.Workspace, sizes []int64, opts Options) (*Sweep, error) {
 	if ws == nil {
 		return nil, fmt.Errorf("explore: nil workspace")
 	}
 	cfg := opts.Config
-	if !cfg.Search.IsZero() {
-		if err := cfg.Search.Validate(); err != nil {
-			return nil, fmt.Errorf("explore: %w", err)
-		}
+	// Normalize before Workers is set below: a non-zero Search skips
+	// core.Begin's zero-value default.
+	if cfg.Search.IsZero() {
+		cfg.Search = assign.DefaultOptions()
+	}
+	if err := cfg.Search.Validate(); err != nil {
+		return nil, fmt.Errorf("explore: %w", err)
 	}
 	if len(sizes) == 0 {
 		sizes = DefaultSizes()
@@ -145,21 +155,29 @@ func Run(ctx context.Context, ws *workspace.Workspace, sizes []int64, opts Optio
 	if workers > len(sizes) {
 		workers = len(sizes)
 	}
-
 	// The warm-start chain pays off exactly when searches prune — the
-	// branch-and-bound engine. Greedy ignores incumbents and the
-	// exhaustive reference never prunes, so their points stay
-	// independent and run on the concurrent pool.
-	if cfg.Search.Engine == assign.BranchBound {
-		return sweepChained(ctx, ws, sizes, cfg, workers)
+	// branch-and-bound engine. Its searches run one at a time and keep
+	// the caller's search workers; independent points already fill the
+	// pool, so nested search pools would only multiply.
+	chained := cfg.Search.Engine == assign.BranchBound
+	if !chained && workers > 1 {
+		cfg.Search.Workers = 1
 	}
 
-	// A point failure stops further dispatch; points already in
-	// flight run to completion so their own (deterministic) errors
-	// are never masked by a sibling's cancellation. Only the parent
-	// context aborts in-flight points.
+	order := make([]int, len(sizes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] < sizes[order[b]] })
+
 	results := make([]*core.Result, len(sizes))
 	errs := make([]error, len(sizes))
+	// handoff holds the chain's incumbent. A chained worker takes it
+	// before claiming a point and puts one back exactly once — after
+	// its search, or on exit — so claims and searches follow the chain
+	// order and no receive can wait on a worker that has returned.
+	handoff := make(chan *assign.Assignment, 1)
+	handoff <- nil
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
@@ -168,23 +186,44 @@ func Run(ctx context.Context, ws *workspace.Workspace, sizes []int64, opts Optio
 		go func() {
 			defer wg.Done()
 			for {
-				// Check the stop conditions before claiming an index: a
-				// claimed point always runs, so every recorded error is
-				// the point's own and the lowest recorded index is the
-				// same failure a sequential sweep reports (claims ascend,
-				// so all lower indices were claimed and evaluated too).
-				if failed.Load() || ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(sizes) {
-					return
-				}
 				pcfg := cfg
+				if chained {
+					pcfg.Search.Incumbent = <-handoff
+				}
+				// Check the stop conditions before claiming: a claimed
+				// point always runs, so every recorded error is the
+				// point's own and, claims ascending, every lower point
+				// was evaluated too.
+				k := len(order)
+				if !failed.Load() && ctx.Err() == nil {
+					k = int(next.Add(1)) - 1
+				}
+				if k >= len(order) {
+					if chained {
+						handoff <- pcfg.Search.Incumbent
+					}
+					return
+				}
+				i := order[k]
 				pcfg.Platform = energy.TwoLevel(sizes[i])
-				res, err := core.Run(ctx, ws, pcfg)
-				results[i], errs[i] = res, err
+				pending, err := core.Begin(ctx, ws, pcfg)
+				if chained {
+					// Pass the optimum on before finishing, so the next
+					// search overlaps this point's tail; a failed search
+					// stops the chain before the slot is released.
+					var optimum *assign.Assignment
+					if err == nil {
+						optimum = pending.Assignment()
+					} else {
+						failed.Store(true)
+					}
+					handoff <- optimum
+				}
+				if err == nil {
+					results[i], err = pending.Finish(ctx)
+				}
 				if err != nil {
+					errs[i] = err
 					failed.Store(true)
 					return
 				}
@@ -196,105 +235,16 @@ func Run(ctx context.Context, ws *workspace.Workspace, sizes []int64, opts Optio
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Deterministic error selection: every recorded error is the
-	// point's own (no sibling cancelled it), so the lowest index wins
-	// at any worker count.
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("explore: size %d: %w", sizes[i], err)
+	for _, i := range order {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("explore: size %d: %w", sizes[i], errs[i])
 		}
 	}
 	sw := &Sweep{Program: ws.Program.Name}
 	for i, res := range results {
 		if res == nil {
-			// Defensive: a point was skipped or cancelled without any
-			// point reporting a real failure and without the parent
-			// context being cancelled.
-			err := errs[i]
-			if err == nil {
-				err = context.Canceled
-			}
-			return nil, fmt.Errorf("explore: size %d: %w", sizes[i], err)
-		}
-		sw.Points = append(sw.Points, Point{L1: sizes[i], Result: res})
-	}
-	return sw, nil
-}
-
-// sweepChained is the incremental branch-and-bound sweep: one search
-// chained across the points instead of N independent ones.
-//
-// The chain visits sizes in ascending order (ties keep input order),
-// so the order — and with it every point's incumbent, and so every
-// point's result — is a pure function of (workspace, sizes). Each
-// search runs to completion before the next begins (intra-point
-// parallelism stays with assign.Options.Workers); what overlaps is
-// the platform-independent tail of finished points — time-extension
-// scheduling and operating-point evaluation, via the core
-// Begin/Finish seam — which the worker pool drains while later
-// points search. The chain hands each point's optimal assignment to
-// the next point as its warm-start incumbent; assign re-scores it
-// under the new platform (capacities and costs both change with L1
-// size) and falls back to the greedy seed when it no longer fits, so
-// the incumbent is a bound, never an answer.
-//
-// A Begin (search) failure stops the chain; Finish failures of points
-// already handed to the pool are collected per point. The first
-// failure in chain order is reported, which is the same failure a
-// sequential ascending sweep reports at any worker count.
-func sweepChained(ctx context.Context, ws *workspace.Workspace, sizes []int64, cfg core.Config, workers int) (*Sweep, error) {
-	order := make([]int, len(sizes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] < sizes[order[b]] })
-
-	results := make([]*core.Result, len(sizes))
-	errs := make([]error, len(sizes))
-
-	type finishJob struct {
-		idx     int
-		pending *core.Pending
-	}
-	jobs := make(chan finishJob, len(sizes))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				results[j.idx], errs[j.idx] = j.pending.Finish(ctx)
-			}
-		}()
-	}
-
-	var incumbent *assign.Assignment
-	for _, idx := range order {
-		pcfg := cfg
-		pcfg.Platform = energy.TwoLevel(sizes[idx])
-		pcfg.Search.Incumbent = incumbent
-		pending, err := core.Begin(ctx, ws, pcfg)
-		if err != nil {
-			errs[idx] = err
-			break
-		}
-		incumbent = pending.Assignment()
-		jobs <- finishJob{idx: idx, pending: pending}
-	}
-	close(jobs)
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, idx := range order {
-		if errs[idx] != nil {
-			return nil, fmt.Errorf("explore: size %d: %w", sizes[idx], errs[idx])
-		}
-	}
-	sw := &Sweep{Program: ws.Program.Name}
-	for i, res := range results {
-		if res == nil {
+			// Defensive: a point was skipped without any point
+			// reporting a failure and without ctx being cancelled.
 			return nil, fmt.Errorf("explore: size %d: %w", sizes[i], context.Canceled)
 		}
 		sw.Points = append(sw.Points, Point{L1: sizes[i], Result: res})

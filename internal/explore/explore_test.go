@@ -181,3 +181,55 @@ func TestSweepDefaultsWhenNoSizes(t *testing.T) {
 		t.Errorf("points = %d, want %d", len(sw.Points), len(DefaultSizes()))
 	}
 }
+
+// TestSweepReportsFirstFailureInSizeOrder: a sweep with failing points
+// reports the first failure in ascending-size order — the same error a
+// sequential ascending sweep reports — for every engine at every
+// worker count, never the lowest failing input index.
+func TestSweepReportsFirstFailureInSizeOrder(t *testing.T) {
+	app, _ := apps.ByName("durbin")
+	ws, err := workspace.Compile(app.Build(apps.Test))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int64{4096, -3, 1024, -7}
+	for _, engine := range []assign.Engine{assign.Greedy, assign.BranchBound} {
+		opts := assign.DefaultOptions()
+		opts.Engine = engine
+		for _, workers := range []int{1, 2, 4, 8} {
+			_, err := Run(context.Background(), ws, sizes, Options{Config: core.Config{Search: opts}, Workers: workers})
+			if err == nil || !strings.Contains(err.Error(), "size -7:") {
+				t.Errorf("%v workers=%d: error %v, want the size -7 failure", engine, workers, err)
+			}
+		}
+	}
+}
+
+// TestSweepZeroSearchMeansDefaults: a zero Config.Search sweeps with
+// assign.DefaultOptions() at every worker count, the way core.Run
+// treats it — the sweep's own per-point worker cap must not turn the
+// zero value into a non-zero one that skips the defaults.
+func TestSweepZeroSearchMeansDefaults(t *testing.T) {
+	for _, name := range []string{"durbin", "qsdpcm", "voice"} {
+		app, _ := apps.ByName(name)
+		ws, err := workspace.Compile(app.Build(apps.Test))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := []int64{256, 1024, 4096}
+		ref, err := Run(context.Background(), ws, sizes, Options{Config: core.Config{Search: assign.DefaultOptions()}, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := ref.JSON()
+		for _, workers := range []int{1, 4} {
+			sw, err := Run(context.Background(), ws, sizes, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := sw.JSON(); string(got) != string(want) {
+				t.Errorf("%s workers=%d: zero-options sweep differs from the default-options sweep", name, workers)
+			}
+		}
+	}
+}

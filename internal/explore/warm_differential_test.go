@@ -128,3 +128,40 @@ func TestSweepWorkspaceWarmStartCancellation(t *testing.T) {
 		t.Errorf("cancelled chained sweep returned %v, want context.Canceled", err)
 	}
 }
+
+// TestSweepWorkspaceWarmStartPrunes: the chain must actually hand each
+// point its predecessor's optimum — over the seeded scenarios the
+// chained sweep explores strictly fewer states than fresh per-point
+// runs. A handoff that dropped the incumbent would still match fresh
+// results exactly, so the equality suite above cannot see it.
+func TestSweepWorkspaceWarmStartPrunes(t *testing.T) {
+	var fresh, warm int
+	for seed := int64(0); seed < warmSeeds(); seed++ {
+		sc := scenarioConfig.Generate(seed)
+		ws, err := workspace.Compile(sc.Program)
+		if err != nil {
+			t.Fatalf("seed %d: compile: %v", sc.Seed, err)
+		}
+		for _, l1 := range warmSizes {
+			res, err := core.Run(context.Background(), ws,
+				core.Config{Platform: energy.TwoLevel(l1), Search: warmOptions(sc)})
+			if err != nil {
+				t.Fatalf("seed %d: fresh run at %dB: %v", sc.Seed, l1, err)
+			}
+			fresh += res.SearchStates
+		}
+		sw, err := explore.Run(context.Background(), ws, warmSizes, explore.Options{
+			Config:  core.Config{Search: warmOptions(sc)},
+			Workers: 2,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: warm sweep: %v", sc.Seed, err)
+		}
+		for _, pt := range sw.Points {
+			warm += pt.Result.SearchStates
+		}
+	}
+	if warm >= fresh {
+		t.Errorf("chained sweep explored %d states, fresh runs %d: the warm start never pruned", warm, fresh)
+	}
+}

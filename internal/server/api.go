@@ -164,20 +164,6 @@ func decodeStrictBytes(data []byte, dst any) *apiError {
 	return nil
 }
 
-// isExactEngine reports whether the requested engine name resolves to
-// an engine that honors Workers (the registry's UsesWorkers
-// capability: the parallel exact engines; the default greedy engine
-// ignores it). Unknown names report false — they are rejected by
-// options() anyway.
-func isExactEngine(engine string) bool {
-	for _, info := range mhla.Engines() {
-		if string(info.Name) == engine {
-			return info.UsesWorkers
-		}
-	}
-	return false
-}
-
 // searchParams are the flow knobs shared by the compute endpoints,
 // mirroring the facade options in snake_case.
 type searchParams struct {
@@ -312,37 +298,41 @@ func (ref programRef) resolve() (*mhla.Program, *apiError) {
 	}
 }
 
-// runRequest is the POST /v1/run body.
-type runRequest struct {
-	programRef
-	// Platform is a full interchange-format platform; mutually
-	// exclusive with L1Bytes. Neither means the default two-level
-	// platform.
+// platformSelection is the platform choice of a run or simulate
+// request: a full interchange-format platform or the L1 capacity of
+// the standard two-level platform, mutually exclusive. Neither means
+// the default two-level platform.
+type platformSelection struct {
 	Platform json.RawMessage `json:"platform,omitempty"`
 	L1Bytes  int64           `json:"l1_bytes,omitempty"`
-	searchParams
 }
 
-// platformOptions maps the request's platform selection onto facade
-// options.
-func (req *runRequest) platformOptions() ([]mhla.Option, *apiError) {
-	if len(req.Platform) > 0 && req.L1Bytes != 0 {
+// resolve validates the selection and builds the selected platform.
+func (sel *platformSelection) resolve() (*mhla.Platform, *apiError) {
+	if len(sel.Platform) > 0 && sel.L1Bytes != 0 {
 		return nil, badRequest("bad_request", "at most one of platform and l1_bytes may be set")
 	}
-	if len(req.Platform) > 0 {
-		plat, err := mhla.DecodePlatform(req.Platform)
+	if len(sel.Platform) > 0 {
+		plat, err := mhla.DecodePlatform(sel.Platform)
 		if err != nil {
 			return nil, badRequest("invalid_platform", "%v", err)
 		}
-		return []mhla.Option{mhla.WithPlatform(plat)}, nil
+		return plat, nil
 	}
-	if req.L1Bytes != 0 {
-		if req.L1Bytes < 0 {
-			return nil, badRequest("invalid_option", "l1_bytes %d must be positive", req.L1Bytes)
-		}
-		return []mhla.Option{mhla.WithL1(req.L1Bytes)}, nil
+	if sel.L1Bytes < 0 {
+		return nil, badRequest("invalid_option", "l1_bytes %d must be positive", sel.L1Bytes)
 	}
-	return nil, nil
+	if sel.L1Bytes == 0 {
+		return mhla.TwoLevel(mhla.DefaultL1), nil
+	}
+	return mhla.TwoLevel(sel.L1Bytes), nil
+}
+
+// runRequest is the POST /v1/run body.
+type runRequest struct {
+	programRef
+	platformSelection
+	searchParams
 }
 
 // sweepRequest is the POST /v1/sweep body. The sweep constructs the

@@ -105,7 +105,7 @@ func newPersister(s *Server, cfg Config) *persister {
 		fs:         cfg.PersistFS,
 		clock:      cfg.PersistClock,
 		dir:        cfg.SnapshotDir,
-		policy:     persist.RetryPolicy{MaxAttempts: cfg.RetryMaxAttempts, BaseDelay: cfg.RetryBaseDelay, MaxDelay: cfg.RetryMaxDelay}.WithDefaults(),
+		policy:     persist.RetryPolicy{MaxAttempts: cfg.RetryMaxAttempts}.WithDefaults(),
 		progs:      make(map[string][]byte),
 		rewarmDone: make(chan struct{}),
 		flushStop:  make(chan struct{}),

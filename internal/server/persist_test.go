@@ -137,7 +137,7 @@ func TestRestartDifferential(t *testing.T) {
 	if env := getJob(t, tsB.URL, running.ID); env.State != "interrupted" {
 		t.Fatalf("mid-run job state after restart = %q, want interrupted", env.State)
 	}
-	clk.Advance(time.Second) // attempts=1: jittered delay <= RetryBaseDelay
+	clk.Advance(time.Second) // attempts=1: jittered delay <= the 500ms base delay
 	waitJobState(t, tsB.URL, running.ID, "done")
 	code, body := get(t, tsB.URL+"/v1/jobs/"+running.ID+"/result")
 	if code != http.StatusOK {

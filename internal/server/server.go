@@ -3,7 +3,7 @@
 // internal/workspace, exposing the whole tool as endpoints.
 //
 //	POST /v1/run      — the four operating points of one program+platform
-//	POST /v1/sweep    — the concurrent L1 trade-off sweep
+//	POST /v1/sweep    — the L1 trade-off sweep
 //	POST /v1/batch    — an Explorer grid over catalog applications
 //	POST /v1/simulate — the trace-driven cache+prefetch simulator backend
 //	GET  /v1/apps     — the benchmark application catalog
@@ -67,11 +67,11 @@ type Config struct {
 	CacheEntries int
 	// MaxInFlight bounds the compute requests (run, sweep, batch)
 	// executing concurrently; further requests wait for a slot
-	// (default 4x GOMAXPROCS). Note that /v1/run keeps the facade's
-	// engine default (exact engines fan over GOMAXPROCS workers) —
-	// run is the latency path, so a slot there can be a whole host's
-	// worth of compute; size MaxInFlight down (toward GOMAXPROCS) on
-	// deployments dominated by exact-engine run traffic.
+	// (default 4x GOMAXPROCS). Note that /v1/run and the chained
+	// branch-and-bound sweep keep the facade's engine default (exact
+	// engines fan over GOMAXPROCS workers), so a slot there can be a
+	// whole host's worth of compute; size MaxInFlight down (toward
+	// GOMAXPROCS) on deployments dominated by exact-engine traffic.
 	MaxInFlight int
 	// RequestTimeout bounds each compute request end to end; 0 means
 	// no server-side deadline (client disconnects still cancel).
@@ -112,12 +112,10 @@ type Config struct {
 	// SnapshotInterval is the snapshot flush cadence (default 10s).
 	SnapshotInterval time.Duration
 	// RetryMaxAttempts caps total executions of a job interrupted by
-	// crashes (default 3); RetryBaseDelay and RetryMaxDelay shape the
-	// jittered exponential backoff before each re-execution (defaults
-	// 500ms and 30s).
+	// crashes (default 3); each re-execution waits a jittered
+	// exponential backoff (persist.RetryPolicy defaults, 500ms base
+	// and 30s cap).
 	RetryMaxAttempts int
-	RetryBaseDelay   time.Duration
-	RetryMaxDelay    time.Duration
 	// PersistFS and PersistClock are the persistence seams (default the
 	// real filesystem and clock); tests and the chaos suite inject
 	// in-memory, faulty and manually advanced implementations.

@@ -39,7 +39,7 @@ func flowOptions(ws *mhla.Workspace, progress mhla.ProgressFunc) []mhla.Option {
 type runWork struct {
 	prog       *mhla.Program
 	digest     string
-	platOpts   []mhla.Option
+	plat       *mhla.Platform
 	searchOpts []mhla.Option
 }
 
@@ -49,7 +49,7 @@ func (req *runRequest) work(s *Server) (work, *apiError) {
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	platOpts, apiErr := req.platformOptions()
+	plat, apiErr := req.platformSelection.resolve()
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -57,7 +57,7 @@ func (req *runRequest) work(s *Server) (work, *apiError) {
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	return &runWork{prog: prog, digest: digest, platOpts: platOpts, searchOpts: searchOpts}, nil
+	return &runWork{prog: prog, digest: digest, plat: plat, searchOpts: searchOpts}, nil
 }
 
 func (wk *runWork) kind() string { return "run" }
@@ -67,7 +67,7 @@ func (wk *runWork) execute(ctx context.Context, s *Server, progress mhla.Progres
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	opts := append(flowOptions(ws, progress), wk.platOpts...)
+	opts := append(flowOptions(ws, progress), mhla.WithPlatform(wk.plat))
 	opts = append(opts, wk.searchOpts...)
 	res, err := mhla.Run(ctx, nil, opts...)
 	if err != nil {
@@ -86,9 +86,7 @@ type sweepWork struct {
 	digest       string
 	sizes        []int64
 	searchOpts   []mhla.Option
-	workers      int
 	sweepWorkers int
-	exact        bool
 }
 
 func (req *sweepRequest) work(s *Server) (work, *apiError) {
@@ -108,9 +106,7 @@ func (req *sweepRequest) work(s *Server) (work, *apiError) {
 		digest:       digest,
 		sizes:        req.Sizes,
 		searchOpts:   searchOpts,
-		workers:      req.Workers,
 		sweepWorkers: req.SweepWorkers,
-		exact:        isExactEngine(req.Engine),
 	}, nil
 }
 
@@ -122,23 +118,7 @@ func (wk *sweepWork) execute(ctx context.Context, s *Server, progress mhla.Progr
 		return nil, apiErr
 	}
 	opts := append(flowOptions(ws, progress), wk.searchOpts...)
-	// Nested pools multiply, so inside a sweep the engine worker count
-	// defaults to 1 (the sweep pool owns the parallelism), an explicit
-	// engine count on a parallel engine turns the sweep sequential,
-	// and an explicit pair is product-capped by validateSizes — one
-	// request is never more parallelism than a slot's worth. The
-	// greedy engine (the default) ignores Workers entirely, so an
-	// explicit count there must not cost the sweep its own pool.
-	// Results are identical at every worker count, so none of this
-	// shapes responses, only scheduling.
-	if wk.sweepWorkers > 0 {
-		opts = append(opts, mhla.WithSweepWorkers(wk.sweepWorkers))
-	}
-	if wk.workers == 0 {
-		opts = append(opts, mhla.WithWorkers(1))
-	} else if wk.sweepWorkers == 0 && wk.exact {
-		opts = append(opts, mhla.WithSweepWorkers(1))
-	}
+	opts = append(opts, mhla.WithSweepWorkers(wk.sweepWorkers))
 	sw, err := mhla.SweepL1(ctx, nil, wk.sizes, opts...)
 	if err != nil {
 		return nil, mapRunError(err)
@@ -159,9 +139,7 @@ type batchWork struct {
 	l1Sizes      []int64
 	objectives   []mhla.Objective
 	searchOpts   []mhla.Option
-	workers      int
 	batchWorkers int
-	exact        bool
 }
 
 func (req *batchRequest) work(s *Server) (work, *apiError) {
@@ -193,9 +171,7 @@ func (req *batchRequest) work(s *Server) (work, *apiError) {
 		l1Sizes:      req.L1Sizes,
 		objectives:   objectives,
 		searchOpts:   searchOpts,
-		workers:      req.Workers,
 		batchWorkers: req.BatchWorkers,
-		exact:        isExactEngine(req.Engine),
 	}, nil
 }
 
@@ -231,16 +207,6 @@ func (wk *batchWork) execute(ctx context.Context, s *Server, progress mhla.Progr
 		jobs[i].Options = append([]mhla.Option{mhla.WithWorkspace(workspaces[jobs[i].Program])}, jobs[i].Options...)
 	}
 	ex := mhla.Explorer{Workers: wk.batchWorkers}
-	// Same nested-pool discipline as the sweep: engine workers default
-	// to 1 (the Explorer pool owns the parallelism), an explicit
-	// engine count on a parallel engine turns the Explorer sequential
-	// (greedy ignores Workers, so it keeps the pool), and an explicit
-	// pair is product-capped at intake.
-	if wk.workers == 0 {
-		ex.Options = append(ex.Options, mhla.WithWorkers(1))
-	} else if wk.batchWorkers == 0 && wk.exact {
-		ex.Workers = 1
-	}
 	if progress != nil {
 		ex.Options = append(ex.Options, mhla.WithProgress(progress))
 	}
@@ -281,7 +247,7 @@ type simulateWork struct {
 }
 
 func (req *simulateRequest) work(s *Server) (work, *apiError) {
-	plat, apiErr := req.platformValue()
+	plat, apiErr := req.platformSelection.resolve()
 	if apiErr != nil {
 		return nil, apiErr
 	}

@@ -29,8 +29,7 @@ func oracleExtendWithOptions(a *assign.Assignment, opts Options) (*Plan, error) 
 	}
 	plan.Applicable = true
 
-	iterCycles := work.IterCycles()
-	blockBusy := work.BlockBusyCycles()
+	iterCycles, blockBusy := work.BusyCycles()
 	// The dependence table (which blocks write which arrays) comes
 	// precomputed from the assignment's workspace.
 	ws := work.Workspace()

@@ -117,8 +117,7 @@ func ExtendWithOptions(a *assign.Assignment, opts Options) (*Plan, error) {
 	}
 	plan.Applicable = true
 
-	iterCycles := work.IterCycles()
-	blockBusy := work.BlockBusyCycles()
+	iterCycles, blockBusy := work.BusyCycles()
 	// The dependence table (which blocks write which arrays) comes
 	// precomputed from the assignment's workspace.
 	ws := work.Workspace()

@@ -37,7 +37,10 @@ type JobResult struct {
 // Explorer fans batch jobs out over a worker pool. The zero value is
 // ready to use: it runs GOMAXPROCS workers with no shared options.
 type Explorer struct {
-	// Workers caps concurrent flow runs; <= 0 means GOMAXPROCS.
+	// Workers caps concurrent flow runs; <= 0 means GOMAXPROCS. When
+	// more than one job runs at a time, each job's search runs on one
+	// worker (WithWorkers(1) is applied after the job's options);
+	// results are identical either way.
 	Workers int
 	// Options apply to every job, before the job's own options.
 	Options []Option
@@ -90,12 +93,21 @@ func (e *Explorer) Explore(ctx context.Context, jobs []Job) ([]JobResult, error)
 				opts := make([]Option, 0, len(e.Options)+len(job.Options)+1)
 				opts = append(opts, e.Options...)
 				opts = append(opts, job.Options...)
-				// Memoize only when the job does not carry its own
-				// workspace; a failed compile falls through to Run,
-				// which surfaces the usual per-job validation error.
-				if probe := newConfig(opts); probe.workspace == nil && probe.err == nil {
-					if ws := cache.get(job.Program); ws != nil {
-						opts = append([]Option{WithWorkspace(ws)}, opts...)
+				// Invalid options fall through to Run untouched, which
+				// surfaces the usual per-job validation error.
+				if probe := newConfig(opts); probe.err == nil {
+					// Memoize only when the job does not carry its own
+					// workspace; a failed compile falls through to Run
+					// too.
+					if probe.workspace == nil {
+						if ws := cache.get(job.Program); ws != nil {
+							opts = append([]Option{WithWorkspace(ws)}, opts...)
+						}
+					}
+					// Parallel jobs already fill the pool; nested
+					// search pools would only multiply.
+					if workers > 1 {
+						opts = append(opts, WithWorkers(1))
 					}
 				}
 				res, err := Run(ctx, job.Program, opts...)

@@ -209,8 +209,12 @@ func WithMaxStates(n int) Option {
 // fan their independent subtree searches over. 0 (the default) means
 // GOMAXPROCS, 1 forces a single-threaded search, and the result is
 // byte-identical at every worker count. The greedy engine is
-// inherently sequential and ignores the setting. Negative values are
-// rejected with a typed *OptionError.
+// inherently sequential and ignores the setting. Inside a parallel
+// sweep or batch (SweepL1 with more than one sweep worker, Explorer
+// with more than one worker) each point's search runs on one worker
+// instead; the chained branch-and-bound searches of a sweep run one
+// at a time and keep this setting. Results are identical either way.
+// Negative values are rejected with a typed *OptionError.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.search.Workers = n }
 }
@@ -257,10 +261,12 @@ func WithIncumbent(a *Assignment) Option {
 
 // WithSweepWorkers bounds the sweep points SweepL1 evaluates
 // concurrently. 0 (the default) means GOMAXPROCS, 1 forces a
-// sequential sweep; the sweep result is identical at every worker
-// count. Other entry points ignore the setting (WithWorkers bounds
-// the search engines instead). Negative values are rejected with a
-// typed *OptionError.
+// sequential sweep. When more than one independent point runs at a
+// time, each point's search runs on one worker (overriding
+// WithWorkers); the chained branch-and-bound searches run one at a
+// time and keep WithWorkers. The sweep result is identical at every
+// worker count. Other entry points ignore the setting. Negative values
+// are rejected with a typed *OptionError.
 func WithSweepWorkers(n int) Option {
 	return func(c *config) {
 		if n < 0 {
@@ -403,7 +409,7 @@ func ParseEngine(s string) (Engine, error) {
 
 // Engines lists the registered search engines sorted by name, with
 // their capability flags (exact/anytime/deterministic, whether they
-// honor Workers and Seed).
+// read Seed).
 func Engines() []EngineInfo { return assign.Engines() }
 
 // ParsePolicy parses a transfer policy name: "slide" or "refetch".

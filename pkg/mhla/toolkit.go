@@ -2,6 +2,7 @@ package mhla
 
 import (
 	"context"
+	"fmt"
 
 	"mhla/internal/dmasim"
 	"mhla/internal/explore"
@@ -51,18 +52,26 @@ func Layout(a *Assignment) ([]*LayerMap, error) { return layout.Map(a) }
 
 // SweepL1 sweeps on-chip sizes for one program on the two-level
 // experiment platform, running the full flow at every point. A nil
-// or empty sizes slice means the standard 256 B .. 64 KiB sweep.
-// Engine, objective, policy, TE and progress options all apply;
-// platform options are ignored (the sweep constructs one platform
-// per size). The program is compiled once (or reused via
+// or empty sizes slice means the standard 256 B .. 64 KiB sweep; a
+// non-positive size is rejected with a typed *OptionError naming the
+// Sizes field. Engine, objective, policy, TE and progress options all
+// apply; platform options are ignored (the sweep constructs one
+// platform per size). The program is compiled once (or reused via
 // WithWorkspace) and the points are evaluated concurrently —
-// WithSweepWorkers bounds the pool — with results identical to a
-// sequential sweep at every worker count. SweepL1 returns ctx.Err()
-// promptly when ctx is cancelled.
+// WithSweepWorkers bounds the pool. Inside a parallel sweep each
+// point's search runs on one worker; the chained branch-and-bound
+// searches run one at a time and keep WithWorkers. Results are
+// identical to a sequential sweep at every worker count. SweepL1
+// returns ctx.Err() promptly when ctx is cancelled.
 func SweepL1(ctx context.Context, p *Program, sizes []int64, opts ...Option) (*Sweep, error) {
 	cfg := newConfig(opts)
 	if cfg.err != nil {
 		return nil, cfg.err
+	}
+	for _, size := range sizes {
+		if size <= 0 {
+			return nil, &OptionError{Field: "Sizes", Reason: fmt.Sprintf("capacity %d bytes, must be positive", size)}
+		}
 	}
 	ws, err := cfg.compiled(p)
 	if err != nil {

@@ -112,6 +112,42 @@ func TestFacadeInputValidation(t *testing.T) {
 	}
 }
 
+// TestSweepL1RejectsNonPositiveSizes: a non-positive sweep size is
+// rejected up front with a typed *OptionError naming Sizes, the way
+// WithL1 rejects a non-positive capacity, before any point runs.
+func TestSweepL1RejectsNonPositiveSizes(t *testing.T) {
+	prog := progen.Generate(1).Program
+	for _, sizes := range [][]int64{{0}, {512, -3, 1024}} {
+		_, err := mhla.SweepL1(context.Background(), prog, sizes)
+		var oe *mhla.OptionError
+		if !errors.As(err, &oe) || oe.Field != "Sizes" {
+			t.Errorf("sizes %v: error %v, want a *mhla.OptionError on Sizes", sizes, err)
+		}
+	}
+}
+
+// TestExplorerKeepsJobOptionErrors: the one-worker search cap a
+// parallel Explorer applies after each job's options must not mask an
+// invalid worker count on the job.
+func TestExplorerKeepsJobOptionErrors(t *testing.T) {
+	prog := progen.Generate(1).Program
+	jobs := []mhla.Job{
+		{Label: "bad", Program: prog, Options: []mhla.Option{mhla.WithWorkers(-2)}},
+		{Label: "good", Program: prog},
+	}
+	results, err := (&mhla.Explorer{Workers: 2}).Explore(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var oe *mhla.OptionError
+	if !errors.As(results[0].Err, &oe) || oe.Field != "Workers" {
+		t.Errorf("bad job: error %v, want a *mhla.OptionError on Workers", results[0].Err)
+	}
+	if results[1].Err != nil {
+		t.Errorf("good job: %v", results[1].Err)
+	}
+}
+
 // TestFacadeNilInputs: a nil program, analysis, assignment or plan is
 // rejected with an error at every facade entry point, never a panic.
 func TestFacadeNilInputs(t *testing.T) {
