@@ -161,7 +161,9 @@ func (p *Pending) Assignment() *assign.Assignment { return p.res.Assignment }
 // Begin runs the flow through the assignment step (step 1) over a
 // compiled workspace and pauses. Run is Begin + Finish, so both
 // halves are one code path; callers that need nothing between the
-// steps call Run.
+// steps call Run. A platform that fails its own Validate (e.g. an L1
+// so large its energy model overtakes the background layer) is
+// rejected with a typed *assign.OptionError{Field: "Platform"}.
 func Begin(ctx context.Context, ws *workspace.Workspace, cfg Config) (*Pending, error) {
 	if ws == nil {
 		return nil, fmt.Errorf("core: nil workspace")
@@ -170,7 +172,7 @@ func Begin(ctx context.Context, ws *workspace.Workspace, cfg Config) (*Pending, 
 		return nil, fmt.Errorf("core: no platform configured")
 	}
 	if err := cfg.Platform.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, fmt.Errorf("core: %w", &assign.OptionError{Field: "Platform", Reason: err.Error()})
 	}
 	search := cfg.Search
 	if search.IsZero() {

@@ -100,7 +100,7 @@ type Config struct {
 	// while the manager lock is held — a Submit does not return until
 	// the observer has seen (and, for a persistence layer, durably
 	// recorded) the submission. The observer must be fast and must not
-	// call back into the Manager. Restore* calls and the mass-cancel of
+	// call back into the Manager. Restore calls and the mass-cancel of
 	// Close emit no events: recovery replays history rather than making
 	// it, and shutdown is not a job outcome — both would otherwise
 	// poison the journal against the next restart.
@@ -247,32 +247,21 @@ func (m *Manager) Submit(tenant string, priority int, task Task) (Snapshot, erro
 	return m.snapshotLocked(j), nil
 }
 
-// RestoreQueued re-creates a recovered job in the queue under its
-// original ID, tenant, priority and spent-attempt count, bypassing the
-// backlog bound (the job was already accepted in a previous process
-// lifetime). No observer event is emitted. Fails on a duplicate ID or
-// a closed manager.
-func (m *Manager) RestoreQueued(id, tenant string, priority, attempts int, task Task) (Snapshot, error) {
-	return m.restore(id, tenant, priority, attempts, task, Queued, nil)
-}
-
-// RestoreInterrupted re-creates a recovered mid-run job under its
-// original identity in the Interrupted state: present and observable,
-// but not queued — the caller requeues it (Requeue) when its retry
-// backoff expires, or fails/cancels it. No observer event is emitted.
-func (m *Manager) RestoreInterrupted(id, tenant string, priority, attempts int, task Task) (Snapshot, error) {
-	return m.restore(id, tenant, priority, attempts, task, Interrupted, nil)
-}
-
-// RestoreFailed re-creates a recovered job directly in the Failed
-// terminal state (retry budget exhausted, or its request no longer
-// decodes), so clients polling the old ID get a definitive answer
-// instead of a 404. No observer event is emitted.
-func (m *Manager) RestoreFailed(id, tenant string, priority int, err error) (Snapshot, error) {
-	return m.restore(id, tenant, priority, 0, nil, Failed, err)
-}
-
-func (m *Manager) restore(id, tenant string, priority, attempts int, task Task, st State, jerr error) (Snapshot, error) {
+// Restore re-creates a recovered job under its original ID, tenant,
+// priority and spent-attempt count, bypassing the backlog bound (the
+// job was already accepted in a previous process lifetime). The state
+// says where it lands:
+//   - Queued: in the queue, to run like any submission;
+//   - Interrupted: present and observable, but not queued — the caller
+//     requeues it (Requeue) when its retry backoff expires, or
+//     fails/cancels it;
+//   - Failed: terminal with jerr (retry budget exhausted, or its
+//     request no longer decodes), so clients polling the old ID get a
+//     definitive answer instead of a 404; task may be nil.
+//
+// No observer event is emitted. Fails on an empty or duplicate ID, any
+// other state, or a closed manager.
+func (m *Manager) Restore(id, tenant string, priority, attempts int, task Task, st State, jerr error) (Snapshot, error) {
 	if id == "" {
 		return Snapshot{}, errors.New("jobs: restore: empty id")
 	}

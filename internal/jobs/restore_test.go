@@ -77,10 +77,10 @@ func TestObserverSilentPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	if _, err := m.RestoreInterrupted("j000777", "alice", 5, 1, taskFunc(func(context.Context, func(any)) error { return nil })); err != nil {
+	if _, err := m.Restore("j000777", "alice", 5, 1, taskFunc(func(context.Context, func(any)) error { return nil }), Interrupted, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.RestoreFailed("j000778", "bob", 5, errors.New("retry budget exhausted")); err != nil {
+	if _, err := m.Restore("j000778", "bob", 5, 0, nil, Failed, errors.New("retry budget exhausted")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Submit("carol", 5, taskFunc(func(context.Context, func(any)) error { return nil })); err != nil {
@@ -105,7 +105,7 @@ func TestObserverSilentPaths(t *testing.T) {
 func TestRestoreQueuedRunsAndKeepsIdentity(t *testing.T) {
 	m := New(Config{Workers: 1})
 	t.Cleanup(m.Close)
-	snap, err := m.RestoreQueued("j000042", "alice", 7, 2, taskFunc(func(context.Context, func(any)) error { return nil }))
+	snap, err := m.Restore("j000042", "alice", 7, 2, taskFunc(func(context.Context, func(any)) error { return nil }), Queued, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestRestoreQueuedRunsAndKeepsIdentity(t *testing.T) {
 		t.Fatalf("fresh ID %s did not advance past restored j000042", fresh.ID)
 	}
 	// Duplicate restore is rejected.
-	if _, err := m.RestoreQueued(fresh.ID, "x", 1, 0, taskFunc(func(context.Context, func(any)) error { return nil })); err == nil {
+	if _, err := m.Restore(fresh.ID, "x", 1, 0, taskFunc(func(context.Context, func(any)) error { return nil }), Queued, nil); err == nil {
 		t.Fatal("duplicate restore accepted")
 	}
 }
@@ -139,7 +139,7 @@ func TestRestoreInterruptedRequeueCancel(t *testing.T) {
 	t.Cleanup(m.Close)
 	ran := make(chan struct{}, 1)
 	task := taskFunc(func(context.Context, func(any)) error { ran <- struct{}{}; return nil })
-	snap, err := m.RestoreInterrupted("j000010", "alice", 5, 1, task)
+	snap, err := m.Restore("j000010", "alice", 5, 1, task, Interrupted, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestRestoreInterruptedRequeueCancel(t *testing.T) {
 	}
 
 	// Cancel path.
-	if _, err := m.RestoreInterrupted("j000011", "bob", 5, 1, task); err != nil {
+	if _, err := m.Restore("j000011", "bob", 5, 1, task, Interrupted, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := m.Cancel("j000011"); !ok || got.State != Canceled {
@@ -184,7 +184,7 @@ func TestRestoreFailedTerminal(t *testing.T) {
 	m := New(Config{Workers: 1})
 	t.Cleanup(m.Close)
 	budget := errors.New("retry budget exhausted after crash")
-	snap, err := m.RestoreFailed("j000020", "alice", 5, budget)
+	snap, err := m.Restore("j000020", "alice", 5, 0, nil, Failed, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

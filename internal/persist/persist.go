@@ -99,10 +99,9 @@ func (OSFS) OpenAppend(path string) (AppendFile, error) {
 // logged).
 func IsNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
 
-// Clock is the time seam: now, one-shot timers and tickers, injectable
-// so tests drive retry backoff and snapshot cadence without sleeping.
+// Clock is the time seam: one-shot timers and tickers, injectable so
+// tests drive retry backoff and snapshot cadence without sleeping.
 type Clock interface {
-	Now() time.Time
 	// AfterFunc runs f on its own goroutine after d elapses.
 	AfterFunc(d time.Duration, f func()) Timer
 	// NewTicker delivers ticks on C at period d.
@@ -123,8 +122,6 @@ type Ticker interface {
 
 // RealClock is the production Clock, backed by the time package.
 type RealClock struct{}
-
-func (RealClock) Now() time.Time { return time.Now() }
 
 func (RealClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 
@@ -149,12 +146,6 @@ type ManualClock struct {
 // NewManualClock starts a manual clock at the given instant.
 func NewManualClock(start time.Time) *ManualClock {
 	return &ManualClock{now: start}
-}
-
-func (c *ManualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
 }
 
 func (c *ManualClock) AfterFunc(d time.Duration, f func()) Timer {

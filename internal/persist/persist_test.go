@@ -327,16 +327,16 @@ func TestJournalAppendFailureSurfaces(t *testing.T) {
 }
 
 // TestRetryPolicyDelayBounds: delays are positive, jittered within
-// [d/2, d], monotonically capped by MaxDelay, and defaults are sane.
+// [d/2, d], monotonically capped by maxDelay, and defaults are sane.
 func TestRetryPolicyDelayBounds(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second}
+	p := RetryPolicy{MaxAttempts: 5}
 	for attempts := 1; attempts <= 10; attempts++ {
-		ideal := 100 * time.Millisecond
-		for i := 1; i < attempts && ideal < time.Second; i++ {
+		ideal := baseDelay
+		for i := 1; i < attempts && ideal < maxDelay; i++ {
 			ideal *= 2
 		}
-		if ideal > time.Second {
-			ideal = time.Second
+		if ideal > maxDelay {
+			ideal = maxDelay
 		}
 		for trial := 0; trial < 50; trial++ {
 			d := p.Delay(attempts)

@@ -6,6 +6,13 @@ import (
 	"time"
 )
 
+// Backoff bounds of RetryPolicy.Delay: the scale before the first
+// retry and the cap.
+const (
+	baseDelay = 500 * time.Millisecond
+	maxDelay  = 30 * time.Second
+)
+
 // RetryPolicy bounds the re-execution of interrupted jobs after a
 // crash: exponential backoff with full-range jitter, capped delay,
 // capped attempts. The backoff is what keeps a job that crashes its
@@ -17,26 +24,12 @@ type RetryPolicy struct {
 	// MaxAttempts caps total executions (default 3): a job interrupted
 	// with MaxAttempts attempts already spent is failed, not requeued.
 	MaxAttempts int
-	// BaseDelay is the backoff scale before the first retry (default
-	// 500ms); attempt n waits about BaseDelay * 2^(n-1), jittered.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff (default 30s).
-	MaxDelay time.Duration
 }
 
 // WithDefaults fills zero fields.
 func (p RetryPolicy) WithDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 3
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 500 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 30 * time.Second
-	}
-	if p.MaxDelay < p.BaseDelay {
-		p.MaxDelay = p.BaseDelay
 	}
 	return p
 }
@@ -51,19 +44,18 @@ var (
 
 // Delay returns the jittered backoff before re-executing a job that
 // has already spent the given number of attempts (>= 1). The value is
-// uniform in [d/2, d] where d = min(BaseDelay * 2^(attempts-1),
-// MaxDelay) — always positive, never above MaxDelay.
+// uniform in [d/2, d] where d = min(baseDelay * 2^(attempts-1),
+// maxDelay) — always positive, never above maxDelay.
 func (p RetryPolicy) Delay(attempts int) time.Duration {
-	p = p.WithDefaults()
 	if attempts < 1 {
 		attempts = 1
 	}
-	d := p.BaseDelay
-	for i := 1; i < attempts && d < p.MaxDelay; i++ {
+	d := baseDelay
+	for i := 1; i < attempts && d < maxDelay; i++ {
 		d *= 2
 	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
+	if d > maxDelay {
+		d = maxDelay
 	}
 	jitterMu.Lock()
 	f := jitterSrc.Float64()

@@ -180,6 +180,22 @@ func (c *wsCache) runCompile(e *wsEntry, compile func() (*mhla.Workspace, error)
 	e.ws, e.err = compile()
 }
 
+// resident lists the settled entries, least recently used first: the
+// warm set the persister snapshots. Failed compiles never stay
+// resident (settle drops them), so every listed entry holds a
+// workspace.
+func (c *wsCache) resident() []*wsEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]*wsEntry, 0, c.ll.Len())
+	for el := c.ll.Back(); el != nil; el = el.Prev() {
+		if e := el.Value.(*wsEntry); e.settled {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // stats snapshots the counters.
 func (c *wsCache) stats() CacheStats {
 	c.mu.Lock()

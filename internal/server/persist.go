@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,7 +22,8 @@ type PersistStats struct {
 	// by configuration or because the journal could not be opened at
 	// boot — DecodeErrors and the log tell which).
 	Enabled bool `json:"enabled"`
-	// SnapshotRecords is the size of the persisted cache key set.
+	// SnapshotRecords is the record count of the snapshot last loaded
+	// or written.
 	SnapshotRecords int `json:"snapshot_records"`
 	// SnapshotsWritten counts successful snapshot flushes;
 	// SnapshotErrors counts failed ones (the previous snapshot stays
@@ -49,11 +51,12 @@ type PersistStats struct {
 	RecoveredDropped     int `json:"recovered_dropped"`
 }
 
-// persister owns the server's crash-safety state: the bounded,
-// recency-ordered key set mirrored into the snapshot file, the open
-// journal, the boot-time recovery bookkeeping and the background
-// flush/rewarm machinery. All disk access goes through the persist.FS
-// seam and all time through the persist.Clock seam.
+// persister owns the server's crash-safety state: the open journal,
+// the boot-time recovery bookkeeping and the background flush/rewarm
+// machinery. It keeps no warm set of its own: the snapshot is the
+// workspace cache's resident set, read at flush time, plus the loaded
+// records rewarm has not reached yet. All disk access goes through the
+// persist.FS seam and all time through the persist.Clock seam.
 type persister struct {
 	s      *Server
 	fs     persist.FS
@@ -64,12 +67,14 @@ type persister struct {
 	mu       sync.Mutex
 	disabled bool
 	journal  *persist.Journal
-	// progs mirrors the workspace cache key set: digest -> canonical
-	// program bytes, with order tracking recency (oldest first) so the
-	// snapshot evicts like the cache it mirrors.
-	progs map[string][]byte
-	order []string
-	dirty bool
+	// unreached holds the loaded snapshot records rewarm has not
+	// finished yet, in snapshot order; flush writes them ahead of the
+	// cache's entries so a close mid-rewarm keeps them. Empty once
+	// rewarm is done.
+	unreached []persist.SnapshotRecord
+	// written is the digest list of the snapshot last loaded or
+	// written; a periodic flush that would not change it is skipped.
+	written []string
 
 	stats PersistStats
 
@@ -106,7 +111,6 @@ func newPersister(s *Server, cfg Config) *persister {
 		clock:      cfg.PersistClock,
 		dir:        cfg.SnapshotDir,
 		policy:     persist.RetryPolicy{MaxAttempts: cfg.RetryMaxAttempts}.WithDefaults(),
-		progs:      make(map[string][]byte),
 		rewarmDone: make(chan struct{}),
 		flushStop:  make(chan struct{}),
 		flushDone:  make(chan struct{}),
@@ -176,9 +180,9 @@ func (p *persister) recoverJournal() {
 	p.journal = journal
 }
 
-// loadSnapshot reads the cache-key snapshot and seeds the key set.
-// Corruption degrades to the verified prefix; the records are compiled
-// later, in the background, by rewarm.
+// loadSnapshot reads the cache-key snapshot into the records rewarm
+// will compile. Corruption degrades to the verified prefix; the
+// records are compiled later, in the background, by rewarm.
 func (p *persister) loadSnapshot() {
 	if p.disabled {
 		return
@@ -188,14 +192,16 @@ func (p *persister) loadSnapshot() {
 		p.stats.DecodeErrors++
 		log.Printf("server: snapshot damaged, rewarming the verified prefix (%d records): %v", len(records), err)
 	}
+	seen := make(map[string]bool, len(records))
 	for _, rec := range records {
-		if _, ok := p.progs[rec.Digest]; ok {
+		if seen[rec.Digest] {
 			continue
 		}
-		p.progs[rec.Digest] = rec.Program
-		p.order = append(p.order, rec.Digest)
+		seen[rec.Digest] = true
+		p.unreached = append(p.unreached, rec)
+		p.written = append(p.written, rec.Digest)
 	}
-	p.stats.SnapshotRecords = len(p.order)
+	p.stats.SnapshotRecords = len(p.unreached)
 }
 
 // restoreJobs brings the classified journal jobs back into the job
@@ -209,13 +215,13 @@ func (p *persister) restoreJobs() {
 	for _, rec := range p.recovered {
 		switch {
 		case rec.failErr != nil:
-			if _, err := p.s.jobs.RestoreFailed(rec.ID, rec.Tenant, rec.Priority, rec.failErr); err != nil {
+			if _, err := p.s.jobs.Restore(rec.ID, rec.Tenant, rec.Priority, 0, nil, jobs.Failed, rec.failErr); err != nil {
 				log.Printf("server: restore job %s as failed: %v", rec.ID, err)
 				continue
 			}
 			p.stats.RecoveredDropped++
 		case rec.Interrupted:
-			if _, err := p.s.jobs.RestoreInterrupted(rec.ID, rec.Tenant, rec.Priority, rec.Attempts, rec.task); err != nil {
+			if _, err := p.s.jobs.Restore(rec.ID, rec.Tenant, rec.Priority, rec.Attempts, rec.task, jobs.Interrupted, nil); err != nil {
 				log.Printf("server: restore job %s: %v", rec.ID, err)
 				continue
 			}
@@ -227,7 +233,7 @@ func (p *persister) restoreJobs() {
 			}))
 			p.mu.Unlock()
 		default:
-			if _, err := p.s.jobs.RestoreQueued(rec.ID, rec.Tenant, rec.Priority, rec.Attempts, rec.task); err != nil {
+			if _, err := p.s.jobs.Restore(rec.ID, rec.Tenant, rec.Priority, rec.Attempts, rec.task, jobs.Queued, nil); err != nil {
 				log.Printf("server: restore job %s: %v", rec.ID, err)
 				continue
 			}
@@ -238,7 +244,7 @@ func (p *persister) restoreJobs() {
 }
 
 // start launches the background halves: the snapshot rewarm (recompile
-// the persisted key set without blocking readiness) and the periodic
+// the loaded records without blocking readiness) and the periodic
 // snapshot flush.
 func (p *persister) start(interval time.Duration) {
 	if p.disabled {
@@ -248,13 +254,7 @@ func (p *persister) start(interval time.Duration) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	p.rewarmCancel = cancel
-	p.mu.Lock()
-	records := make([]persist.SnapshotRecord, 0, len(p.order))
-	for _, digest := range p.order {
-		records = append(records, persist.SnapshotRecord{Digest: digest, Program: p.progs[digest]})
-	}
-	p.mu.Unlock()
-	go p.rewarm(ctx, records)
+	go p.rewarm(ctx, p.unreached)
 	go p.flushLoop(interval)
 }
 
@@ -262,7 +262,9 @@ func (p *persister) start(interval time.Duration) {
 // cache, in snapshot order, in the background: the server is serving
 // (cold) from the first instant and each rewarmed entry turns later
 // requests for that program into hits. Every record re-verifies its
-// digest end to end before its bytes are trusted.
+// digest end to end before its bytes are trusted. A record leaves
+// unreached once its compile has finished: on success the cache holds
+// it, on failure the next flush drops it.
 func (p *persister) rewarm(ctx context.Context, records []persist.SnapshotRecord) {
 	defer close(p.rewarmDone)
 	for _, rec := range records {
@@ -282,16 +284,9 @@ func (p *persister) rewarm(ctx context.Context, records []persist.SnapshotRecord
 			})
 		}
 		p.mu.Lock()
+		p.unreached = p.unreached[1:]
 		if err != nil {
 			p.stats.RewarmFailed++
-			delete(p.progs, rec.Digest)
-			for i, d := range p.order {
-				if d == rec.Digest {
-					p.order = append(p.order[:i], p.order[i+1:]...)
-					break
-				}
-			}
-			p.dirty = true
 		} else {
 			p.stats.Rewarmed++
 		}
@@ -305,61 +300,7 @@ func (p *persister) rewarm(ctx context.Context, records []persist.SnapshotRecord
 	p.mu.Unlock()
 }
 
-// touch records that the program (already compiled — only valid
-// programs reach here) is warm, refreshing its recency in the
-// persisted key set. New digests encode canonical bytes once; repeats
-// only reorder.
-func (p *persister) touch(digest string, prog *mhla.Program) {
-	p.mu.Lock()
-	if p.disabled {
-		p.mu.Unlock()
-		return
-	}
-	if _, ok := p.progs[digest]; ok {
-		p.bumpLocked(digest)
-		p.mu.Unlock()
-		return
-	}
-	p.mu.Unlock()
-	data, err := mhla.EncodeProgram(prog)
-	if err != nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.disabled {
-		return
-	}
-	if _, ok := p.progs[digest]; ok {
-		p.bumpLocked(digest)
-		return
-	}
-	p.progs[digest] = data
-	p.order = append(p.order, digest)
-	// The key set mirrors the cache bound: evict oldest-first beyond
-	// capacity so the snapshot never outgrows what a restart could hold.
-	for len(p.order) > p.s.cfg.CacheEntries {
-		evict := p.order[0]
-		p.order = p.order[1:]
-		delete(p.progs, evict)
-	}
-	p.dirty = true
-}
-
-// bumpLocked moves a digest to the most-recent end of the order.
-func (p *persister) bumpLocked(digest string) {
-	for i, d := range p.order {
-		if d == digest {
-			if i != len(p.order)-1 {
-				p.order = append(append(p.order[:i], p.order[i+1:]...), digest)
-				p.dirty = true
-			}
-			return
-		}
-	}
-}
-
-// flushLoop writes the snapshot whenever the key set changed, at the
+// flushLoop writes the snapshot whenever the warm set changed, at the
 // configured cadence, until stopped.
 func (p *persister) flushLoop(interval time.Duration) {
 	defer close(p.flushDone)
@@ -370,26 +311,68 @@ func (p *persister) flushLoop(interval time.Duration) {
 		case <-p.flushStop:
 			return
 		case <-ticker.C():
-			p.flush()
+			p.flush(false)
 		}
 	}
 }
 
-// flush writes the snapshot if the key set is dirty. A failed write
-// (ENOSPC, injected faults) leaves the previous snapshot intact and
-// the dirt in place for the next tick.
-func (p *persister) flush() {
+// flush snapshots the warm set, oldest first: the loaded records
+// rewarm has not reached (minus any the cache already holds), then the
+// cache's resident entries, capped at CacheEntries by dropping the
+// oldest. Unless forced, it writes only when the digest list differs
+// from the one last loaded or written. Cache entries encode their
+// canonical program bytes here. A failed write (ENOSPC, injected
+// faults) leaves the previous snapshot intact and is retried on the
+// next tick.
+func (p *persister) flush(force bool) {
 	p.mu.Lock()
-	if p.disabled || !p.dirty {
+	if p.disabled {
 		p.mu.Unlock()
 		return
 	}
-	records := make([]persist.SnapshotRecord, 0, len(p.order))
-	for _, digest := range p.order {
-		records = append(records, persist.SnapshotRecord{Digest: digest, Program: p.progs[digest]})
-	}
+	unreached, written := p.unreached, p.written
 	p.mu.Unlock()
-	err := persist.WriteSnapshot(p.fs, p.dir, records)
+	resident := p.s.cache.resident()
+	held := make(map[string]bool, len(resident))
+	for _, e := range resident {
+		held[e.digest] = true
+	}
+	// progs[i] is the program to encode for records[i]; nil for a
+	// loaded record, which already carries its bytes.
+	records := make([]persist.SnapshotRecord, 0, len(unreached)+len(resident))
+	progs := make([]*mhla.Program, 0, cap(records))
+	for _, rec := range unreached {
+		if !held[rec.Digest] {
+			records = append(records, rec)
+			progs = append(progs, nil)
+		}
+	}
+	for _, e := range resident {
+		records = append(records, persist.SnapshotRecord{Digest: e.digest})
+		progs = append(progs, e.ws.Program)
+	}
+	if over := len(records) - p.s.cfg.CacheEntries; over > 0 {
+		records, progs = records[over:], progs[over:]
+	}
+	digests := make([]string, len(records))
+	for i, rec := range records {
+		digests[i] = rec.Digest
+	}
+	if !force && slices.Equal(digests, written) {
+		return
+	}
+	out := records[:0]
+	for i, rec := range records {
+		if progs[i] != nil {
+			data, err := mhla.EncodeProgram(progs[i])
+			if err != nil {
+				continue // left out of the snapshot; serving it is unaffected
+			}
+			rec.Program = data
+		}
+		out = append(out, rec)
+	}
+	err := persist.WriteSnapshot(p.fs, p.dir, out)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err != nil {
@@ -398,8 +381,8 @@ func (p *persister) flush() {
 		return
 	}
 	p.stats.SnapshotsWritten++
-	p.stats.SnapshotRecords = len(records)
-	p.dirty = false
+	p.stats.SnapshotRecords = len(out)
+	p.written = digests
 }
 
 // observe journals one job lifecycle transition. Called synchronously
@@ -490,10 +473,7 @@ func (p *persister) stop(flush bool) {
 	close(p.flushStop)
 	<-p.flushDone
 	if flush {
-		p.mu.Lock()
-		p.dirty = true // force a final write so the latest key set survives
-		p.mu.Unlock()
-		p.flush()
+		p.flush(true) // a final write so the latest warm set survives
 	}
 	p.mu.Lock()
 	journal := p.journal

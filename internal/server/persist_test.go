@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -175,6 +177,132 @@ func TestRestartDifferential(t *testing.T) {
 			t.Fatalf("fresh job reused recovered ID %s", old)
 		}
 	}
+}
+
+// thirdRunRequest is a third distinct catalog program, one more than a
+// two-entry cache holds.
+const thirdRunRequest = `{"app":"me","scale":"test","l1_bytes":512}`
+
+// snapshotDigests reads the snapshot on mem and returns its digests in
+// file order.
+func snapshotDigests(t *testing.T, mem *persist.MemFS) []string {
+	t.Helper()
+	records, err := persist.ReadSnapshot(mem, persistTestDir)
+	if err != nil {
+		t.Fatalf("read snapshot: %v", err)
+	}
+	digests := make([]string, len(records))
+	for i, rec := range records {
+		digests[i] = rec.Digest
+	}
+	return digests
+}
+
+// compileLog is an OnCompile hook recording the compiled digests in
+// order.
+type compileLog struct {
+	mu      sync.Mutex
+	digests []string
+}
+
+func (l *compileLog) record(digest string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.digests = append(l.digests, digest)
+}
+
+func (l *compileLog) list() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.digests)
+}
+
+// TestRestartSnapshotFollowsCache: the snapshot is the workspace
+// cache's resident set in recency order, plus the loaded records a
+// rewarm has not reached yet; a record whose rewarm fails is dropped.
+func TestRestartSnapshotFollowsCache(t *testing.T) {
+	// warm boots a server on mem, runs the requests in order, closes it
+	// gracefully and returns the digests compiled, in order.
+	warm := func(t *testing.T, mem *persist.MemFS, entries int, requests ...string) []string {
+		t.Helper()
+		var compiled compileLog
+		srv, ts := newTestServer(t, Config{CacheEntries: entries, SnapshotDir: persistTestDir, PersistFS: mem,
+			PersistClock: persist.NewManualClock(time.Unix(0, 0)), OnCompile: compiled.record})
+		for _, req := range requests {
+			syncRun(t, ts.URL, req)
+		}
+		srv.Close()
+		return compiled.list()
+	}
+
+	t.Run("recency order at the cache bound", func(t *testing.T) {
+		mem := persist.NewMemFS()
+		// A, B, A, C through a two-entry cache: B is the least recent
+		// when C arrives, so the cache keeps A then C.
+		compiled := warm(t, mem, 2, quickRunRequest, secondRunRequest, quickRunRequest, thirdRunRequest)
+		if len(compiled) != 3 {
+			t.Fatalf("compiled %d programs, want 3", len(compiled))
+		}
+		a, c := compiled[0], compiled[2]
+		if got := snapshotDigests(t, mem); !slices.Equal(got, []string{a, c}) {
+			t.Fatalf("snapshot = %.12q, want the resident [A C] = %.12q", got, []string{a, c})
+		}
+	})
+
+	t.Run("close mid-rewarm keeps the unreached records", func(t *testing.T) {
+		mem := persist.NewMemFS()
+		compiled := warm(t, mem, 0, quickRunRequest, secondRunRequest, thirdRunRequest)
+		if got := snapshotDigests(t, mem); !slices.Equal(got, compiled) {
+			t.Fatalf("snapshot = %.12q, want %.12q", got, compiled)
+		}
+		// Hold the rewarm inside its first compile, cut it there the
+		// way Close does, then let that compile finish.
+		entered, gate := make(chan struct{}), make(chan struct{})
+		var first sync.Once
+		srv := New(Config{SnapshotDir: persistTestDir, PersistFS: mem, PersistClock: persist.NewManualClock(time.Unix(0, 0)),
+			OnCompile: func(string) { first.Do(func() { close(entered); <-gate }) }})
+		<-entered
+		srv.persist.rewarmCancel()
+		close(gate)
+		srv.Close()
+		if st := srv.Stats().Persist; st.Rewarmed != 1 || st.RewarmDone {
+			t.Fatalf("rewarm stats = %+v, want a rewarm cut after one record", st)
+		}
+		// The two unreached records stay, ahead of the rewarmed one.
+		want := []string{compiled[1], compiled[2], compiled[0]}
+		if got := snapshotDigests(t, mem); !slices.Equal(got, want) {
+			t.Fatalf("snapshot = %.12q, want %.12q", got, want)
+		}
+	})
+
+	t.Run("a failed rewarm leaves the snapshot", func(t *testing.T) {
+		mem := persist.NewMemFS()
+		warm(t, mem, 0, quickRunRequest, secondRunRequest)
+		good, err := persist.ReadSnapshot(mem, persistTestDir)
+		if err != nil || len(good) != 2 {
+			t.Fatalf("warm snapshot: %d records, err %v", len(good), err)
+		}
+		// Checksummed bytes that are not a canonical program: the
+		// snapshot decodes, the rewarm of this record fails.
+		broken := []byte(`{"name":"broken"}`)
+		bad := persist.SnapshotRecord{Digest: persist.DigestBytes(broken), Program: broken}
+		if err := persist.WriteSnapshot(mem, persistTestDir, []persist.SnapshotRecord{good[0], bad, good[1]}); err != nil {
+			t.Fatal(err)
+		}
+		clk := persist.NewManualClock(time.Unix(0, 0))
+		srv, _ := newTestServer(t, Config{SnapshotDir: persistTestDir, SnapshotInterval: time.Second,
+			PersistFS: mem, PersistClock: clk})
+		waitFor(t, "rewarm", func() bool { return srv.Stats().Persist.RewarmDone })
+		if st := srv.Stats().Persist; st.Rewarmed != 2 || st.RewarmFailed != 1 {
+			t.Fatalf("rewarm stats = %+v, want 2 rewarmed, 1 failed", st)
+		}
+		clk.Advance(1100 * time.Millisecond)
+		waitFor(t, "snapshot flush", func() bool { return srv.Stats().Persist.SnapshotsWritten >= 1 })
+		want := []string{good[0].Digest, good[1].Digest}
+		if got := snapshotDigests(t, mem); !slices.Equal(got, want) {
+			t.Fatalf("snapshot after flush = %.12q, want %.12q", got, want)
+		}
+	})
 }
 
 // TestRestartDropsTerminalJobs: jobs that reached a terminal state

@@ -104,17 +104,18 @@ type Config struct {
 	// stays fetchable (default 15 minutes).
 	JobResultTTL time.Duration
 	// SnapshotDir, when set, enables crash-safety persistence: the
-	// workspace-cache key set is periodically snapshotted there (and
-	// rewarmed in the background on boot) and async job submissions and
-	// transitions are journaled, so a restart requeues the backlog
-	// instead of losing it. Empty means memory-only (the default).
+	// workspace cache's resident set is periodically snapshotted
+	// there (and rewarmed in the background on boot) and async job
+	// submissions and transitions are journaled, so a restart
+	// requeues the backlog instead of losing it. Empty means
+	// memory-only (the default).
 	SnapshotDir string
 	// SnapshotInterval is the snapshot flush cadence (default 10s).
 	SnapshotInterval time.Duration
 	// RetryMaxAttempts caps total executions of a job interrupted by
-	// crashes (default 3); each re-execution waits a jittered
-	// exponential backoff (persist.RetryPolicy defaults, 500ms base
-	// and 30s cap).
+	// crashes (default 3); each re-execution waits the jittered
+	// exponential backoff of persist.RetryPolicy (fixed 500ms base,
+	// 30s cap).
 	RetryMaxAttempts int
 	// PersistFS and PersistClock are the persistence seams (default the
 	// real filesystem and clock); tests and the chaos suite inject
@@ -560,10 +561,6 @@ func (s *Server) workspaceFor(prog *mhla.Program, digest string) (*mhla.Workspac
 		// The program passed decode validation, so a compile failure is
 		// input-derived (the analysis rejected it) — a client error.
 		return nil, badRequest("invalid_program", "%v", err)
-	}
-	if s.persist != nil {
-		// Record the warm key so the next process lifetime can rewarm it.
-		s.persist.touch(digest, prog)
 	}
 	return ws, nil
 }

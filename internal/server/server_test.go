@@ -324,6 +324,44 @@ func TestRequestErrors(t *testing.T) {
 	}
 }
 
+// TestPlatformRejectedByModelIsInvalidOption: an L1 so large that its
+// energy model overtakes the background layer fails platform
+// validation inside the flow. That is the caller's option, so /v1/run
+// and /v1/sweep answer a typed 400 invalid_option and the batch job
+// carries the typed message, not the fixed internal one. /v1/simulate
+// runs no assignment flow and still answers.
+func TestPlatformRejectedByModelIsInvalidOption(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct{ endpoint, body string }{
+		{"/v1/run", `{"app":"durbin","scale":"test","l1_bytes":2560000}`},
+		{"/v1/sweep", `{"app":"durbin","scale":"test","sizes":[512,2560000]}`},
+	} {
+		code, body := postTB(t, ts.URL+tc.endpoint, tc.body)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%s)", tc.endpoint, code, body)
+		}
+		if got := decodeError(t, body); got != "invalid_option" {
+			t.Fatalf("%s: error code %q, want invalid_option (%s)", tc.endpoint, got, body)
+		}
+	}
+
+	code, body := postTB(t, ts.URL+"/v1/batch", `{"apps":["durbin"],"scale":"test","l1_sizes":[2560000]}`)
+	if code != http.StatusOK {
+		t.Fatalf("batch: status %d, want 200 (%s)", code, body)
+	}
+	var resp batchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Jobs) != 1 || !strings.Contains(resp.Jobs[0].Error, "invalid option Platform") {
+		t.Fatalf("batch jobs = %+v, want one job failing with the typed platform message", resp.Jobs)
+	}
+
+	if code, body := postTB(t, ts.URL+"/v1/simulate", `{"app":"durbin","scale":"test","l1_bytes":2560000}`); code != http.StatusOK {
+		t.Fatalf("simulate: status %d, want 200 (%s)", code, body)
+	}
+}
+
 // TestMethodAndPathErrors: wrong methods and unknown paths get typed
 // errors too.
 func TestMethodAndPathErrors(t *testing.T) {
