@@ -680,9 +680,9 @@ func BenchmarkServerThroughput(b *testing.B) {
 // poll each to completion and fetch its stored result, verified
 // byte-identical to the synchronous /v1/run response on every job. The
 // measured quantity is pipeline throughput (submit + queue + execute +
-// fetch), not single-job latency. Recorded in BENCH_JOBS.json by
-// cmd/mhla-loadgen; on a single-CPU host extra job workers cannot
-// raise throughput (the flow is compute-bound) — re-measure on cores.
+// fetch), not single-job latency. CI runs one iteration in its bench
+// smoke; on a single-CPU host extra job workers cannot raise
+// throughput (the flow is compute-bound) — re-measure on cores.
 func BenchmarkJobsThroughput(b *testing.B) {
 	app, err := apps.ByName("me")
 	if err != nil {

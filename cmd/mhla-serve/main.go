@@ -25,8 +25,9 @@
 //	mhla-serve -jobworkers 4 -backlog 512 -jobttl 30m
 //	mhla-serve -snapshot-dir /var/lib/mhla -snapshot-interval 10s -retry-max 3
 //
-// With -snapshot-dir the server persists its compiled-workspace key
-// set (checksummed, atomically-renamed snapshots) and an append-only
+// With -snapshot-dir the server persists its compiled-workspace cache
+// (each resident entry's digest and canonical program bytes, in
+// checksummed, atomically-renamed snapshots) and an append-only
 // journal of async job transitions: after a crash or kill -9 the next
 // boot rewarms the cache in the background, requeues journaled jobs
 // and retries interrupted ones with jittered backoff. Without it the

@@ -32,19 +32,3 @@ func Collect() Host {
 		Go:         runtime.Version(),
 	}
 }
-
-// Map renders the host block as a generic map for writers that build
-// map[string]any reports (the loadgen), with an optional note.
-func (h Host) Map(note string) map[string]any {
-	m := map[string]any{
-		"os":         h.OS,
-		"arch":       h.Arch,
-		"cpus":       h.CPUs,
-		"gomaxprocs": h.GOMAXPROCS,
-		"go":         h.Go,
-	}
-	if note != "" {
-		m["note"] = note
-	}
-	return m
-}

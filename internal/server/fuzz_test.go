@@ -64,6 +64,59 @@ func FuzzSimulateDecode(f *testing.F) {
 	fuzzEndpoints(f, endpoints)
 }
 
+// FuzzJobSubmit throws arbitrary bodies at POST /v1/jobs: unknown
+// kinds, out-of-range priorities, missing or null nested requests and
+// every malformation of the nested compute request. An accepted body
+// must be answered 202 with a job envelope carrying an ID; anything
+// else must be a typed 4xx, never a panic or 5xx. Accepted jobs stay
+// cheap (one worker, a four-job backlog, a tiny state budget). It is
+// its own target because FuzzServerDecode picks its endpoint by index,
+// so a new endpoint there would move that target's committed corpus.
+func FuzzJobSubmit(f *testing.F) {
+	f.Add([]byte(`{"kind":"run","request":{"app":"durbin","scale":"test","l1_bytes":512}}`))
+	f.Add([]byte(`{"kind":"sweep","priority":7,"request":{"app":"durbin","scale":"test","sizes":[256,512]}}`))
+	f.Add([]byte(`{"kind":"batch","request":{"apps":["durbin","sobel"],"scale":"test","l1_sizes":[512]}}`))
+	f.Add([]byte(`{"kind":"simulate","request":{"app":"durbin","scale":"test"}}`))
+	f.Add([]byte(`{"kind":"run","priority":10,"request":{"app":"durbin","scale":"test"}}`))
+	f.Add([]byte(`{"kind":"compile","request":{"app":"durbin"}}`))
+	f.Add([]byte(`{"kind":"run","request":null}`))
+	f.Add([]byte(`{"kind":"sweep","request":{"app":"durbin","scale":"test","sizes":[2560000]}}`))
+
+	srv := New(Config{
+		CacheEntries: 8,
+		MaxBodyBytes: 1 << 16,
+		MaxStates:    20_000,
+		MaxInFlight:  2,
+		JobWorkers:   1,
+		JobBacklog:   4,
+	})
+	f.Cleanup(srv.Close)
+	handler := srv.Handler()
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+
+		if rec.Code == http.StatusAccepted {
+			var env jobJSON
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.ID == "" {
+				t.Fatalf("202 for body %q is not a job envelope with an ID (%v):\n%s", body, err, rec.Body.Bytes())
+			}
+			return
+		}
+		if rec.Code < 400 || rec.Code >= 500 {
+			t.Fatalf("/v1/jobs answered %d for body %q, want 202 or 4xx:\n%s", rec.Code, body, rec.Body.Bytes())
+		}
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error.Code == "" || eb.Error.Message == "" {
+			t.Fatalf("/v1/jobs %d for body %q is not the typed error envelope (%v):\n%s",
+				rec.Code, body, err, rec.Body.Bytes())
+		}
+	})
+}
+
 // fuzzEndpoints is the shared harness of the decode fuzzers: a tightly
 // guarded server answering fuzzed bodies on a fixed endpoint list.
 func fuzzEndpoints(f *testing.F, endpoints []string) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -366,6 +367,55 @@ func TestRestartRetryBudgetExhausted(t *testing.T) {
 	undecodable := getJob(t, ts.URL, "j000002")
 	if undecodable.State != "failed" || undecodable.Error == nil {
 		t.Fatalf("undecodable job = %+v, want failed", undecodable)
+	}
+}
+
+// TestRestartAbortLeavesNoGoroutines: tearing a persisting server down
+// mid-backlog, by a simulated crash (Abort) or a graceful Close, leaves
+// no goroutine behind and the in-flight gauge at zero. The backlog is
+// the one the kill -9 smoke parks: an exact paper-scale sweep pinning
+// the only worker and a run job queued behind it.
+func TestRestartAbortLeavesNoGoroutines(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		stop func(*Server)
+	}{
+		{"abort", (*Server).Abort},
+		{"close", (*Server).Close},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			http.DefaultClient.CloseIdleConnections()
+			baseline := runtime.NumGoroutine()
+
+			srv := New(Config{
+				JobWorkers:   1,
+				SnapshotDir:  persistTestDir,
+				PersistFS:    persist.NewMemFS(),
+				PersistClock: persist.NewManualClock(time.Unix(0, 0)),
+			})
+			ts := httptest.NewServer(srv.Handler())
+			syncRun(t, ts.URL, quickRunRequest)
+			sweep := submitJob(t, ts.URL, "sweep", `{"app":"qsdpcm","scale":"paper","engine":"exhaustive"}`, "alice", 5)
+			waitJobState(t, ts.URL, sweep.ID, "running")
+			submitJob(t, ts.URL, "run", quickRunRequest, "bob", 5)
+
+			tc.stop(srv)
+			ts.Close()
+			http.DefaultClient.CloseIdleConnections()
+
+			deadline := time.Now().Add(15 * time.Second)
+			for runtime.NumGoroutine() > baseline {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<20)
+					t.Fatalf("%d goroutines still running after %s, baseline %d:\n%s",
+						runtime.NumGoroutine(), tc.name, baseline, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			if n := srv.Stats().InFlight; n != 0 {
+				t.Fatalf("%d compute slots still held after %s", n, tc.name)
+			}
+		})
 	}
 }
 

@@ -284,8 +284,8 @@ func (s *Server) Close() {
 	}
 }
 
-// Abort simulates a crash (SIGKILL) for tests and the kill-restart
-// load generator: persistence stops instantly with no final flush and
+// Abort simulates a crash (SIGKILL) for the in-process restart tests:
+// persistence stops instantly with no final flush and
 // no journal records for the dying jobs, then the job layer is torn
 // down — exactly the state a real kill leaves on disk.
 func (s *Server) Abort() {
