@@ -50,8 +50,11 @@ func TestAllAppsValidateAndAnalyze(t *testing.T) {
 				if err := p.Validate(); err != nil {
 					t.Fatalf("Validate: %v", err)
 				}
-				if unused := p.UnusedArrays(); len(unused) > 0 {
-					t.Errorf("unused arrays: %v", unused)
+				counts := p.AccessCounts()
+				for _, a := range p.Arrays {
+					if _, ok := counts[a.Name]; !ok {
+						t.Errorf("unused array %q", a.Name)
+					}
 				}
 				an, err := reuse.Analyze(p)
 				if err != nil {
@@ -153,6 +156,17 @@ func TestCavityRegionShrinking(t *testing.T) {
 	}
 }
 
+// arrayChains returns the chains of an that reference the named array.
+func arrayChains(an *reuse.Analysis, name string) []*reuse.Chain {
+	var out []*reuse.Chain
+	for _, ch := range an.Chains {
+		if ch.Array.Name == name {
+			out = append(out, ch)
+		}
+	}
+	return out
+}
+
 func TestWaveletStrideChains(t *testing.T) {
 	p := BuildWaveletWith(TestWaveletParams())
 	an, err := reuse.Analyze(p)
@@ -161,7 +175,7 @@ func TestWaveletStrideChains(t *testing.T) {
 	}
 	// The single filter-tap load img[y][2x+k] forms one chain whose
 	// level-1 window slides by two columns per output.
-	imgChains := an.ChainsForArray("img")
+	imgChains := arrayChains(an, "img")
 	if len(imgChains) != 1 {
 		t.Fatalf("img chains = %d, want 1", len(imgChains))
 	}
@@ -206,9 +220,9 @@ func TestVoiceWindowSlidesByTwo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ch := range an.ChainsForArray("pcm") {
+	for _, ch := range arrayChains(an, "pcm") {
 		// Steady update at level 1 moves 2 samples = 4 bytes.
-		if got := ch.Candidate(1).SteadyBytes(reuse.Slide); got != 4 {
+		if got := ch.Candidate(1).SteadyElems(reuse.Slide) * int64(ch.Array.ElemSize); got != 4 {
 			t.Errorf("pcm steady slide = %dB, want 4", got)
 		}
 	}
@@ -227,7 +241,7 @@ func TestDABDeinterleaveBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[model.AccessKind]bool{}
-	for _, ch := range an.ChainsForArray("x") {
+	for _, ch := range arrayChains(an, "x") {
 		kinds[ch.Kind] = true
 	}
 	if !kinds[model.Read] || !kinds[model.Write] {

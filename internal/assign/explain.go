@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"mhla/internal/model"
 )
 
 // ChainReport is the evaluated contribution of one reuse chain under
@@ -78,27 +76,4 @@ func (a *Assignment) ExplainString() string {
 			strings.Join(r.Copies, " "))
 	}
 	return sb.String()
-}
-
-// ArrayReport describes one array's placement.
-type ArrayReport struct {
-	Array string
-	Home  string
-	Bytes int64
-	Spans string
-}
-
-// ExplainArrays lists the array placements with their sizes.
-func (a *Assignment) ExplainArrays() []ArrayReport {
-	arrays := append([]*model.Array(nil), a.Analysis.Program.Arrays...)
-	sort.Slice(arrays, func(i, j int) bool { return arrays[i].Name < arrays[j].Name })
-	var out []ArrayReport
-	for _, arr := range arrays {
-		out = append(out, ArrayReport{
-			Array: arr.Name,
-			Home:  a.Platform.Layers[a.ArrayHome[arr.Name]].Name,
-			Bytes: arr.Bytes(),
-		})
-	}
-	return out
 }

@@ -75,13 +75,3 @@ func TestExplainSortedByEnergy(t *testing.T) {
 		t.Error("reports not sorted by energy")
 	}
 }
-
-func TestExplainArrays(t *testing.T) {
-	an := analyze(t, scanProgram())
-	a := New(an, testPlat(), reuse.Slide)
-	a.SetHome("a", 0)
-	reports := a.ExplainArrays()
-	if len(reports) != 1 || reports[0].Array != "a" || reports[0].Home != "L1" || reports[0].Bytes != 128 {
-		t.Errorf("ExplainArrays = %+v", reports)
-	}
-}

@@ -125,12 +125,6 @@ func Simulate(plan *te.Plan) (*Result, error) {
 	return simulate(plan.Assignment, plan)
 }
 
-// SimulateAssignment runs the timeline without any time extensions:
-// every transfer is synchronous.
-func SimulateAssignment(a *assign.Assignment) (*Result, error) {
-	return simulate(a, nil)
-}
-
 func simulate(a *assign.Assignment, plan *te.Plan) (*Result, error) {
 	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("dmasim: %w", err)

@@ -41,7 +41,7 @@ func TestNoTEMatchesAnalyticExactly(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			res := runApp(t, name, apps.Test)
-			sim, err := SimulateAssignment(res.Assignment)
+			sim, err := simulate(res.Assignment, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func TestNoTEMatchesAnalyticExactly(t *testing.T) {
 
 func TestNoTEMatchesAnalyticPaperScaleME(t *testing.T) {
 	res := runApp(t, "me", apps.Paper)
-	sim, err := SimulateAssignment(res.Assignment)
+	sim, err := simulate(res.Assignment, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestHoistedFillNoStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simNo, err := SimulateAssignment(asn)
+	simNo, err := simulate(asn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestSimulateRejectsInvalidAssignment(t *testing.T) {
 	asn.Chains[an.Chains[0].ID] = &assign.ChainAssign{
 		Chain: an.Chains[0], Levels: []int{0}, Layers: []int{1},
 	}
-	if _, err := SimulateAssignment(asn); err == nil {
+	if _, err := simulate(asn, nil); err == nil {
 		t.Fatal("accepted an invalid assignment")
 	}
 }
@@ -254,7 +254,7 @@ func TestNoDMAPlatformSimulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := SimulateAssignment(res.Assignment)
+	sim, err := simulate(res.Assignment, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

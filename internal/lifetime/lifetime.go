@@ -17,12 +17,7 @@
 // block boundary.
 package lifetime
 
-import (
-	"fmt"
-	"sort"
-
-	"mhla/internal/model"
-)
+import "mhla/internal/model"
 
 // Object is one space consumer placed on a memory layer during
 // [Start, End] (inclusive block indices).
@@ -83,19 +78,6 @@ func (e *Estimator) Peak(objects []Object) int64 {
 	return peak
 }
 
-// PeakBlock returns the peak occupancy and the first block where it
-// occurs (-1 when there are no blocks).
-func (e *Estimator) PeakBlock(objects []Object) (int64, int) {
-	var peak int64
-	block := -1
-	for b, v := range e.Profile(objects) {
-		if v > peak {
-			peak, block = v, b
-		}
-	}
-	return peak, block
-}
-
 // Span is the lifetime of one array in block indices.
 type Span struct {
 	Start, End int
@@ -144,19 +126,4 @@ func ArraySpans(p *model.Program) map[string]Span {
 		spans[a.Name] = s
 	}
 	return spans
-}
-
-// Describe renders a per-block occupancy table for diagnostics.
-func (e *Estimator) Describe(objects []Object) string {
-	sorted := append([]Object(nil), objects...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-	s := ""
-	for _, o := range sorted {
-		s += fmt.Sprintf("  %-24s %8dB  blocks %d..%d\n", o.ID, o.Bytes, o.Start, o.End)
-	}
-	prof := e.Profile(objects)
-	for b, v := range prof {
-		s += fmt.Sprintf("  block %d: %dB\n", b, v)
-	}
-	return s
 }

@@ -2,7 +2,6 @@ package lifetime
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -26,10 +25,6 @@ func TestProfileAndPeak(t *testing.T) {
 	if got := e.Peak(objs); got != 200 {
 		t.Errorf("Peak = %d, want 200", got)
 	}
-	peak, block := e.PeakBlock(objs)
-	if peak != 200 || block != 3 {
-		t.Errorf("PeakBlock = %d,%d, want 200,3", peak, block)
-	}
 }
 
 func TestPeakWithoutInPlace(t *testing.T) {
@@ -47,9 +42,6 @@ func TestPeakEmptyAndClamping(t *testing.T) {
 	e := &Estimator{NumBlocks: 3, InPlace: true}
 	if got := e.Peak(nil); got != 0 {
 		t.Errorf("Peak(nil) = %d", got)
-	}
-	if _, block := e.PeakBlock(nil); block != -1 {
-		t.Errorf("PeakBlock(nil) block = %d, want -1", block)
 	}
 	// Out-of-range lifetimes are clamped, not dropped.
 	objs := []Object{{ID: "x", Bytes: 10, Start: -5, End: 99}}
@@ -172,13 +164,5 @@ func TestQuickPeakMonotoneInObjects(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	e := &Estimator{NumBlocks: 2, InPlace: true}
-	s := e.Describe([]Object{{ID: "buf", Bytes: 64, Start: 0, End: 1}})
-	if !strings.Contains(s, "buf") || !strings.Contains(s, "block 1: 64B") {
-		t.Errorf("Describe output:\n%s", s)
 	}
 }

@@ -40,15 +40,6 @@ func NewTracker(numBlocks int, inPlace bool) *Tracker {
 	}
 }
 
-// Reset empties the tracker for reuse.
-func (t *Tracker) Reset() {
-	for i := range t.prof {
-		t.prof[i] = 0
-	}
-	t.peak = 0
-	t.peakCount = t.numBlocks
-}
-
 // span clamps the object's lifetime exactly like Estimator.Profile:
 // ignore InPlace=false spans, clip to the block range. An inverted
 // result (start > end) means the object occupies nothing.

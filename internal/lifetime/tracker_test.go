@@ -155,10 +155,6 @@ func TestTrackerMatchesEstimator(t *testing.T) {
 					}
 				}
 			}
-			tr.Reset()
-			if tr.Peak() != 0 {
-				t.Fatalf("seed %d: peak %d after Reset", seed, tr.Peak())
-			}
 		}
 	}
 }

@@ -226,15 +226,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestUnusedArrays(t *testing.T) {
-	p := buildConv(16, 20)
-	p.NewArray("scratch", 4, 10)
-	got := p.UnusedArrays()
-	if len(got) != 1 || got[0] != "scratch" {
-		t.Errorf("UnusedArrays = %v, want [scratch]", got)
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	p := buildConv(6, 6)
 	s := p.String()

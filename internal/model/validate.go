@@ -1,9 +1,6 @@
 package model
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Validate checks the structural and semantic well-formedness of the
 // program:
@@ -129,23 +126,4 @@ func validateAccess(acc *Access, block string, trips map[string]int, registered 
 		}
 	}
 	return nil
-}
-
-// UnusedArrays returns the names of registered arrays that no access
-// references, sorted. A non-empty result usually indicates a modelling
-// mistake; Validate does not treat it as an error because partially
-// built programs are legitimate during construction.
-func (p *Program) UnusedArrays() []string {
-	used := make(map[string]bool)
-	for _, ref := range p.Accesses() {
-		used[ref.Access.Array.Name] = true
-	}
-	var unused []string
-	for _, a := range p.Arrays {
-		if !used[a.Name] {
-			unused = append(unused, a.Name)
-		}
-	}
-	sort.Strings(unused)
-	return unused
 }

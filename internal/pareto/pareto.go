@@ -23,15 +23,6 @@ type Point struct {
 	Energy float64
 }
 
-// Dominates reports whether p is at least as good as q in both
-// minimized dimensions and strictly better in one.
-func (p Point) Dominates(q Point) bool {
-	if p.Cycles > q.Cycles || p.Energy > q.Energy {
-		return false
-	}
-	return p.Cycles < q.Cycles || p.Energy < q.Energy
-}
-
 // Frontier returns the non-dominated subset of the points, sorted by
 // ascending cycles (and descending energy along the frontier).
 // Duplicate-cost points are kept once (the first by label order).

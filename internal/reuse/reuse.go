@@ -142,11 +142,6 @@ func (c *Candidate) SteadyElems(p Policy) int64 {
 	return c.Classes[len(c.Classes)-1].NewElems
 }
 
-// SteadyBytes is SteadyElems scaled to bytes.
-func (c *Candidate) SteadyBytes(p Policy) int64 {
-	return c.SteadyElems(p) * int64(c.Chain.Array.ElemSize)
-}
-
 // UpdateBytes returns the bytes moved by one update of the given
 // class under the given policy.
 func (c *Candidate) UpdateBytes(class int, p Policy) int64 {
@@ -220,28 +215,6 @@ type Analysis struct {
 	// Chains lists every reuse chain in deterministic order (by block,
 	// then by first access position).
 	Chains []*Chain
-}
-
-// ChainsForArray returns the chains referencing the named array.
-func (a *Analysis) ChainsForArray(name string) []*Chain {
-	var out []*Chain
-	for _, ch := range a.Chains {
-		if ch.Array.Name == name {
-			out = append(out, ch)
-		}
-	}
-	return out
-}
-
-// ChainsInBlock returns the chains of one top-level block.
-func (a *Analysis) ChainsInBlock(block int) []*Chain {
-	var out []*Chain
-	for _, ch := range a.Chains {
-		if ch.BlockIndex == block {
-			out = append(out, ch)
-		}
-	}
-	return out
 }
 
 // Analyze runs the data-reuse analysis on a validated program.

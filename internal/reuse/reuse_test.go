@@ -194,7 +194,7 @@ func TestGroupingSharedChain(t *testing.T) {
 	if len(an.Chains) != 2 {
 		t.Fatalf("chains = %d, want 2 (grouped loads + store)", len(an.Chains))
 	}
-	loads := an.ChainsForArray("a")[0]
+	loads := chainsWhere(an, func(ch *Chain) bool { return ch.Array.Name == "a" })[0]
 	if len(loads.Accesses) != 3 {
 		t.Errorf("grouped accesses = %d, want 3", len(loads.Accesses))
 	}
@@ -268,6 +268,17 @@ func TestChainIDsDeterministic(t *testing.T) {
 	}
 }
 
+// chainsWhere returns the chains of an that keep accepts, in order.
+func chainsWhere(an *Analysis, keep func(*Chain) bool) []*Chain {
+	var out []*Chain
+	for _, ch := range an.Chains {
+		if keep(ch) {
+			out = append(out, ch)
+		}
+	}
+	return out
+}
+
 func TestChainsInBlock(t *testing.T) {
 	p := model.NewProgram("two")
 	a := p.NewInput("a", 2, 64)
@@ -278,13 +289,13 @@ func TestChainsInBlock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	if got := len(an.ChainsInBlock(0)); got != 2 {
+	if got := len(chainsWhere(an, func(ch *Chain) bool { return ch.BlockIndex == 0 })); got != 2 {
 		t.Errorf("block 0 chains = %d, want 2", got)
 	}
-	if got := len(an.ChainsInBlock(1)); got != 1 {
+	if got := len(chainsWhere(an, func(ch *Chain) bool { return ch.BlockIndex == 1 })); got != 1 {
 		t.Errorf("block 1 chains = %d, want 1", got)
 	}
-	if got := len(an.ChainsForArray("b")); got != 2 {
+	if got := len(chainsWhere(an, func(ch *Chain) bool { return ch.Array.Name == "b" })); got != 2 {
 		t.Errorf("array b chains = %d, want 2", got)
 	}
 }

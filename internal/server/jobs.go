@@ -33,42 +33,19 @@ type jobSubmitRequest struct {
 }
 
 // buildWork decodes and validates the nested request of a job
-// submission, per kind. The validation path is exactly the synchronous
-// endpoint's: the same strict decode rules, the same typed rejections,
-// the same work value — which is what keeps async results
-// byte-identical to sync responses.
+// submission through its kind's computeKinds entry. The validation
+// path is exactly the synchronous endpoint's: the same strict decode
+// rules, the same typed rejections, the same work value — which is
+// what keeps async results byte-identical to sync responses.
 func (s *Server) buildWork(kind string, raw json.RawMessage) (work, *apiError) {
 	if len(raw) == 0 {
 		return nil, badRequest("bad_request", "request must carry the nested compute request object")
 	}
-	switch kind {
-	case "run":
-		var req runRequest
-		if apiErr := decodeStrictBytes(raw, &req); apiErr != nil {
-			return nil, apiErr
-		}
-		return req.work(s)
-	case "sweep":
-		var req sweepRequest
-		if apiErr := decodeStrictBytes(raw, &req); apiErr != nil {
-			return nil, apiErr
-		}
-		return req.work(s)
-	case "batch":
-		var req batchRequest
-		if apiErr := decodeStrictBytes(raw, &req); apiErr != nil {
-			return nil, apiErr
-		}
-		return req.work(s)
-	case "simulate":
-		var req simulateRequest
-		if apiErr := decodeStrictBytes(raw, &req); apiErr != nil {
-			return nil, apiErr
-		}
-		return req.work(s)
-	default:
+	build, ok := computeKinds[kind]
+	if !ok {
 		return nil, badRequest("bad_request", "unknown kind %q (want run, sweep, batch or simulate)", kind)
 	}
+	return build(s, func(dst any) *apiError { return decodeStrictBytes(raw, dst) })
 }
 
 // serverTask adapts a validated work value to the jobs.Task interface.
@@ -159,7 +136,7 @@ func jobEnvelope(st jobs.Snapshot) jobJSON {
 		Created:  st.Created,
 	}
 	if t, ok := st.Task.(*serverTask); ok {
-		out.Kind = t.wk.kind()
+		out.Kind = t.jobKind
 	}
 	if st.State == jobs.Queued && st.Position >= 0 {
 		pos := st.Position

@@ -384,8 +384,7 @@ func TestRestartAbortLeavesNoGoroutines(t *testing.T) {
 		{"close", (*Server).Close},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			http.DefaultClient.CloseIdleConnections()
-			baseline := runtime.NumGoroutine()
+			baseline := goroutineBaseline()
 
 			srv := New(Config{
 				JobWorkers:   1,
@@ -401,21 +400,35 @@ func TestRestartAbortLeavesNoGoroutines(t *testing.T) {
 
 			tc.stop(srv)
 			ts.Close()
-			http.DefaultClient.CloseIdleConnections()
-
-			deadline := time.Now().Add(15 * time.Second)
-			for runtime.NumGoroutine() > baseline {
-				if time.Now().After(deadline) {
-					buf := make([]byte, 1<<20)
-					t.Fatalf("%d goroutines still running after %s, baseline %d:\n%s",
-						runtime.NumGoroutine(), tc.name, baseline, buf[:runtime.Stack(buf, true)])
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-			if n := srv.Stats().InFlight; n != 0 {
-				t.Fatalf("%d compute slots still held after %s", n, tc.name)
-			}
+			checkNoLeaks(t, srv, baseline)
 		})
+	}
+}
+
+// goroutineBaseline closes idle client connections and returns the
+// goroutine count a later checkNoLeaks settles back to.
+func goroutineBaseline() int {
+	http.DefaultClient.CloseIdleConnections()
+	return runtime.NumGoroutine()
+}
+
+// checkNoLeaks runs once srv and its HTTP server have shut down: the
+// goroutine count must settle back to baseline and no compute slot may
+// still be held.
+func checkNoLeaks(t *testing.T, srv *Server, baseline int) {
+	t.Helper()
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(15 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines still running after shutdown, baseline %d:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if n := srv.Stats().InFlight; n != 0 {
+		t.Fatalf("%d compute slots still held after shutdown", n)
 	}
 }
 
@@ -441,6 +454,7 @@ func warmAndClose(t *testing.T, mem *persist.MemFS) (want1, want2 []byte) {
 // torn disk) rewarms its verified prefix and the server serves every
 // request correctly.
 func TestChaosTornSnapshot(t *testing.T) {
+	baseline := goroutineBaseline()
 	mem := persist.NewMemFS()
 	want1, _ := warmAndClose(t, mem)
 	path := persist.SnapshotPath(persistTestDir)
@@ -460,12 +474,16 @@ func TestChaosTornSnapshot(t *testing.T) {
 	if got := syncRun(t, ts.URL, quickRunRequest); !bytes.Equal(got, want1) {
 		t.Error("response after torn-snapshot recovery differs")
 	}
+	srv.Close()
+	ts.Close()
+	checkNoLeaks(t, srv, baseline)
 }
 
 // TestChaosBitFlipSnapshot: a flipped byte in a snapshot record is
 // detected by the checksum; the damaged record (and everything after
 // it) is never rewarmed, and answers stay byte-identical.
 func TestChaosBitFlipSnapshot(t *testing.T) {
+	baseline := goroutineBaseline()
 	mem := persist.NewMemFS()
 	want1, want2 := warmAndClose(t, mem)
 	path := persist.SnapshotPath(persistTestDir)
@@ -486,11 +504,15 @@ func TestChaosBitFlipSnapshot(t *testing.T) {
 	if got := syncRun(t, ts.URL, secondRunRequest); !bytes.Equal(got, want2) {
 		t.Error("response after bit-flip recovery differs")
 	}
+	srv.Close()
+	ts.Close()
+	checkNoLeaks(t, srv, baseline)
 }
 
 // TestChaosGarbageSnapshot: a snapshot replaced by garbage is a cold
 // start, not a crash.
 func TestChaosGarbageSnapshot(t *testing.T) {
+	baseline := goroutineBaseline()
 	mem := persist.NewMemFS()
 	want1, _ := warmAndClose(t, mem)
 	if err := mem.WriteFile(persist.SnapshotPath(persistTestDir), []byte("not a snapshot at all")); err != nil {
@@ -506,12 +528,16 @@ func TestChaosGarbageSnapshot(t *testing.T) {
 	if got := syncRun(t, ts.URL, quickRunRequest); !bytes.Equal(got, want1) {
 		t.Error("cold-start response differs")
 	}
+	srv.Close()
+	ts.Close()
+	checkNoLeaks(t, srv, baseline)
 }
 
 // TestChaosSnapshotENOSPC: a full disk fails snapshot flushes (counted,
 // logged, previous snapshot intact) and never touches serving; space
 // coming back resumes flushing.
 func TestChaosSnapshotENOSPC(t *testing.T) {
+	baseline := goroutineBaseline()
 	mem := persist.NewMemFS()
 	fsys := persist.NewFaultFS(mem)
 	clk := persist.NewManualClock(time.Unix(0, 0))
@@ -537,12 +563,16 @@ func TestChaosSnapshotENOSPC(t *testing.T) {
 	if err != nil || len(records) != 1 {
 		t.Fatalf("snapshot after recovery: %d records, err %v", len(records), err)
 	}
+	srv.Close()
+	ts.Close()
+	checkNoLeaks(t, srv, baseline)
 }
 
 // TestChaosJournalAppendFailure: a failing journal append degrades
 // durability (counted, logged) but the submission is still accepted
 // and the job still completes.
 func TestChaosJournalAppendFailure(t *testing.T) {
+	baseline := goroutineBaseline()
 	mem := persist.NewMemFS()
 	fsys := persist.NewFaultFS(mem)
 	srv, ts := newTestServer(t, Config{SnapshotDir: persistTestDir, PersistFS: fsys,
@@ -557,12 +587,16 @@ func TestChaosJournalAppendFailure(t *testing.T) {
 	// The journal keeps working once the fault clears.
 	env = submitJob(t, ts.URL, "run", quickRunRequest, "alice", 5)
 	waitJobState(t, ts.URL, env.ID, "done")
+	srv.Close()
+	ts.Close()
+	checkNoLeaks(t, srv, baseline)
 }
 
 // TestChaosJournalUnopenable: a journal that cannot be opened at boot
 // disables persistence — the server still starts and serves,
 // memory-only, and says so in its stats.
 func TestChaosJournalUnopenable(t *testing.T) {
+	baseline := goroutineBaseline()
 	fsys := persist.NewFaultFS(persist.NewMemFS())
 	fsys.FailOpens(errors.New("injected open fault"))
 	srv, ts := newTestServer(t, Config{SnapshotDir: persistTestDir, PersistFS: fsys,
@@ -577,11 +611,41 @@ func TestChaosJournalUnopenable(t *testing.T) {
 	syncRun(t, ts.URL, quickRunRequest)
 	env := submitJob(t, ts.URL, "run", quickRunRequest, "alice", 5)
 	waitJobState(t, ts.URL, env.ID, "done")
+	srv.Close()
+	ts.Close()
+	checkNoLeaks(t, srv, baseline)
+}
+
+// TestChaosJournalUnreadable: a journal that cannot be read at boot
+// disables persistence (the jobs it may hold cannot be recovered, so
+// journaling on top of it would be wrong) — the server still starts
+// and serves, memory-only, and counts the failed read.
+func TestChaosJournalUnreadable(t *testing.T) {
+	baseline := goroutineBaseline()
+	fsys := persist.NewFaultFS(persist.NewMemFS())
+	fsys.FailReads(errors.New("injected read fault"))
+	srv, ts := newTestServer(t, Config{SnapshotDir: persistTestDir, PersistFS: fsys,
+		PersistClock: persist.NewManualClock(time.Unix(0, 0))})
+	st := srv.Stats().Persist
+	if st.Enabled {
+		t.Fatal("persistence claims enabled over an unreadable journal")
+	}
+	if st.DecodeErrors != 1 {
+		t.Fatalf("decode errors = %d, want 1 (the failed journal read)", st.DecodeErrors)
+	}
+	// Compute and async both work memory-only.
+	syncRun(t, ts.URL, quickRunRequest)
+	env := submitJob(t, ts.URL, "run", quickRunRequest, "alice", 5)
+	waitJobState(t, ts.URL, env.ID, "done")
+	srv.Close()
+	ts.Close()
+	checkNoLeaks(t, srv, baseline)
 }
 
 // TestChaosWorkerPanicJournaled: a task panic is a journaled failure —
 // a restart does not resurrect the job.
 func TestChaosWorkerPanicJournaled(t *testing.T) {
+	baseline := goroutineBaseline()
 	mem := persist.NewMemFS()
 	// Submitting a panicking request through HTTP is not possible (all
 	// valid requests execute safely), so drive the journal the way the
@@ -609,6 +673,9 @@ func TestChaosWorkerPanicJournaled(t *testing.T) {
 	if code, _ := get(t, ts.URL+"/v1/jobs/j000001"); code != http.StatusNotFound {
 		t.Fatalf("journaled-failed job present after restart: status %d", code)
 	}
+	srv.Close()
+	ts.Close()
+	checkNoLeaks(t, srv, baseline)
 }
 
 // TestDynamicRetryAfterBacklog: shedding a full job backlog answers

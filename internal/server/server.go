@@ -253,10 +253,12 @@ func New(cfg Config) *Server {
 	}
 	s.mux.HandleFunc("/healthz", s.count("/healthz", s.handleHealthz))
 	s.mux.HandleFunc("/v1/apps", s.count("/v1/apps", s.handleApps))
-	s.mux.HandleFunc("/v1/run", s.count("/v1/run", s.handleRun))
-	s.mux.HandleFunc("/v1/sweep", s.count("/v1/sweep", s.handleSweep))
-	s.mux.HandleFunc("/v1/batch", s.count("/v1/batch", s.handleBatch))
-	s.mux.HandleFunc("/v1/simulate", s.count("/v1/simulate", s.handleSimulate))
+	for kind, build := range computeKinds {
+		path := "/v1/" + kind
+		s.mux.HandleFunc(path, s.count(path, func(w http.ResponseWriter, r *http.Request) {
+			s.serveCompute(w, r, build)
+		}))
+	}
 	s.mux.HandleFunc("/v1/jobs", s.count("/v1/jobs", s.handleJobSubmit))
 	s.mux.HandleFunc("/v1/jobs/{id}", s.count("/v1/jobs/{id}", s.handleJob))
 	s.mux.HandleFunc("/v1/jobs/{id}/result", s.count("/v1/jobs/{id}/result", s.handleJobResult))
@@ -589,13 +591,13 @@ func mapRunError(err error) *apiError {
 }
 
 // serveCompute is the shared synchronous compute skeleton: intake
-// slot, decode+validate (the decode callback), intake back, compute
-// slot, execute, write. The compute slot is taken only once the
-// request is fully read and validated, so slow-body or malformed
-// clients never pin a compute slot, and the intake slot goes back
-// first — a request queued on compute must not starve the fast-reject
-// path of later requests.
-func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, decode func() (work, *apiError)) {
+// slot, decode+validate (the kind's build over the request body),
+// intake back, compute slot, execute, write. The compute slot is taken
+// only once the request is fully read and validated, so slow-body or
+// malformed clients never pin a compute slot, and the intake slot goes
+// back first — a request queued on compute must not starve the
+// fast-reject path of later requests.
+func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, build buildFunc) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
@@ -607,7 +609,9 @@ func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, decode fun
 		return
 	}
 	defer releaseIntake()
-	wk, apiErr := decode()
+	wk, apiErr := build(s, func(dst any) *apiError {
+		return decodeRequest(w, r, s.cfg.MaxBodyBytes, dst)
+	})
 	if apiErr != nil {
 		apiErr.write(w)
 		return
@@ -626,43 +630,6 @@ func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, decode fun
 		return
 	}
 	writeJSON(w, body)
-}
-
-// handleRun serves POST /v1/run: the full MHLA+TE flow on one
-// program+platform, answered with mhla.ResultJSON bytes.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.serveCompute(w, r, func() (work, *apiError) {
-		var req runRequest
-		if apiErr := decodeRequest(w, r, s.cfg.MaxBodyBytes, &req); apiErr != nil {
-			return nil, apiErr
-		}
-		return req.work(s)
-	})
-}
-
-// handleSweep serves POST /v1/sweep: the concurrent L1 sweep over the
-// cached workspace, answered with Sweep.JSON bytes.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.serveCompute(w, r, func() (work, *apiError) {
-		var req sweepRequest
-		if apiErr := decodeRequest(w, r, s.cfg.MaxBodyBytes, &req); apiErr != nil {
-			return nil, apiErr
-		}
-		return req.work(s)
-	})
-}
-
-// handleBatch serves POST /v1/batch: an Explorer grid over catalog
-// applications, every distinct program resolved through the workspace
-// cache.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.serveCompute(w, r, func() (work, *apiError) {
-		var req batchRequest
-		if apiErr := decodeRequest(w, r, s.cfg.MaxBodyBytes, &req); apiErr != nil {
-			return nil, apiErr
-		}
-		return req.work(s)
-	})
 }
 
 // handleApps serves GET /v1/apps: the benchmark catalog.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"net/http"
 
 	"mhla/pkg/mhla"
 )
@@ -101,18 +100,4 @@ func mapSimulateError(err error) *apiError {
 		return badRequest("too_many_accesses", "%v", err)
 	}
 	return mapRunError(err)
-}
-
-// handleSimulate serves POST /v1/simulate: the trace-driven cache +
-// prefetch simulation of one program+platform, answered with
-// mhla.SimulateJSON bytes (byte-identical to the direct facade call,
-// like every compute endpoint).
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.serveCompute(w, r, func() (work, *apiError) {
-		var req simulateRequest
-		if apiErr := decodeRequest(w, r, s.cfg.MaxBodyBytes, &req); apiErr != nil {
-			return nil, apiErr
-		}
-		return req.work(s)
-	})
 }

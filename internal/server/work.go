@@ -15,14 +15,39 @@ import (
 // async job, which is what makes the job-mode differential guarantee
 // hold by construction: both paths are this one code path.
 type work interface {
-	// kind names the work for job envelopes and stats ("run", "sweep",
-	// "batch", "simulate").
-	kind() string
 	// execute runs the compute stage and returns exactly the bytes the
 	// synchronous endpoint writes on success. progress, when non-nil,
 	// observes the flow (the caller has already chained the server-wide
 	// observer and any per-job publisher via mhla.TeeProgress).
 	execute(ctx context.Context, s *Server, progress mhla.ProgressFunc) ([]byte, *apiError)
+}
+
+// buildFunc turns one compute request into a validated work value:
+// decode fills a fresh request object (from the HTTP body or from a
+// job's nested request bytes), then the request validates itself.
+type buildFunc func(s *Server, decode func(dst any) *apiError) (work, *apiError)
+
+// computeKinds is the one kind dispatch: /v1/<kind> serves each entry
+// synchronously, and job submissions and journal replay build their
+// work through the same entry, so both paths decode and validate the
+// same request type.
+var computeKinds = map[string]buildFunc{
+	"run":      decodeWork[runRequest],
+	"sweep":    decodeWork[sweepRequest],
+	"batch":    decodeWork[batchRequest],
+	"simulate": decodeWork[simulateRequest],
+}
+
+// decodeWork decodes one R and validates it into a work value.
+func decodeWork[R any, P interface {
+	*R
+	work(*Server) (work, *apiError)
+}](s *Server, decode func(dst any) *apiError) (work, *apiError) {
+	req := P(new(R))
+	if apiErr := decode(req); apiErr != nil {
+		return nil, apiErr
+	}
+	return req.work(s)
 }
 
 // flowOptions assembles the shared option prefix of a compute call:
@@ -59,8 +84,6 @@ func (req *runRequest) work(s *Server) (work, *apiError) {
 	}
 	return &runWork{prog: prog, digest: digest, plat: plat, searchOpts: searchOpts}, nil
 }
-
-func (wk *runWork) kind() string { return "run" }
 
 func (wk *runWork) execute(ctx context.Context, s *Server, progress mhla.ProgressFunc) ([]byte, *apiError) {
 	ws, apiErr := s.workspaceFor(wk.prog, wk.digest)
@@ -109,8 +132,6 @@ func (req *sweepRequest) work(s *Server) (work, *apiError) {
 		sweepWorkers: req.SweepWorkers,
 	}, nil
 }
-
-func (wk *sweepWork) kind() string { return "sweep" }
 
 func (wk *sweepWork) execute(ctx context.Context, s *Server, progress mhla.ProgressFunc) ([]byte, *apiError) {
 	ws, apiErr := s.workspaceFor(wk.prog, wk.digest)
@@ -174,8 +195,6 @@ func (req *batchRequest) work(s *Server) (work, *apiError) {
 		batchWorkers: req.BatchWorkers,
 	}, nil
 }
-
-func (wk *batchWork) kind() string { return "batch" }
 
 func (wk *batchWork) execute(ctx context.Context, s *Server, progress mhla.ProgressFunc) ([]byte, *apiError) {
 	grid := mhla.Grid{
@@ -261,8 +280,6 @@ func (req *simulateRequest) work(s *Server) (work, *apiError) {
 	}
 	return &simulateWork{prog: prog, digest: digest, plat: plat, cacheCfg: cacheCfg}, nil
 }
-
-func (wk *simulateWork) kind() string { return "simulate" }
 
 func (wk *simulateWork) execute(ctx context.Context, s *Server, progress mhla.ProgressFunc) ([]byte, *apiError) {
 	ws, apiErr := s.workspaceFor(wk.prog, wk.digest)
