@@ -404,8 +404,9 @@ func workspaceSweepBenches(fatal func(...any)) []sweepBenchCase {
 	if err != nil {
 		fatal(err)
 	}
+	// Both bnb cases run on one worker, so the pair stays like-for-like.
 	bnbOpts := []mhla.Option{
-		mhla.WithEngine(mhla.BnB), mhla.WithMaxStates(400_000_000),
+		mhla.WithEngine(mhla.BnB), mhla.WithMaxStates(400_000_000), mhla.WithWorkers(1),
 		mhla.WithObjective(bnbSC.Options.Objective), mhla.WithPolicy(bnbSC.Options.Policy),
 	}
 
@@ -436,7 +437,7 @@ func workspaceSweepBenches(fatal func(...any)) []sweepBenchCase {
 						b.Fatal(err)
 					}
 					sw, err := mhla.SweepL1(context.Background(), prog, sizes,
-						mhla.WithWorkspace(ws), mhla.WithSweepWorkers(w))
+						mhla.WithWorkspace(ws), mhla.WithWorkers(w))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -485,7 +486,7 @@ func workspaceSweepBenches(fatal func(...any)) []sweepBenchCase {
 			var states int
 			for i := 0; i < b.N; i++ {
 				sw, err := mhla.SweepL1(context.Background(), bnbSC.Program, sizes,
-					append([]mhla.Option{mhla.WithWorkspace(bnbWS), mhla.WithSweepWorkers(1)}, bnbOpts...)...)
+					append([]mhla.Option{mhla.WithWorkspace(bnbWS)}, bnbOpts...)...)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1107,7 +1108,7 @@ func BenchmarkMultiTask(b *testing.B) {
 	var plan *mhla.MultiTaskPlan
 	for i := 0; i < b.N; i++ {
 		var err error
-		plan, err = mhla.Partition(tasks, 8192)
+		plan, err = mhla.Partition(context.Background(), tasks, 8192)
 		if err != nil {
 			b.Fatal(err)
 		}

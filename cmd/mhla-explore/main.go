@@ -6,8 +6,9 @@
 // paper's trade-off exploration (experiment E1 in DESIGN.md).
 //
 // The program is compiled once (analysis, lifetime tables) and the
-// sweep points are evaluated concurrently; -workers bounds both the
-// sweep pool and the batch Explorer pool.
+// sweep points are evaluated concurrently; -workers is the one worker
+// budget (WithWorkers): it sizes the sweep pool, the batch Explorer
+// pool and the exact engines' search pool.
 //
 // Usage:
 //
@@ -40,7 +41,7 @@ func main() {
 		appsCSV    = flag.String("apps", "", "comma-separated applications for a concurrent batch grid (overrides -app)")
 		sizeCSV    = flag.String("sizes", "", "comma-separated L1 sizes in bytes (default 256..64K half-power steps)")
 		scale      = flag.String("scale", "paper", "workload scale: paper or test")
-		workers    = flag.Int("workers", 0, "sweep/batch worker count (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "worker budget of the sweep or batch and its searches (0 = GOMAXPROCS)")
 		emitCSV    = flag.Bool("csv", false, "emit CSV instead of tables")
 		emitJSON   = flag.Bool("json", false, "emit the sweep as JSON (single-app mode)")
 		progress   = flag.Bool("progress", false, "report batch progress on stderr")
@@ -105,7 +106,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := append([]mhla.Option{mhla.WithSweepWorkers(*workers)}, engineOpts...)
+	opts := append([]mhla.Option{mhla.WithWorkers(*workers)}, engineOpts...)
 	sw, err := mhla.SweepL1(context.Background(), app.Build(sc), sizes, opts...)
 	if err != nil {
 		fatal(err)
@@ -142,7 +143,7 @@ func batch(appsCSV string, sc apps.Scale, sizes []int64, workers int, progress, 
 	grid.L1Sizes = sizes
 	grid.Options = opts
 
-	ex := mhla.Explorer{Workers: workers}
+	ex := mhla.Explorer{Options: []mhla.Option{mhla.WithWorkers(workers)}}
 	if progress {
 		ex.Progress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\rmhla-explore: %d/%d jobs", done, total)

@@ -27,7 +27,7 @@ func main() {
 		figure  = flag.Int("figure", 0, "figure to render: 2, 3, or 0 for both")
 		emitCSV = flag.Bool("csv", false, "emit CSV instead of figures")
 		scale   = flag.String("scale", "paper", "workload scale: paper or test")
-		workers = flag.Int("workers", 0, "concurrent flow runs (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "worker budget of the batch and its searches (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -45,7 +45,7 @@ func main() {
 			Options: []mhla.Option{mhla.WithL1(app.L1)},
 		})
 	}
-	ex := mhla.Explorer{Workers: *workers}
+	ex := mhla.Explorer{Options: []mhla.Option{mhla.WithWorkers(*workers)}}
 	batch, err := ex.Explore(context.Background(), jobs)
 	if err != nil {
 		fatal(err)

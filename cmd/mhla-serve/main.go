@@ -35,7 +35,7 @@
 //
 //	curl -s localhost:8080/healthz
 //	curl -s -X POST localhost:8080/v1/run -d '{"app":"me","l1_bytes":2048}'
-//	curl -s -X POST localhost:8080/v1/sweep -d '{"app":"qsdpcm","sweep_workers":4}'
+//	curl -s -X POST localhost:8080/v1/sweep -d '{"app":"qsdpcm","workers":4}'
 //	curl -s -X POST localhost:8080/v1/jobs -d '{"kind":"run","request":{"app":"me"}}'
 //	curl -s localhost:8080/v1/jobs/j000001/events
 //

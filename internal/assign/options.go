@@ -133,7 +133,7 @@ type Options struct {
 	// state count exceeds it is conservatively flagged incomplete, so
 	// any search reported Complete stayed within the cap and any
 	// search that would finish under the cap is never truncated —
-	// regardless of the worker count.
+	// regardless of the worker count. 0 means DefaultMaxStates.
 	MaxStates int
 	// Workers caps the goroutines the exact engines (BranchBound,
 	// Exhaustive) fan their independent subtree searches over. 0 means
@@ -230,6 +230,10 @@ func (o Options) Validate() error {
 	return nil
 }
 
+// DefaultMaxStates is the exact engines' default state budget per
+// subtree task (see Options.MaxStates).
+const DefaultMaxStates = 500_000
+
 // DefaultOptions returns the configuration used by the experiments:
 // slide policy, energy objective, in-place estimation, greedy engine
 // with the gain-per-byte ranking of the MHLA tool (gains are weighed
@@ -243,7 +247,7 @@ func DefaultOptions() Options {
 		InPlace:     true,
 		Engine:      Greedy,
 		GainPerByte: true,
-		MaxStates:   500_000,
+		MaxStates:   DefaultMaxStates,
 	}
 }
 
@@ -325,7 +329,7 @@ func Search(ctx context.Context, ws *workspace.Workspace, plat *platform.Platfor
 		return nil, &OptionError{Field: "Incumbent", Reason: "incumbent assignment was built over a different workspace"}
 	}
 	if opts.MaxStates == 0 {
-		opts.MaxStates = 500_000
+		opts.MaxStates = DefaultMaxStates
 	}
 	opts.Engine = opts.Engine.normalized()
 	baseline := NewInWorkspace(ws, plat, opts.Policy)

@@ -62,29 +62,21 @@ type Sweep struct {
 	Points []Point
 }
 
-// Options configure a sweep: the per-point flow configuration and the
-// sweep's own parallelism.
-type Options struct {
-	// Config is the per-point flow configuration; Config.Platform is
-	// ignored (the sweep constructs the two-level platform per size).
-	// Config.Progress and Config.Search.Progress are serialized
-	// across points, so neither callback ever runs concurrently with
-	// itself.
-	Config core.Config
-	// Workers bounds the sweep points evaluated concurrently; <= 0
-	// means GOMAXPROCS. When more than one independent point runs at
-	// a time, each point's search runs on one worker
-	// (Config.Search.Workers is overridden to 1); the chained
-	// branch-and-bound searches run one at a time and keep
-	// Config.Search.Workers. Results are identical either way, at
-	// every worker count.
-	Workers int
-}
-
 // Run sweeps the given on-chip sizes over a compiled workspace using
 // the two-level experiment platform; nil or empty sizes mean
 // DefaultSizes. The program-side analysis is shared read-only by
-// every point.
+// every point. cfg is the per-point flow configuration:
+// cfg.Platform is ignored (the sweep constructs the two-level
+// platform per size), and cfg.Progress and cfg.Search.Progress are
+// serialized across points, so neither callback ever runs
+// concurrently with itself.
+//
+// cfg.Search.Workers is the sweep's one worker budget (<= 0 means
+// GOMAXPROCS): it sizes the point pool, capped at the point count.
+// When more than one independent point runs at a time, each point's
+// search runs on one worker; the chained branch-and-bound searches
+// run one at a time and keep the whole budget. Results are identical
+// either way, at every worker count.
 //
 // One worker pool claims the points in ascending-size order (ties
 // keep input order). With the branch-and-bound engine the sweep is
@@ -93,10 +85,8 @@ type Options struct {
 // incumbent (see assign.Options.Incumbent), passes its own optimum on
 // and only then runs its time-extension/evaluation tail, which
 // overlaps the next point's search. Any Incumbent configured on
-// opts.Config.Search is overwritten by the chain. Every other engine
-// skips the handoff, so its points run independently. Inside a
-// parallel sweep each independent point's search runs on one worker
-// (see Options.Workers).
+// cfg.Search is overwritten by the chain. Every other engine skips
+// the handoff, so its points run independently.
 //
 // The returned Points are in input size order and byte-identical to a
 // sequential fresh-per-point sweep at every worker count — warm-start
@@ -109,12 +99,11 @@ type Options struct {
 // function of (workspace, size), so the reported error is
 // deterministic at every worker count. When ctx is cancelled the
 // sweep returns promptly with ctx.Err().
-func Run(ctx context.Context, ws *workspace.Workspace, sizes []int64, opts Options) (*Sweep, error) {
+func Run(ctx context.Context, ws *workspace.Workspace, sizes []int64, cfg core.Config) (*Sweep, error) {
 	if ws == nil {
 		return nil, fmt.Errorf("explore: nil workspace")
 	}
-	cfg := opts.Config
-	// Normalize before Workers is set below: a non-zero Search skips
+	// Normalize before Workers is read below: a non-zero Search skips
 	// core.Begin's zero-value default.
 	if cfg.Search.IsZero() {
 		cfg.Search = assign.DefaultOptions()
@@ -148,7 +137,7 @@ func Run(ctx context.Context, ws *workspace.Workspace, sizes []int64, opts Optio
 		}
 	}
 
-	workers := opts.Workers
+	workers := cfg.Search.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -157,8 +146,8 @@ func Run(ctx context.Context, ws *workspace.Workspace, sizes []int64, opts Optio
 	}
 	// The warm-start chain pays off exactly when searches prune — the
 	// branch-and-bound engine. Its searches run one at a time and keep
-	// the caller's search workers; independent points already fill the
-	// pool, so nested search pools would only multiply.
+	// the whole budget; independent points already fill the pool, so
+	// nested search pools would only multiply.
 	chained := cfg.Search.Engine == assign.BranchBound
 	if !chained && workers > 1 {
 		cfg.Search.Workers = 1

@@ -19,7 +19,7 @@ func sweepProgram(p *model.Program, sizes []int64, opts assign.Options) (*Sweep,
 	if err != nil {
 		return nil, err
 	}
-	return Run(context.Background(), ws, sizes, Options{Config: core.Config{Search: opts}})
+	return Run(context.Background(), ws, sizes, core.Config{Search: opts})
 }
 
 func TestSweepDurbin(t *testing.T) {
@@ -197,7 +197,8 @@ func TestSweepReportsFirstFailureInSizeOrder(t *testing.T) {
 		opts := assign.DefaultOptions()
 		opts.Engine = engine
 		for _, workers := range []int{1, 2, 4, 8} {
-			_, err := Run(context.Background(), ws, sizes, Options{Config: core.Config{Search: opts}, Workers: workers})
+			opts.Workers = workers
+			_, err := Run(context.Background(), ws, sizes, core.Config{Search: opts})
 			if err == nil || !strings.Contains(err.Error(), "size -7:") {
 				t.Errorf("%v workers=%d: error %v, want the size -7 failure", engine, workers, err)
 			}
@@ -206,7 +207,7 @@ func TestSweepReportsFirstFailureInSizeOrder(t *testing.T) {
 }
 
 // TestSweepZeroSearchMeansDefaults: a zero Config.Search sweeps with
-// assign.DefaultOptions() at every worker count, the way core.Run
+// assign.DefaultOptions() (GOMAXPROCS workers), the way core.Run
 // treats it — the sweep's own per-point worker cap must not turn the
 // zero value into a non-zero one that skips the defaults.
 func TestSweepZeroSearchMeansDefaults(t *testing.T) {
@@ -217,17 +218,19 @@ func TestSweepZeroSearchMeansDefaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		sizes := []int64{256, 1024, 4096}
-		ref, err := Run(context.Background(), ws, sizes, Options{Config: core.Config{Search: assign.DefaultOptions()}, Workers: 1})
+		sw, err := Run(context.Background(), ws, sizes, core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := ref.JSON()
+		got, _ := sw.JSON()
 		for _, workers := range []int{1, 4} {
-			sw, err := Run(context.Background(), ws, sizes, Options{Workers: workers})
+			opts := assign.DefaultOptions()
+			opts.Workers = workers
+			ref, err := Run(context.Background(), ws, sizes, core.Config{Search: opts})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, _ := sw.JSON(); string(got) != string(want) {
+			if want, _ := ref.JSON(); string(got) != string(want) {
 				t.Errorf("%s workers=%d: zero-options sweep differs from the default-options sweep", name, workers)
 			}
 		}

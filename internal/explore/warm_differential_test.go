@@ -72,10 +72,9 @@ func TestSweepWorkspaceWarmStartMatchesFresh(t *testing.T) {
 			}
 			var first *explore.Sweep
 			for _, workers := range []int{1, 2, 4, 8} {
-				sw, err := explore.Run(context.Background(), ws, warmSizes, explore.Options{
-					Config:  core.Config{Search: warmOptions(sc)},
-					Workers: workers,
-				})
+				opts := warmOptions(sc)
+				opts.Workers = workers
+				sw, err := explore.Run(context.Background(), ws, warmSizes, core.Config{Search: opts})
 				if err != nil {
 					t.Fatalf("seed %d: warm sweep (workers=%d): %v", sc.Seed, workers, err)
 				}
@@ -120,10 +119,9 @@ func TestSweepWorkspaceWarmStartCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = explore.Run(ctx, ws, warmSizes, explore.Options{
-		Config:  core.Config{Search: warmOptions(sc)},
-		Workers: 4,
-	})
+	opts := warmOptions(sc)
+	opts.Workers = 4
+	_, err = explore.Run(ctx, ws, warmSizes, core.Config{Search: opts})
 	if err != context.Canceled {
 		t.Errorf("cancelled chained sweep returned %v, want context.Canceled", err)
 	}
@@ -150,10 +148,9 @@ func TestSweepWorkspaceWarmStartPrunes(t *testing.T) {
 			}
 			fresh += res.SearchStates
 		}
-		sw, err := explore.Run(context.Background(), ws, warmSizes, explore.Options{
-			Config:  core.Config{Search: warmOptions(sc)},
-			Workers: 2,
-		})
+		opts := warmOptions(sc)
+		opts.Workers = 2
+		sw, err := explore.Run(context.Background(), ws, warmSizes, core.Config{Search: opts})
 		if err != nil {
 			t.Fatalf("seed %d: warm sweep: %v", sc.Seed, err)
 		}

@@ -144,10 +144,9 @@ func TestSweepWorkspaceMatchesFreshRuns(t *testing.T) {
 				t.Fatalf("seed %d: compile: %v", sc.Seed, err)
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
-				sw, err := explore.Run(context.Background(), ws, sweepSizes, explore.Options{
-					Config:  core.Config{Search: sweepOptions(sc)},
-					Workers: workers,
-				})
+				opts := sweepOptions(sc)
+				opts.Workers = workers
+				sw, err := explore.Run(context.Background(), ws, sweepSizes, core.Config{Search: opts})
 				if err != nil {
 					t.Fatalf("seed %d: shared sweep (workers=%d): %v", sc.Seed, workers, err)
 				}
@@ -185,12 +184,10 @@ func TestSweepWorkspaceSerializesProgress(t *testing.T) {
 	snaps := 0
 	opts := sweepOptions(sc)
 	opts.Progress = func(assign.Progress) { snaps++ }
-	_, err = explore.Run(context.Background(), ws, sweepSizes, explore.Options{
-		Config: core.Config{
-			Search:   opts,
-			Progress: func(pr core.Progress) { phases = append(phases, pr.Phase) },
-		},
-		Workers: 4,
+	opts.Workers = 4
+	_, err = explore.Run(context.Background(), ws, sweepSizes, core.Config{
+		Search:   opts,
+		Progress: func(pr core.Progress) { phases = append(phases, pr.Phase) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +209,9 @@ func TestSweepWorkspaceCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := explore.Run(ctx, ws, sweepSizes, explore.Options{Workers: 4}); err != context.Canceled {
+	opts := assign.DefaultOptions()
+	opts.Workers = 4
+	if _, err := explore.Run(ctx, ws, sweepSizes, core.Config{Search: opts}); err != context.Canceled {
 		t.Errorf("cancelled sweep returned %v, want context.Canceled", err)
 	}
 }
@@ -220,7 +219,7 @@ func TestSweepWorkspaceCancellation(t *testing.T) {
 // TestSweepWorkspaceNil: a nil workspace is rejected, not
 // dereferenced.
 func TestSweepWorkspaceNil(t *testing.T) {
-	if _, err := explore.Run(context.Background(), nil, sweepSizes, explore.Options{}); err == nil {
+	if _, err := explore.Run(context.Background(), nil, sweepSizes, core.Config{}); err == nil {
 		t.Error("nil workspace accepted")
 	}
 }

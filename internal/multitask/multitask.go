@@ -20,6 +20,7 @@ import (
 	"mhla/internal/assign"
 	"mhla/internal/core"
 	"mhla/internal/energy"
+	"mhla/internal/explore"
 	"mhla/internal/model"
 	"mhla/internal/workspace"
 )
@@ -67,30 +68,28 @@ func grid(budget int64) []int64 {
 	return sizes
 }
 
-// taskCost evaluates one task at one partition size over the task's
-// compile-once workspace (the partition sweep evaluates every task at
-// every grid size, so the program-side analysis is shared across the
-// whole row).
-func taskCost(ws *workspace.Workspace, l1 int64, opts assign.Options) (*core.Result, error) {
-	ctx := context.Background()
-	if l1 == 0 {
-		// No partition: the task runs out of the box. Evaluate on a
-		// minimal platform; the baseline ignores the scratchpad.
-		res, err := core.Run(ctx, ws, core.Config{Platform: energy.TwoLevel(256), DisableTE: true})
-		if err != nil {
-			return nil, err
-		}
-		// Force the original operating point everywhere.
-		res.MHLA, res.TE, res.Ideal = res.Original, res.Original, res.Original
-		return res, nil
+// outOfTheBox evaluates a task without a partition: it runs out of
+// background memory only. The baseline ignores the scratchpad, so a
+// minimal platform serves.
+func outOfTheBox(ctx context.Context, ws *workspace.Workspace) (*core.Result, error) {
+	res, err := core.Run(ctx, ws, core.Config{Platform: energy.TwoLevel(256), DisableTE: true})
+	if err != nil {
+		return nil, err
 	}
-	return core.Run(ctx, ws, core.Config{Platform: energy.TwoLevel(l1), Search: opts})
+	// Force the original operating point everywhere.
+	res.MHLA, res.TE, res.Ideal = res.Original, res.Original, res.Original
+	return res, nil
 }
 
 // Partition splits the budget among the tasks, minimizing the summed
 // objective (energy for assign.MinEnergy, cycles for assign.MinTime,
-// their product per task for assign.MinEDP).
-func Partition(tasks []Task, budget int64, opts assign.Options) (*Plan, error) {
+// their product per task for assign.MinEDP). Each task's non-zero
+// grid sizes run as one explore.Run sweep over the task's
+// compile-once workspace, so opts.Workers is the sweep's worker
+// budget and branch-and-bound points chain their warm starts. When
+// ctx is cancelled Partition returns promptly with an error wrapping
+// ctx.Err().
+func Partition(ctx context.Context, tasks []Task, budget int64, opts assign.Options) (*Plan, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("multitask: no tasks")
 	}
@@ -114,19 +113,15 @@ func Partition(tasks []Task, budget int64, opts assign.Options) (*Plan, error) {
 	}
 	table := make([][]cell, len(tasks))
 	for ti, t := range tasks {
-		ws, err := workspace.Compile(t.Program)
+		row, err := taskRow(ctx, t, sizes, opts)
 		if err != nil {
 			return nil, fmt.Errorf("multitask: task %q: %w", t.Name, err)
 		}
 		table[ti] = make([]cell, len(sizes))
-		for si, l1 := range sizes {
-			res, err := taskCost(ws, l1, opts)
-			if err != nil {
-				return nil, fmt.Errorf("multitask: task %q at %dB: %w", t.Name, l1, err)
-			}
-			plan.Evaluations++
-			table[ti][si] = cell{res: res, score: scoreOf(opts.Objective, res)}
+		for si, res := range row {
+			table[ti][si] = cell{res: res, score: opts.Objective.Score(res.TE)}
 		}
+		plan.Evaluations += len(row)
 	}
 
 	// DP over budget steps (the grid granularity).
@@ -173,15 +168,29 @@ func Partition(tasks []Task, budget int64, opts assign.Options) (*Plan, error) {
 	return plan, nil
 }
 
-func scoreOf(o assign.Objective, res *core.Result) float64 {
-	switch o {
-	case assign.MinTime:
-		return float64(res.TE.Cycles)
-	case assign.MinEDP:
-		return res.TE.Energy * float64(res.TE.Cycles)
-	default:
-		return res.TE.Energy
+// taskRow evaluates one task at every grid size (sizes[0] is the
+// zero partition).
+func taskRow(ctx context.Context, t Task, sizes []int64, opts assign.Options) ([]*core.Result, error) {
+	ws, err := workspace.Compile(t.Program)
+	if err != nil {
+		return nil, err
 	}
+	base, err := outOfTheBox(ctx, ws)
+	if err != nil {
+		return nil, err
+	}
+	row := []*core.Result{base}
+	if len(sizes) == 1 {
+		return row, nil
+	}
+	sw, err := explore.Run(ctx, ws, sizes[1:], core.Config{Search: opts})
+	if err != nil {
+		return nil, err
+	}
+	for _, pt := range sw.Points {
+		row = append(row, pt.Result)
+	}
+	return row, nil
 }
 
 // Used returns the granted bytes.

@@ -1,11 +1,15 @@
 package multitask
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"mhla/internal/apps"
 	"mhla/internal/assign"
+	"mhla/internal/core"
+	"mhla/internal/energy"
 	"mhla/internal/workspace"
 )
 
@@ -24,7 +28,7 @@ func testTasks(t *testing.T, names ...string) []Task {
 
 func TestPartitionRespectsBudget(t *testing.T) {
 	tasks := testTasks(t, "durbin", "voice", "sobel")
-	plan, err := Partition(tasks, 4096, assign.DefaultOptions())
+	plan, err := Partition(context.Background(), tasks, 4096, assign.DefaultOptions())
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
@@ -46,7 +50,7 @@ func TestPartitionMonotoneInBudget(t *testing.T) {
 	tasks := testTasks(t, "durbin", "voice")
 	var prev float64
 	for i, budget := range []int64{512, 2048, 8192} {
-		plan, err := Partition(tasks, budget, assign.DefaultOptions())
+		plan, err := Partition(context.Background(), tasks, budget, assign.DefaultOptions())
 		if err != nil {
 			t.Fatalf("Partition(%d): %v", budget, err)
 		}
@@ -57,13 +61,22 @@ func TestPartitionMonotoneInBudget(t *testing.T) {
 	}
 }
 
+// pointCost evaluates one task at one partition size with a fresh
+// per-point flow run, independently of Partition's sweep.
+func pointCost(ws *workspace.Workspace, l1 int64, opts assign.Options) (*core.Result, error) {
+	if l1 == 0 {
+		return outOfTheBox(context.Background(), ws)
+	}
+	return core.Run(context.Background(), ws, core.Config{Platform: energy.TwoLevel(l1), Search: opts})
+}
+
 func TestPartitionOptimalVsBruteForce(t *testing.T) {
 	// Two tasks, small budget: compare the DP against explicit
 	// enumeration of the same grid.
 	tasks := testTasks(t, "durbin", "voice")
 	opts := assign.DefaultOptions()
 	budget := int64(1024)
-	plan, err := Partition(tasks, budget, opts)
+	plan, err := Partition(context.Background(), tasks, budget, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +95,11 @@ func TestPartitionOptimalVsBruteForce(t *testing.T) {
 			if s0+s1 > budget {
 				continue
 			}
-			r0, err := taskCost(ws0, s0, opts)
+			r0, err := pointCost(ws0, s0, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r1, err := taskCost(ws1, s1, opts)
+			r1, err := pointCost(ws1, s1, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +115,7 @@ func TestPartitionOptimalVsBruteForce(t *testing.T) {
 
 func TestPartitionZeroBudget(t *testing.T) {
 	tasks := testTasks(t, "durbin")
-	plan, err := Partition(tasks, 0, assign.DefaultOptions())
+	plan, err := Partition(context.Background(), tasks, 0, assign.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +134,7 @@ func TestPartitionSkewsTowardHungrierTask(t *testing.T) {
 	// gaining with a bigger line buffer — the split must not starve
 	// whichever profits more.
 	tasks := testTasks(t, "durbin", "sobel")
-	plan, err := Partition(tasks, 2048, assign.DefaultOptions())
+	plan, err := Partition(context.Background(), tasks, 2048, assign.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,23 +150,42 @@ func TestPartitionSkewsTowardHungrierTask(t *testing.T) {
 }
 
 func TestPartitionErrors(t *testing.T) {
-	if _, err := Partition(nil, 1024, assign.DefaultOptions()); err == nil {
+	if _, err := Partition(context.Background(), nil, 1024, assign.DefaultOptions()); err == nil {
 		t.Error("accepted empty task list")
 	}
 	tasks := testTasks(t, "durbin")
-	if _, err := Partition(tasks, -1, assign.DefaultOptions()); err == nil {
+	if _, err := Partition(context.Background(), tasks, -1, assign.DefaultOptions()); err == nil {
 		t.Error("accepted negative budget")
 	}
 	dup := append(tasks, tasks[0])
-	if _, err := Partition(dup, 1024, assign.DefaultOptions()); err == nil ||
+	if _, err := Partition(context.Background(), dup, 1024, assign.DefaultOptions()); err == nil ||
 		!strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("err = %v", err)
 	}
 }
 
+// TestPartitionCancellation: a cancelled context aborts the partition
+// sweep, whether it is cancelled up front or mid-sweep.
+func TestPartitionCancellation(t *testing.T) {
+	tasks := testTasks(t, "durbin", "voice", "sobel")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Partition(ctx, tasks, 4096, assign.DefaultOptions()); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled partition returned %v, want context.Canceled", err)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	opts := assign.DefaultOptions()
+	opts.Progress = func(assign.Progress) { cancel() }
+	if _, err := Partition(ctx, tasks, 4096, opts); !errors.Is(err, context.Canceled) {
+		t.Errorf("partition cancelled mid-sweep returned %v, want context.Canceled", err)
+	}
+}
+
 func TestPlanString(t *testing.T) {
 	tasks := testTasks(t, "durbin", "voice")
-	plan, err := Partition(tasks, 2048, assign.DefaultOptions())
+	plan, err := Partition(context.Background(), tasks, 2048, assign.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

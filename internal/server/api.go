@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mhla/internal/apps"
+	"mhla/internal/assign"
 	"mhla/pkg/mhla"
 )
 
@@ -18,7 +19,7 @@ import (
 // connection is gone — but access logs stay honest.
 const statusClientClosed = 499
 
-// maxWorkersParam bounds every worker-count request parameter. The
+// maxWorkersParam bounds the workers request parameter. The
 // engines clamp workers to the available work, but a hostile count
 // must never translate into goroutine or state allocations.
 const maxWorkersParam = 64
@@ -224,12 +225,10 @@ func (p searchParams) options(maxStates int) ([]mhla.Option, *apiError) {
 	}
 	if p.MaxStates > 0 {
 		opts = append(opts, mhla.WithMaxStates(p.MaxStates))
-	} else {
-		// The facade default (500k states per subtree task) is itself a
-		// guardrail; enforce the server cap only when it is tighter.
-		if maxStates < 500_000 {
-			opts = append(opts, mhla.WithMaxStates(maxStates))
-		}
+	} else if maxStates < assign.DefaultMaxStates {
+		// The facade default is itself a guardrail; enforce the server
+		// cap only when it is tighter.
+		opts = append(opts, mhla.WithMaxStates(maxStates))
 	}
 	if p.DisableTE {
 		opts = append(opts, mhla.WithoutTE())
@@ -343,8 +342,6 @@ type sweepRequest struct {
 	// 256 B .. 64 KiB half-power-of-two ladder. Duplicates are
 	// rejected.
 	Sizes []int64 `json:"sizes,omitempty"`
-	// SweepWorkers bounds concurrently evaluated sweep points.
-	SweepWorkers int `json:"sweep_workers,omitempty"`
 	searchParams
 }
 
@@ -365,16 +362,6 @@ func (req *sweepRequest) validateSizes() *apiError {
 		}
 		seen[s] = true
 	}
-	if req.SweepWorkers < 0 || req.SweepWorkers > maxWorkersParam {
-		return badRequest("invalid_option", "sweep_workers %d out of range [0, %d]", req.SweepWorkers, maxWorkersParam)
-	}
-	// Nested pools multiply: sweep points each run a search with its
-	// own engine workers. Bound the explicit product so one request
-	// cannot ask for more parallelism than a whole slot is worth.
-	if req.Workers > 0 && req.SweepWorkers > 0 && req.Workers*req.SweepWorkers > maxWorkersParam {
-		return badRequest("invalid_option", "workers x sweep_workers = %d exceeds the limit of %d",
-			req.Workers*req.SweepWorkers, maxWorkersParam)
-	}
 	return nil
 }
 
@@ -390,14 +377,12 @@ type batchRequest struct {
 	L1Sizes []int64 `json:"l1_sizes,omitempty"`
 	// Objectives are the search objectives; empty means energy.
 	Objectives []string `json:"objectives,omitempty"`
-	// BatchWorkers bounds the Explorer worker pool.
-	BatchWorkers int `json:"batch_workers,omitempty"`
 	searchParams
 }
 
 // validate applies the batch intake rules (the batch counterpart of
 // sweepRequest.validateSizes): field exclusivity, count and size
-// limits, the nested worker-product cap and the expanded-grid bound.
+// limits and the expanded-grid bound.
 func (req *batchRequest) validate() *apiError {
 	if req.Objective != "" {
 		return badRequest("bad_request", "batch requests use objectives, not objective")
@@ -418,13 +403,6 @@ func (req *batchRequest) validate() *apiError {
 	}
 	if len(req.Objectives) > maxBatchObjectives {
 		return badRequest("bad_request", "%d objectives exceed the limit of %d", len(req.Objectives), maxBatchObjectives)
-	}
-	if req.BatchWorkers < 0 || req.BatchWorkers > maxWorkersParam {
-		return badRequest("invalid_option", "batch_workers %d out of range [0, %d]", req.BatchWorkers, maxWorkersParam)
-	}
-	if req.Workers > 0 && req.BatchWorkers > 0 && req.Workers*req.BatchWorkers > maxWorkersParam {
-		return badRequest("invalid_option", "workers x batch_workers = %d exceeds the limit of %d",
-			req.Workers*req.BatchWorkers, maxWorkersParam)
 	}
 	// Bound the expanded grid: one slot may carry at most maxBatchJobs
 	// flow runs (empty sizes/objectives fall back to the 17 standard

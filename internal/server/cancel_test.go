@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -14,8 +15,28 @@ import (
 // TestClientDisconnectAbortsSearch: cancelling the request mid-search
 // aborts the engine promptly — observed through the server's progress
 // snapshots: the state count stops growing — and frees the in-flight
-// slot.
+// slot, leaking no goroutine.
 func TestClientDisconnectAbortsSearch(t *testing.T) {
+	abortMidSearch(t, "/v1/run", bigScenarioBody(t))
+}
+
+// TestClientDisconnectAbortsParallelSweep: the same for an exhaustive
+// sweep whose two points search concurrently, one worker each.
+func TestClientDisconnectAbortsParallelSweep(t *testing.T) {
+	progJSON, err := mhla.EncodeProgram(bigScenario(t).Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	abortMidSearch(t, "/v1/sweep", fmt.Sprintf(
+		`{"program":%s,"sizes":[4096,16384],"engine":"exhaustive","workers":2,"max_states":2000000000}`, progJSON))
+}
+
+// abortMidSearch posts a search that runs for seconds, disconnects
+// once the engine reports progress, and checks that the search stops,
+// the slot frees, the server keeps serving and, after shutdown, no
+// goroutine outlives it.
+func abortMidSearch(t *testing.T, endpoint, body string) {
+	baseline := goroutineBaseline()
 	var maxStates atomic.Int64
 	srv, ts := newTestServer(t, Config{
 		MaxStates: 2_000_000_000,
@@ -26,10 +47,9 @@ func TestClientDisconnectAbortsSearch(t *testing.T) {
 		},
 	})
 
-	body := bigScenarioBody(t) // exhaustive, ~2.6G leaves: runs for seconds
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run", strings.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+endpoint, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,4 +115,7 @@ func TestClientDisconnectAbortsSearch(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("server unhealthy after cancelled request: status %d", code)
 	}
+	srv.Close()
+	ts.Close()
+	checkNoLeaks(t, srv, baseline)
 }

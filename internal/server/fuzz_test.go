@@ -21,7 +21,7 @@ func FuzzServerDecode(f *testing.F) {
 	// Valid requests (mutation starting points)...
 	f.Add(byte(0), []byte(`{"app":"durbin","scale":"test","l1_bytes":512}`))
 	f.Add(byte(0), []byte(`{"app":"me","engine":"bnb","objective":"time","policy":"refetch","workers":2,"max_states":1000}`))
-	f.Add(byte(1), []byte(`{"app":"durbin","scale":"test","sizes":[256,512],"sweep_workers":2}`))
+	f.Add(byte(1), []byte(`{"app":"durbin","scale":"test","sizes":[256,512],"workers":2}`))
 	f.Add(byte(2), []byte(`{"apps":["durbin","sobel"],"scale":"test","l1_sizes":[512],"objectives":["energy"]}`))
 	f.Add(byte(0), []byte(`{"program":{"name":"p","arrays":[{"name":"a","elem_size":2,"dims":[16],"input":true}],"blocks":[{"name":"b","body":[{"loop":{"var":"i","trip":16,"body":[{"load":{"array":"a","index":[{"terms":[{"var":"i","coef":1}]}]}},{"compute":2}]}}]}]}}`))
 	// ...and hostile ones: truncated program, absurd dimensions,
@@ -29,7 +29,7 @@ func FuzzServerDecode(f *testing.F) {
 	f.Add(byte(0), []byte(`{"program":{"name":"p","arrays":[{"name":"a","elem_size":`))
 	f.Add(byte(0), []byte(`{"program":{"name":"p","arrays":[{"name":"a","elem_size":2147483647,"dims":[2147483647,2147483647]}],"blocks":[{"name":"b","body":[]}]}}`))
 	f.Add(byte(1), []byte(`{"app":"me","sizes":[-1,0,9223372036854775807]}`))
-	f.Add(byte(2), []byte(`{"apps":["me"],"batch_workers":-5}`))
+	f.Add(byte(2), []byte(`{"apps":["me"],"workers":-5}`))
 	f.Add(byte(0), []byte(`[1,2,3]`))
 	f.Add(byte(0), []byte(`{"app":"me"}{"app":"me"}`))
 	f.Add(byte(1), []byte(`null`))

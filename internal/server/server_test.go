@@ -185,7 +185,7 @@ func TestSweepMatchesFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	code, body := postTB(t, ts.URL+"/v1/sweep",
-		`{"app":"durbin","scale":"test","sizes":[256,512,1024],"sweep_workers":2}`)
+		`{"app":"durbin","scale":"test","sizes":[256,512,1024],"workers":2}`)
 	if code != http.StatusOK {
 		t.Fatalf("sweep status %d: %s", code, body)
 	}
@@ -199,7 +199,7 @@ func TestSweepMatchesFacade(t *testing.T) {
 func TestBatchMatchesFacade(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	code, body := postTB(t, ts.URL+"/v1/batch",
-		`{"apps":["durbin","sobel"],"scale":"test","l1_sizes":[512,1024],"objectives":["energy","time"],"batch_workers":2}`)
+		`{"apps":["durbin","sobel"],"scale":"test","l1_sizes":[512,1024],"objectives":["energy","time"],"workers":2}`)
 	if code != http.StatusOK {
 		t.Fatalf("batch status %d: %s", code, body)
 	}
@@ -299,15 +299,15 @@ func TestRequestErrors(t *testing.T) {
 		{"negative sweep size", "/v1/sweep", `{"app":"me","sizes":[-256]}`, http.StatusBadRequest, "invalid_option"},
 		{"duplicate sweep size", "/v1/sweep", `{"app":"me","sizes":[512,1024,512]}`, http.StatusBadRequest, "invalid_option"},
 		{"too many sweep sizes", "/v1/sweep", fmt.Sprintf(`{"app":"me","sizes":[%s1]}`, strings.Repeat("1,", maxSweepSizes)), http.StatusBadRequest, "bad_request"},
-		{"huge sweep workers", "/v1/sweep", `{"app":"me","sweep_workers":4096}`, http.StatusBadRequest, "invalid_option"},
+		{"retired sweep_workers", "/v1/sweep", `{"app":"me","sweep_workers":4}`, http.StatusBadRequest, "bad_request"},
+		{"huge sweep workers", "/v1/sweep", `{"app":"me","workers":65}`, http.StatusBadRequest, "invalid_option"},
 		{"batch no apps", "/v1/batch", `{}`, http.StatusBadRequest, "bad_request"},
 		{"batch unknown app", "/v1/batch", `{"apps":["nosuch"]}`, http.StatusNotFound, "unknown_app"},
 		{"batch singular objective", "/v1/batch", `{"apps":["me"],"objective":"energy"}`, http.StatusBadRequest, "bad_request"},
 		{"batch bad objective", "/v1/batch", `{"apps":["me"],"objectives":["vibes"]}`, http.StatusBadRequest, "invalid_option"},
 		{"batch objective inflation", "/v1/batch", `{"apps":["me"],"objectives":["energy","time","edp","energy"]}`, http.StatusBadRequest, "bad_request"},
 		{"batch grid inflation", "/v1/batch", fmt.Sprintf(`{"apps":[%s],"l1_sizes":[%s1],"objectives":["energy","time","edp"]}`, batchAppList(20), strings.Repeat("1,", 20)), http.StatusBadRequest, "bad_request"},
-		{"batch worker product", "/v1/batch", `{"apps":["me"],"workers":16,"batch_workers":16}`, http.StatusBadRequest, "invalid_option"},
-		{"sweep worker product", "/v1/sweep", `{"app":"me","workers":16,"sweep_workers":16}`, http.StatusBadRequest, "invalid_option"},
+		{"huge batch workers", "/v1/batch", `{"apps":["me"],"workers":65}`, http.StatusBadRequest, "invalid_option"},
 		{"batch negative size", "/v1/batch", `{"apps":["me"],"l1_sizes":[0]}`, http.StatusBadRequest, "invalid_option"},
 		{"oversized body", "/v1/run", `{"program":{"name":"` + strings.Repeat("x", 1<<15) + `"}}`, http.StatusRequestEntityTooLarge, "too_large"},
 	}

@@ -105,11 +105,10 @@ func (wk *runWork) execute(ctx context.Context, s *Server, progress mhla.Progres
 
 // sweepWork is the validated form of a POST /v1/sweep body.
 type sweepWork struct {
-	prog         *mhla.Program
-	digest       string
-	sizes        []int64
-	searchOpts   []mhla.Option
-	sweepWorkers int
+	prog       *mhla.Program
+	digest     string
+	sizes      []int64
+	searchOpts []mhla.Option
 }
 
 func (req *sweepRequest) work(s *Server) (work, *apiError) {
@@ -125,11 +124,10 @@ func (req *sweepRequest) work(s *Server) (work, *apiError) {
 		return nil, apiErr
 	}
 	return &sweepWork{
-		prog:         prog,
-		digest:       digest,
-		sizes:        req.Sizes,
-		searchOpts:   searchOpts,
-		sweepWorkers: req.SweepWorkers,
+		prog:       prog,
+		digest:     digest,
+		sizes:      req.Sizes,
+		searchOpts: searchOpts,
 	}, nil
 }
 
@@ -139,7 +137,6 @@ func (wk *sweepWork) execute(ctx context.Context, s *Server, progress mhla.Progr
 		return nil, apiErr
 	}
 	opts := append(flowOptions(ws, progress), wk.searchOpts...)
-	opts = append(opts, mhla.WithSweepWorkers(wk.sweepWorkers))
 	sw, err := mhla.SweepL1(ctx, nil, wk.sizes, opts...)
 	if err != nil {
 		return nil, mapRunError(err)
@@ -155,12 +152,11 @@ func (wk *sweepWork) execute(ctx context.Context, s *Server, progress mhla.Progr
 // stay unresolved until execute: batch refers to catalog apps only,
 // and resolving them through the per-(app, scale) memo is cheap.
 type batchWork struct {
-	apps         []string
-	scale        string
-	l1Sizes      []int64
-	objectives   []mhla.Objective
-	searchOpts   []mhla.Option
-	batchWorkers int
+	apps       []string
+	scale      string
+	l1Sizes    []int64
+	objectives []mhla.Objective
+	searchOpts []mhla.Option
 }
 
 func (req *batchRequest) work(s *Server) (work, *apiError) {
@@ -187,12 +183,11 @@ func (req *batchRequest) work(s *Server) (work, *apiError) {
 		}
 	}
 	return &batchWork{
-		apps:         req.Apps,
-		scale:        req.Scale,
-		l1Sizes:      req.L1Sizes,
-		objectives:   objectives,
-		searchOpts:   searchOpts,
-		batchWorkers: req.BatchWorkers,
+		apps:       req.Apps,
+		scale:      req.Scale,
+		l1Sizes:    req.L1Sizes,
+		objectives: objectives,
+		searchOpts: searchOpts,
 	}, nil
 }
 
@@ -200,7 +195,6 @@ func (wk *batchWork) execute(ctx context.Context, s *Server, progress mhla.Progr
 	grid := mhla.Grid{
 		L1Sizes:    wk.l1Sizes,
 		Objectives: wk.objectives,
-		Options:    wk.searchOpts,
 	}
 	// Resolve every app through the workspace cache so repeated batch
 	// requests (and concurrent run/sweep requests for the same apps)
@@ -225,9 +219,11 @@ func (wk *batchWork) execute(ctx context.Context, s *Server, progress mhla.Progr
 	for i := range jobs {
 		jobs[i].Options = append([]mhla.Option{mhla.WithWorkspace(workspaces[jobs[i].Program])}, jobs[i].Options...)
 	}
-	ex := mhla.Explorer{Workers: wk.batchWorkers}
+	// The search options go on the Explorer, not the grid, so their
+	// workers setting sizes the job pool.
+	ex := mhla.Explorer{Options: wk.searchOpts}
 	if progress != nil {
-		ex.Options = append(ex.Options, mhla.WithProgress(progress))
+		ex.Options = append([]mhla.Option{mhla.WithProgress(progress)}, wk.searchOpts...)
 	}
 	results, err := ex.Explore(ctx, jobs)
 	if err != nil {

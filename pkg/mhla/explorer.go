@@ -37,12 +37,12 @@ type JobResult struct {
 // Explorer fans batch jobs out over a worker pool. The zero value is
 // ready to use: it runs GOMAXPROCS workers with no shared options.
 type Explorer struct {
-	// Workers caps concurrent flow runs; <= 0 means GOMAXPROCS. When
-	// more than one job runs at a time, each job's search runs on one
+	// Options apply to every job, before the job's own options. Their
+	// WithWorkers sizes the job pool (0 means GOMAXPROCS). When more
+	// than one job runs at a time, each job's search runs on one
 	// worker (WithWorkers(1) is applied after the job's options);
-	// results are identical either way.
-	Workers int
-	// Options apply to every job, before the job's own options.
+	// with a pool of one, the job's own WithWorkers applies. Results
+	// are identical either way.
 	Options []Option
 	// Progress, when non-nil, is called after each job finishes with
 	// the completed and total job counts. It runs on worker
@@ -72,7 +72,7 @@ func (e *Explorer) Explore(ctx context.Context, jobs []Job) ([]JobResult, error)
 		return results, ctx.Err()
 	}
 
-	workers := e.Workers
+	workers := newConfig(e.Options).search.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -54,12 +54,12 @@ func TestExplorerDeterministicOrder(t *testing.T) {
 	jobs := testGrid(t).Jobs()
 	ctx := context.Background()
 
-	concurrent := mhla.Explorer{Workers: 8}
+	concurrent := mhla.Explorer{Options: []mhla.Option{mhla.WithWorkers(8)}}
 	got, err := concurrent.Explore(ctx, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sequential := mhla.Explorer{Workers: 1}
+	sequential := mhla.Explorer{Options: []mhla.Option{mhla.WithWorkers(1)}}
 	want, err := sequential.Explore(ctx, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestExplorerPerJobError(t *testing.T) {
 	bad := mhla.NewProgram("empty") // no blocks: fails validation
 	jobs = append([]mhla.Job{{Label: "bad", Program: bad}}, jobs...)
 
-	ex := mhla.Explorer{Workers: 4}
+	ex := mhla.Explorer{Options: []mhla.Option{mhla.WithWorkers(4)}}
 	results, err := ex.Explore(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestExplorerCancelPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	ex := mhla.Explorer{Workers: 2}
+	ex := mhla.Explorer{Options: []mhla.Option{mhla.WithWorkers(2)}}
 	results, err := ex.Explore(ctx, jobs)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v, want prompt return", elapsed)
@@ -174,7 +174,7 @@ func TestExplorerProgress(t *testing.T) {
 	var calls int
 	var totals []int
 	ex := mhla.Explorer{
-		Workers: 4,
+		Options: []mhla.Option{mhla.WithWorkers(4)},
 		Progress: func(done, total int) {
 			mu.Lock()
 			calls++

@@ -57,9 +57,6 @@ type config struct {
 	// workspace, when non-nil, is the precompiled program analysis
 	// Run/SweepL1 reuse instead of compiling their own.
 	workspace *Workspace
-	// sweepWorkers bounds SweepL1's concurrent sweep points (0 =
-	// GOMAXPROCS).
-	sweepWorkers int
 	// err records the first invalid facade input; entry points return
 	// it (a typed *OptionError) instead of running on a silently
 	// patched configuration.
@@ -197,24 +194,25 @@ func WithAbsoluteGain() Option {
 }
 
 // WithMaxStates caps the states the exact engines explore before
-// giving up on optimality (default 500000). The cap applies per
-// subtree task of the parallel search; results whose total exceeds it
-// are flagged incomplete. Negative values are rejected with a typed
-// *OptionError.
+// giving up on optimality (default 500000, assign.DefaultMaxStates).
+// The cap applies per subtree task of the parallel search; results
+// whose total exceeds it are flagged incomplete. Negative values are
+// rejected with a typed *OptionError.
 func WithMaxStates(n int) Option {
 	return func(c *config) { c.search.MaxStates = n }
 }
 
-// WithWorkers caps the goroutines the exact engines (BnB, Exhaustive)
-// fan their independent subtree searches over. 0 (the default) means
-// GOMAXPROCS, 1 forces a single-threaded search, and the result is
-// byte-identical at every worker count. The greedy engine is
-// inherently sequential and ignores the setting. Inside a parallel
-// sweep or batch (SweepL1 with more than one sweep worker, Explorer
-// with more than one worker) each point's search runs on one worker
-// instead; the chained branch-and-bound searches of a sweep run one
-// at a time and keep this setting. Results are identical either way.
-// Negative values are rejected with a typed *OptionError.
+// WithWorkers is the one worker budget of a call. 0 (the default)
+// means GOMAXPROCS, 1 runs the call sequentially. It sizes every pool
+// the call runs: the subtree pool of the exact engines (BnB,
+// Exhaustive) in Run and Search, the point pool of SweepL1 and, set
+// in Explorer.Options, the Explorer's job pool. The greedy engine
+// is inherently sequential. When more than one independent sweep
+// point or batch job runs at a time, each search runs on one worker;
+// the chained branch-and-bound searches of a sweep run one at a time
+// and keep the whole budget. Results are byte-identical at every
+// worker count. Negative values are rejected with a typed
+// *OptionError.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.search.Workers = n }
 }
@@ -234,46 +232,6 @@ func WithWorkspace(ws *Workspace) Option {
 			return
 		}
 		c.workspace = ws
-	}
-}
-
-// WithIncumbent warm-starts the branch-and-bound engine with a
-// known-good assignment — typically a neighboring configuration's
-// optimum (SweepL1 chains its points this way automatically). The
-// incumbent must have been built over the same compiled workspace the
-// call searches (pass WithWorkspace with the workspace it came from);
-// a mismatch is rejected with a typed *OptionError. It may have been
-// found under a different platform — it is re-validated and re-scored
-// under the call's platform and silently ignored when it no longer
-// maps, fits, or improves on the greedy seed. A complete warm-started
-// search returns byte-identical results; only the explored state
-// count shrinks. The greedy and exhaustive engines ignore the
-// setting. A nil assignment is rejected with a typed *OptionError.
-func WithIncumbent(a *Assignment) Option {
-	return func(c *config) {
-		if a == nil {
-			c.fail("Incumbent", "nil assignment")
-			return
-		}
-		c.search.Incumbent = a
-	}
-}
-
-// WithSweepWorkers bounds the sweep points SweepL1 evaluates
-// concurrently. 0 (the default) means GOMAXPROCS, 1 forces a
-// sequential sweep. When more than one independent point runs at a
-// time, each point's search runs on one worker (overriding
-// WithWorkers); the chained branch-and-bound searches run one at a
-// time and keep WithWorkers. The sweep result is identical at every
-// worker count. Other entry points ignore the setting. Negative values
-// are rejected with a typed *OptionError.
-func WithSweepWorkers(n int) Option {
-	return func(c *config) {
-		if n < 0 {
-			c.fail("SweepWorkers", fmt.Sprintf("negative worker count %d", n))
-			return
-		}
-		c.sweepWorkers = n
 	}
 }
 

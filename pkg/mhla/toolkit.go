@@ -57,10 +57,10 @@ func Layout(a *Assignment) ([]*LayerMap, error) { return layout.Map(a) }
 // Sizes field. Engine, objective, policy, TE and progress options all
 // apply; platform options are ignored (the sweep constructs one
 // platform per size). The program is compiled once (or reused via
-// WithWorkspace) and the points are evaluated concurrently —
-// WithSweepWorkers bounds the pool. Inside a parallel sweep each
+// WithWorkspace) and the points are evaluated concurrently over a
+// pool of WithWorkers goroutines. Inside a parallel sweep each
 // point's search runs on one worker; the chained branch-and-bound
-// searches run one at a time and keep WithWorkers. Results are
+// searches run one at a time and keep the whole budget. Results are
 // identical to a sequential sweep at every worker count. SweepL1
 // returns ctx.Err() promptly when ctx is cancelled.
 func SweepL1(ctx context.Context, p *Program, sizes []int64, opts ...Option) (*Sweep, error) {
@@ -77,10 +77,7 @@ func SweepL1(ctx context.Context, p *Program, sizes []int64, opts ...Option) (*S
 	if err != nil {
 		return nil, err
 	}
-	return explore.Run(ctx, ws, sizes, explore.Options{
-		Config:  cfg.coreConfig(),
-		Workers: cfg.sweepWorkers,
-	})
+	return explore.Run(ctx, ws, sizes, cfg.coreConfig())
 }
 
 // DefaultSweepSizes is the standard L1 sweep: 256 B to 64 KiB in
@@ -96,15 +93,17 @@ func ParetoRender(points []ParetoPoint) string { return pareto.Render(points) }
 
 // Partition splits a shared scratchpad budget across tasks, running
 // the flow per candidate split (the future-work multi-task mode).
-// Search options (engine, objective, policy, progress) apply;
-// platform options are ignored — the partitioner constructs the
-// candidate platforms itself.
-func Partition(tasks []Task, budget int64, opts ...Option) (*MultiTaskPlan, error) {
+// Search options (engine, objective, policy, workers, progress)
+// apply; platform options are ignored — the partitioner constructs
+// the candidate platforms itself, sweeping each task's sizes like
+// SweepL1. When ctx is cancelled Partition returns promptly with an
+// error wrapping ctx.Err().
+func Partition(ctx context.Context, tasks []Task, budget int64, opts ...Option) (*MultiTaskPlan, error) {
 	cfg := newConfig(opts)
 	if cfg.err != nil {
 		return nil, cfg.err
 	}
-	return multitask.Partition(tasks, budget, cfg.assignOptions())
+	return multitask.Partition(ctx, tasks, budget, cfg.assignOptions())
 }
 
 // Figure2 renders the paper's performance figure for a set of

@@ -135,7 +135,7 @@ func TestExplorerKeepsJobOptionErrors(t *testing.T) {
 		{Label: "bad", Program: prog, Options: []mhla.Option{mhla.WithWorkers(-2)}},
 		{Label: "good", Program: prog},
 	}
-	results, err := (&mhla.Explorer{Workers: 2}).Explore(context.Background(), jobs)
+	results, err := (&mhla.Explorer{Options: []mhla.Option{mhla.WithWorkers(2)}}).Explore(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package mhla_test
 
 // Facade tests of the compile-once workspace: Compile/WithWorkspace
-// equivalence and validation, WithSweepWorkers, and the batch
+// equivalence and validation, sweep worker equivalence, and the batch
 // Explorer's one-workspace-per-distinct-program memoization.
 
 import (
@@ -62,18 +62,18 @@ func TestWithWorkspaceValidation(t *testing.T) {
 	if _, err := mhla.SweepL1(context.Background(), other, []int64{512}, mhla.WithWorkspace(ws)); !errors.As(err, &oe) || oe.Field != "Workspace" {
 		t.Errorf("mismatched sweep program: got %v, want *OptionError{Field: Workspace}", err)
 	}
-	if _, err := mhla.SweepL1(context.Background(), p, []int64{512}, mhla.WithSweepWorkers(-1)); !errors.As(err, &oe) || oe.Field != "SweepWorkers" {
-		t.Errorf("negative sweep workers: got %v, want *OptionError{Field: SweepWorkers}", err)
+	if _, err := mhla.SweepL1(context.Background(), p, []int64{512}, mhla.WithWorkers(-1)); !errors.As(err, &oe) || oe.Field != "Workers" {
+		t.Errorf("negative sweep workers: got %v, want *OptionError{Field: Workers}", err)
 	}
 }
 
 // TestSweepL1WorkspaceWorkerEquivalence: the sweep result is
-// identical with and without a preshared workspace, at every sweep
-// worker count.
+// identical with and without a preshared workspace, at every worker
+// count.
 func TestSweepL1WorkspaceWorkerEquivalence(t *testing.T) {
 	p := reuseProgram()
 	sizes := []int64{256, 512, 1024, 4096}
-	ref, err := mhla.SweepL1(context.Background(), p, sizes, mhla.WithSweepWorkers(1))
+	ref, err := mhla.SweepL1(context.Background(), p, sizes, mhla.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +81,9 @@ func TestSweepL1WorkspaceWorkerEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 2, 4} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		sw, err := mhla.SweepL1(context.Background(), p, sizes,
-			mhla.WithWorkspace(ws), mhla.WithSweepWorkers(workers))
+			mhla.WithWorkspace(ws), mhla.WithWorkers(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -91,54 +91,6 @@ func TestSweepL1WorkspaceWorkerEquivalence(t *testing.T) {
 			t.Errorf("workers=%d: sweep differs from sequential fresh sweep:\n%s\nvs\n%s",
 				workers, sw.CSV(), ref.CSV())
 		}
-	}
-}
-
-// TestWithIncumbentValidationAndEquivalence: the warm-start incumbent
-// option rejects nil and foreign-workspace assignments with typed
-// errors, and an accepted incumbent leaves the result byte-identical
-// to a cold run while never growing the search effort.
-func TestWithIncumbentValidationAndEquivalence(t *testing.T) {
-	p := reuseProgram()
-	ws, err := mhla.Compile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := mhla.Run(context.Background(), p, mhla.WithL1(512),
-		mhla.WithWorkspace(ws), mhla.WithEngine(mhla.BnB))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var oe *mhla.OptionError
-	if _, err := mhla.Run(context.Background(), p, mhla.WithIncumbent(nil)); !errors.As(err, &oe) || oe.Field != "Incumbent" {
-		t.Errorf("nil incumbent: got %v, want *OptionError{Field: Incumbent}", err)
-	}
-	// Without WithWorkspace the run compiles its own workspace, so an
-	// incumbent from ws is foreign to it and must be rejected.
-	if _, err := mhla.Run(context.Background(), p, mhla.WithEngine(mhla.BnB),
-		mhla.WithIncumbent(cold.Assignment)); !errors.As(err, &oe) || oe.Field != "Incumbent" {
-		t.Errorf("foreign incumbent: got %v, want *OptionError{Field: Incumbent}", err)
-	}
-
-	// Same workspace, neighboring platform: byte-identical operating
-	// points, search effort at most the cold run's.
-	ref, err := mhla.Run(context.Background(), p, mhla.WithL1(1024),
-		mhla.WithWorkspace(ws), mhla.WithEngine(mhla.BnB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := mhla.Run(context.Background(), p, mhla.WithL1(1024),
-		mhla.WithWorkspace(ws), mhla.WithEngine(mhla.BnB), mhla.WithIncumbent(cold.Assignment))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref.MHLA, warm.MHLA) || !reflect.DeepEqual(ref.TE, warm.TE) ||
-		!reflect.DeepEqual(ref.Original, warm.Original) || !reflect.DeepEqual(ref.Ideal, warm.Ideal) {
-		t.Errorf("warm-started run differs from cold run:\n%+v\nvs\n%+v", ref.MHLA, warm.MHLA)
-	}
-	if warm.SearchStates > ref.SearchStates {
-		t.Errorf("warm start explored more states (%d) than cold (%d)", warm.SearchStates, ref.SearchStates)
 	}
 }
 
