@@ -246,7 +246,7 @@ func TestValidateRejections(t *testing.T) {
 
 func TestGreedyImprovesReuseProgram(t *testing.T) {
 	an := analyze(t, reuseProgram())
-	res, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), DefaultOptions())
+	res, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), Options{})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -272,7 +272,7 @@ func TestGreedyRespectsCapacity(t *testing.T) {
 	plat := testPlat()
 	plat.Layers[0].Capacity = 64 // too small for the 512B table copy
 	an := analyze(t, reuseProgram())
-	res, err := Search(context.Background(), workspace.FromAnalysis(an), plat, DefaultOptions())
+	res, err := Search(context.Background(), workspace.FromAnalysis(an), plat, Options{})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -287,7 +287,7 @@ func TestGreedyRespectsCapacity(t *testing.T) {
 func TestExactEnginesAgree(t *testing.T) {
 	for _, objective := range []Objective{MinEnergy, MinTime} {
 		an := analyze(t, reuseProgram())
-		opts := DefaultOptions()
+		opts := Options{}
 		opts.Objective = objective
 		opts.Engine = Exhaustive
 		ex, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), opts)
@@ -316,7 +316,7 @@ func TestExactEnginesAgree(t *testing.T) {
 func TestGreedyNotBetterThanOptimal(t *testing.T) {
 	for _, objective := range []Objective{MinEnergy, MinTime} {
 		an := analyze(t, reuseProgram())
-		opts := DefaultOptions()
+		opts := Options{}
 		opts.Objective = objective
 		gr, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), opts)
 		if err != nil {
@@ -335,8 +335,8 @@ func TestGreedyNotBetterThanOptimal(t *testing.T) {
 }
 
 func TestGreedyDeterministic(t *testing.T) {
-	a1, _ := Search(context.Background(), workspace.FromAnalysis(analyze(t, reuseProgram())), testPlat(), DefaultOptions())
-	a2, _ := Search(context.Background(), workspace.FromAnalysis(analyze(t, reuseProgram())), testPlat(), DefaultOptions())
+	a1, _ := Search(context.Background(), workspace.FromAnalysis(analyze(t, reuseProgram())), testPlat(), Options{})
+	a2, _ := Search(context.Background(), workspace.FromAnalysis(analyze(t, reuseProgram())), testPlat(), Options{})
 	if a1.Assignment.String() != a2.Assignment.String() {
 		t.Errorf("greedy not deterministic:\n%s\nvs\n%s", a1.Assignment, a2.Assignment)
 	}

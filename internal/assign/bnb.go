@@ -280,7 +280,7 @@ func newSpace(ctx context.Context, ws *workspace.Workspace, plat *platform.Platf
 
 	s.base = contrib{cycles: ws.TotalCompute}
 	s.start = NewInWorkspace(ws, plat, opts.Policy)
-	s.start.InPlace = opts.InPlace
+	s.start.InPlace = !opts.NoInPlace
 	s.seedScore = math.Inf(1)
 	s.bestBits.Store(math.Float64bits(math.Inf(1)))
 	return s

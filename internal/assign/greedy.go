@@ -113,7 +113,7 @@ func newGreedy(ctx context.Context, ws *workspace.Workspace, plat *platform.Plat
 		opts:        opts,
 		bg:          plat.Background(),
 		onChip:      plat.OnChipLayers(),
-		occ:         newOccupancy(plat, ws.NBlocks, opts.InPlace),
+		occ:         newOccupancy(plat, ws.NBlocks, !opts.NoInPlace),
 		homes:       make([]int, len(ws.Arrays)),
 		levels:      make([][]int, len(ws.Chains)),
 		layers:      make([][]int, len(ws.Chains)),
@@ -281,7 +281,7 @@ func (g *greedy) try(mv greedyMove) bool {
 		return true
 	}
 	crit := gain
-	if g.opts.GainPerByte && mv.bytes > 0 {
+	if !g.opts.AbsoluteGain && mv.bytes > 0 {
 		crit = gain / float64(mv.bytes)
 	}
 	if !g.found || crit > g.bestCrit || (crit == g.bestCrit && g.keyLess(mv, g.best)) {
@@ -398,7 +398,7 @@ func (g *greedy) appendKey(dst []byte, mv greedyMove) []byte {
 // assignment materializes the current position.
 func (g *greedy) assignment() *Assignment {
 	a := NewInWorkspace(g.ws, g.plat, g.opts.Policy)
-	a.InPlace = g.opts.InPlace
+	a.InPlace = !g.opts.NoInPlace
 	for ai, arr := range g.ws.Arrays {
 		a.ArrayHome[arr.Name] = g.homes[ai]
 	}

@@ -35,7 +35,7 @@ func TestDifferentialGreedyMatchesOracle(t *testing.T) {
 			for _, obj := range allObjectives {
 				for _, perByte := range []bool{false, true} {
 					opts := sc.Options
-					opts.Objective, opts.GainPerByte = obj, perByte
+					opts.Objective, opts.AbsoluteGain = obj, !perByte
 					checkGreedyMatchesOracle(t, fmt.Sprintf("%v perByte=%v", obj, perByte), ws, sc.Platform, opts)
 				}
 			}
@@ -50,7 +50,7 @@ func TestDifferentialGreedyMatchesOracle(t *testing.T) {
 				plats := []*platform.Platform{energy.TwoLevel(l1), energy.ThreeLevel(l1, 8*l1)}
 				for _, plat := range plats {
 					for _, obj := range allObjectives {
-						opts := assign.DefaultOptions()
+						opts := assign.Options{}
 						opts.Objective = obj
 						checkGreedyMatchesOracle(t, fmt.Sprintf("%s %v", plat.Name, obj), ws, plat, opts)
 					}

@@ -33,7 +33,7 @@ type oracleMove struct {
 // ctx is cancelled before the search converges.
 func oracleGreedySearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options) *Result {
 	cur := NewInWorkspace(ws, plat, opts.Policy)
-	cur.InPlace = opts.InPlace
+	cur.InPlace = !opts.NoInPlace
 	curCost := cur.Evaluate(EvalOptions{})
 	curScore := opts.Objective.Score(curCost)
 	states := 0
@@ -59,7 +59,7 @@ func oracleGreedySearch(ctx context.Context, ws *workspace.Workspace, plat *plat
 				continue
 			}
 			crit := gain
-			if opts.GainPerByte && mv.bytes > 0 {
+			if !opts.AbsoluteGain && mv.bytes > 0 {
 				crit = gain / float64(mv.bytes)
 			}
 			if best == nil || crit > bestCrit || (crit == bestCrit && mv.key < bestKey) {

@@ -29,7 +29,7 @@ func BenchmarkGreedy(b *testing.B) {
 	for _, app := range apps.All() {
 		ws := paperWorkspace(b, app)
 		plat := energy.TwoLevel(app.L1)
-		opts := assign.DefaultOptions()
+		opts := assign.Options{}
 		b.Run(app.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
@@ -53,7 +53,7 @@ func TestGreedyAllocs(t *testing.T) {
 	}
 	ws := paperWorkspace(t, app)
 	plat := energy.TwoLevel(app.L1)
-	opts := assign.DefaultOptions()
+	opts := assign.Options{}
 	const budget = 1000
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := assign.Search(context.Background(), ws, plat, opts); err != nil {
@@ -77,7 +77,7 @@ func TestGreedyCancelMidSearch(t *testing.T) {
 	ws := paperWorkspace(t, app)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := assign.DefaultOptions()
+	opts := assign.Options{}
 	iters := 0
 	opts.Progress = func(p assign.Progress) {
 		iters = p.Iter

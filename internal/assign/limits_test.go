@@ -15,7 +15,7 @@ import (
 // invalid assignment.
 func TestExactSearchStateCap(t *testing.T) {
 	an := analyze(t, reuseProgram())
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Engine = Exhaustive
 	opts.MaxStates = 1
 	res, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), opts)
@@ -47,7 +47,7 @@ func TestGreedyNoImprovingMove(t *testing.T) {
 	an := analyze(t, p)
 	plat := testPlat()
 	plat.Layers[0].Capacity = 64
-	res, err := Search(context.Background(), workspace.FromAnalysis(an), plat, DefaultOptions())
+	res, err := Search(context.Background(), workspace.FromAnalysis(an), plat, Options{})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestSearchEngineConsistencyThreeLevel(t *testing.T) {
 				))))
 	an := analyze(t, p)
 	plat := threeLevelPlat()
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Engine = BranchBound
 	bb, err := Search(context.Background(), workspace.FromAnalysis(an), plat, opts)
 	if err != nil {
@@ -119,7 +119,7 @@ func threeLevelPlat() *platform.Platform {
 // non-worsening assignments.
 func TestRefetchPolicySearch(t *testing.T) {
 	an := analyze(t, reuseProgram())
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Policy = reuse.Refetch
 	res, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), opts)
 	if err != nil {
@@ -130,7 +130,7 @@ func TestRefetchPolicySearch(t *testing.T) {
 	}
 	// Slide must be at least as good as refetch on this reuse-heavy
 	// program.
-	slide, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), DefaultOptions())
+	slide, err := Search(context.Background(), workspace.FromAnalysis(an), testPlat(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

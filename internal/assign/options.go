@@ -113,20 +113,29 @@ type Progress struct {
 // ProgressFunc receives search progress snapshots.
 type ProgressFunc func(Progress)
 
-// Options configure the assignment search.
+// Options configure the assignment search. The zero value is the
+// paper's MHLA configuration: slide transfers, the energy objective,
+// lifetime-aware (in-place) capacity estimation and the greedy engine
+// ranking moves by gain per on-chip byte. Every field is a switch away
+// from that configuration, so no layer substitutes defaults.
 type Options struct {
-	// Policy is the copy transfer policy (Slide exploits
-	// inter-iteration reuse; Refetch is the ablation baseline).
+	// Policy is the copy transfer policy (Slide, the zero value,
+	// exploits inter-iteration reuse; Refetch is the ablation
+	// baseline).
 	Policy reuse.Policy
-	// Objective is the quantity minimized.
+	// Objective is the quantity minimized (MinEnergy at zero).
 	Objective Objective
-	// InPlace enables lifetime-aware capacity estimation.
-	InPlace bool
-	// Engine selects the algorithm.
+	// NoInPlace disables lifetime-aware (in-place) capacity
+	// estimation: every object then occupies its space for the whole
+	// program (the A1 ablation).
+	NoInPlace bool
+	// Engine selects the algorithm ("" means Greedy).
 	Engine Engine
-	// GainPerByte makes the greedy rank moves by gain per byte of
-	// on-chip space consumed rather than absolute gain.
-	GainPerByte bool
+	// AbsoluteGain makes the greedy rank moves by absolute gain
+	// rather than by gain per byte of on-chip space consumed (the
+	// A2-style ablation; it prefers coarser, more DMA-friendly
+	// granularities at higher space cost).
+	AbsoluteGain bool
 	// MaxStates caps the states (complete assignments) evaluated by
 	// BranchBound/Exhaustive. The cap applies to each independent
 	// subtree task of the parallel search, and a result whose total
@@ -174,15 +183,6 @@ type Options struct {
 	// after every greedy iteration and every few thousand explored
 	// nodes of the exact engines.
 	Progress ProgressFunc
-}
-
-// IsZero reports whether every option is unset; callers treat the
-// zero value as "use DefaultOptions".
-func (o Options) IsZero() bool {
-	return o.Policy == 0 && o.Objective == 0 && !o.InPlace && o.Engine == "" &&
-		!o.GainPerByte && o.MaxStates == 0 &&
-		o.Workers == 0 && o.Seed == 0 && o.Deadline == 0 &&
-		o.Progress == nil && o.Incumbent == nil
 }
 
 // OptionError reports an invalid search option or facade input. It is
@@ -233,23 +233,6 @@ func (o Options) Validate() error {
 // DefaultMaxStates is the exact engines' default state budget per
 // subtree task (see Options.MaxStates).
 const DefaultMaxStates = 500_000
-
-// DefaultOptions returns the configuration used by the experiments:
-// slide policy, energy objective, in-place estimation, greedy engine
-// with the gain-per-byte ranking of the MHLA tool (gains are weighed
-// against the on-chip bytes they consume). Absolute-gain ranking is
-// available as an ablation; it prefers coarser, more DMA-friendly
-// granularities at higher space cost.
-func DefaultOptions() Options {
-	return Options{
-		Policy:      reuse.Slide,
-		Objective:   MinEnergy,
-		InPlace:     true,
-		Engine:      Greedy,
-		GainPerByte: true,
-		MaxStates:   DefaultMaxStates,
-	}
-}
 
 // Result is the outcome of an assignment search.
 type Result struct {
@@ -316,7 +299,7 @@ func Search(ctx context.Context, ws *workspace.Workspace, plat *platform.Platfor
 		return nil, err
 	}
 	if err := plat.Validate(); err != nil {
-		return nil, fmt.Errorf("assign: %w", err)
+		return nil, &OptionError{Field: "Platform", Reason: err.Error()}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -333,7 +316,7 @@ func Search(ctx context.Context, ws *workspace.Workspace, plat *platform.Platfor
 	}
 	opts.Engine = opts.Engine.normalized()
 	baseline := NewInWorkspace(ws, plat, opts.Policy)
-	baseline.InPlace = opts.InPlace
+	baseline.InPlace = !opts.NoInPlace
 	baseCost := baseline.Evaluate(EvalOptions{})
 
 	// Validate resolved the name already; re-resolving here keeps the

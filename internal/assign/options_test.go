@@ -15,7 +15,7 @@ import (
 // with a typed *OptionError naming the field, instead of the silent
 // clamping earlier versions applied.
 func TestOptionsValidateTyped(t *testing.T) {
-	base := assign.DefaultOptions()
+	base := assign.Options{}
 	cases := []struct {
 		name   string
 		mutate func(o *assign.Options)
@@ -65,7 +65,8 @@ func TestOptionsValidateTyped(t *testing.T) {
 }
 
 // TestOptionsZeroStillDefaults: zero counts keep meaning "use the
-// default" — only negatives and unknown enums are errors.
+// default" — only negatives and unknown enums are errors — and the
+// zero value is the paper configuration, in-place sizing included.
 func TestOptionsZeroStillDefaults(t *testing.T) {
 	var zero assign.Options
 	if err := zero.Validate(); err != nil {
@@ -81,7 +82,10 @@ func TestOptionsZeroStillDefaults(t *testing.T) {
 		t.Fatalf("zero options search failed: %v", err)
 	}
 	if res.Assignment == nil || !res.Complete {
-		t.Errorf("zero options search incomplete: %+v", res)
+		t.Fatalf("zero options search incomplete: %+v", res)
+	}
+	if !res.Assignment.InPlace || res.Engine != assign.Greedy {
+		t.Errorf("zero options searched in-place=%v with %v, want in-place greedy", res.Assignment.InPlace, res.Engine)
 	}
 }
 

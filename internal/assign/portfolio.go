@@ -144,7 +144,7 @@ func portfolioSearch(ctx context.Context, ws *workspace.Workspace, plat *platfor
 		// Return the out-of-the-box placement: a valid, honest
 		// incumbent with zero search behind it.
 		base := NewInWorkspace(ws, plat, opts.Policy)
-		base.InPlace = opts.InPlace
+		base.InPlace = !opts.NoInPlace
 		return &Result{
 			Assignment: base,
 			Cost:       base.Evaluate(EvalOptions{}),

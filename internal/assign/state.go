@@ -107,7 +107,7 @@ type searchState struct {
 func newSearchState(s *space) *searchState {
 	st := &searchState{
 		sp:       s,
-		occ:      newOccupancy(s.plat, s.nblocks, s.opts.InPlace),
+		occ:      newOccupancy(s.plat, s.nblocks, !s.opts.NoInPlace),
 		homes:    make([]int, len(s.arrays)),
 		chainSel: make([]int, len(s.chains)),
 	}

@@ -75,8 +75,8 @@ func stateScenario(seed int64) (*model.Program, *platform.Platform, Options) {
 		plat.Layers = []platform.Layer{plat.Layers[0], l2, plat.Layers[1]}
 	}
 
-	opts := DefaultOptions()
-	opts.InPlace = rng.Intn(4) > 0
+	opts := Options{}
+	opts.NoInPlace = rng.Intn(4) == 0
 	if rng.Intn(2) == 0 {
 		opts.Policy = reuse.Refetch
 	}

@@ -81,8 +81,8 @@ func WireSearchProgress(s assign.Options, fn ProgressFunc) assign.Options {
 type Config struct {
 	// Platform is the target architecture (required).
 	Platform *platform.Platform
-	// Search configures the assignment step; zero value means
-	// assign.DefaultOptions().
+	// Search configures the assignment step; the zero value is the
+	// paper configuration (see assign.Options).
 	Search assign.Options
 	// DisableTE skips the time-extension step even when a DMA engine
 	// exists (the MHLA+TE point then equals MHLA).
@@ -163,23 +163,14 @@ func (p *Pending) Assignment() *assign.Assignment { return p.res.Assignment }
 // halves are one code path; callers that need nothing between the
 // steps call Run. A platform that fails its own Validate (e.g. an L1
 // so large its energy model overtakes the background layer) is
-// rejected with a typed *assign.OptionError{Field: "Platform"}.
+// rejected by assign.Search with a typed
+// *assign.OptionError{Field: "Platform"}.
 func Begin(ctx context.Context, ws *workspace.Workspace, cfg Config) (*Pending, error) {
 	if ws == nil {
 		return nil, fmt.Errorf("core: nil workspace")
 	}
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("core: no platform configured")
-	}
-	if err := cfg.Platform.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", &assign.OptionError{Field: "Platform", Reason: err.Error()})
-	}
-	search := cfg.Search
-	if search.IsZero() {
-		search = assign.DefaultOptions()
-	}
-	if err := search.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
 	}
 	// The analyze phase is entered for a uniform progress stream even
 	// though the compiled analysis makes it instantaneous.
@@ -189,7 +180,7 @@ func Begin(ctx context.Context, ws *workspace.Workspace, cfg Config) (*Pending, 
 	if err := cfg.enter(ctx, PhaseAssign); err != nil {
 		return nil, err
 	}
-	sr, err := assign.Search(ctx, ws, cfg.Platform, WireSearchProgress(search, cfg.Progress))
+	sr, err := assign.Search(ctx, ws, cfg.Platform, WireSearchProgress(cfg.Search, cfg.Progress))
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()

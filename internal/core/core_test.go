@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"mhla/internal/assign"
 	"mhla/internal/energy"
 	"mhla/internal/model"
+	"mhla/internal/progen"
 	"mhla/internal/workspace"
 )
 
@@ -130,7 +133,7 @@ func TestRunErrors(t *testing.T) {
 func TestRunCustomSearchOptions(t *testing.T) {
 	app, _ := apps.ByName("durbin")
 	p := app.Build(apps.Test)
-	opts := assign.DefaultOptions()
+	opts := assign.Options{}
 	opts.Objective = assign.MinTime
 	res, err := runProgram(p, Config{Platform: energy.TwoLevel(app.L1), Search: opts})
 	if err != nil {
@@ -138,6 +141,44 @@ func TestRunCustomSearchOptions(t *testing.T) {
 	}
 	if res.MHLA.Cycles > res.Original.Cycles {
 		t.Error("time-optimized search regressed cycles")
+	}
+}
+
+// TestRunMatchesSearchOnScenarios: the flow runs exactly the search
+// it is configured with. For every generated scenario, core.Run with
+// the scenario's options must reach the assignment and MHLA cost of
+// assign.Search with the same options — including the option sets
+// that look like a zero value apart from their ablation switches.
+func TestRunMatchesSearchOnScenarios(t *testing.T) {
+	seeds := int64(220)
+	if testing.Short() {
+		seeds = 60
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		sc := progen.Generate(seed)
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			ws, err := workspace.Compile(sc.Program)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr, err := assign.Search(context.Background(), ws, sc.Platform, sc.Options)
+			if err != nil {
+				t.Fatalf("Search: %v", err)
+			}
+			res, err := Run(context.Background(), ws, Config{Platform: sc.Platform, Search: sc.Options})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			got, want := res.Assignment, sr.Assignment
+			if got.InPlace != want.InPlace || !reflect.DeepEqual(got.ArrayHome, want.ArrayHome) || got.String() != want.String() {
+				t.Errorf("options %+v: Run assignment (in-place %v)\n%sdiffers from Search (in-place %v)\n%s",
+					sc.Options, got.InPlace, got, want.InPlace, want)
+			}
+			if !reflect.DeepEqual(res.MHLA, sr.Cost) {
+				t.Errorf("options %+v: Run MHLA cost %+v != Search cost %+v", sc.Options, res.MHLA, sr.Cost)
+			}
+		})
 	}
 }
 

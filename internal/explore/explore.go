@@ -103,11 +103,6 @@ func Run(ctx context.Context, ws *workspace.Workspace, sizes []int64, cfg core.C
 	if ws == nil {
 		return nil, fmt.Errorf("explore: nil workspace")
 	}
-	// Normalize before Workers is read below: a non-zero Search skips
-	// core.Begin's zero-value default.
-	if cfg.Search.IsZero() {
-		cfg.Search = assign.DefaultOptions()
-	}
 	if err := cfg.Search.Validate(); err != nil {
 		return nil, fmt.Errorf("explore: %w", err)
 	}

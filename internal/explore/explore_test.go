@@ -26,7 +26,7 @@ func TestSweepDurbin(t *testing.T) {
 	app, _ := apps.ByName("durbin")
 	p := app.Build(apps.Test)
 	sizes := []int64{256, 1024, 4096}
-	sw, err := sweepProgram(p, sizes, assign.DefaultOptions())
+	sw, err := sweepProgram(p, sizes, assign.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestSweepDurbin(t *testing.T) {
 
 func TestSweepFrontierNonEmpty(t *testing.T) {
 	app, _ := apps.ByName("voice")
-	sw, err := sweepProgram(app.Build(apps.Test), []int64{256, 1024, 4096}, assign.DefaultOptions())
+	sw, err := sweepProgram(app.Build(apps.Test), []int64{256, 1024, 4096}, assign.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestDefaultSizes(t *testing.T) {
 
 func TestSweepCSVAndString(t *testing.T) {
 	app, _ := apps.ByName("sobel")
-	sw, err := sweepProgram(app.Build(apps.Test), []int64{512}, assign.DefaultOptions())
+	sw, err := sweepProgram(app.Build(apps.Test), []int64{512}, assign.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestSweepSchemaEngineProvenance(t *testing.T) {
 	app, _ := apps.ByName("sobel")
 	p := app.Build(apps.Test)
 	for _, engine := range []assign.Engine{assign.Greedy, assign.BranchBound, assign.Stochastic} {
-		opts := assign.DefaultOptions()
+		opts := assign.Options{}
 		opts.Engine = engine
 		sw, err := sweepProgram(p, []int64{512}, opts)
 		if err != nil {
@@ -173,7 +173,7 @@ func TestSweepSchemaEngineProvenance(t *testing.T) {
 
 func TestSweepDefaultsWhenNoSizes(t *testing.T) {
 	app, _ := apps.ByName("durbin")
-	sw, err := sweepProgram(app.Build(apps.Test), nil, assign.DefaultOptions())
+	sw, err := sweepProgram(app.Build(apps.Test), nil, assign.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -194,7 +194,7 @@ func TestSweepReportsFirstFailureInSizeOrder(t *testing.T) {
 	}
 	sizes := []int64{4096, -3, 1024, -7}
 	for _, engine := range []assign.Engine{assign.Greedy, assign.BranchBound} {
-		opts := assign.DefaultOptions()
+		opts := assign.Options{}
 		opts.Engine = engine
 		for _, workers := range []int{1, 2, 4, 8} {
 			opts.Workers = workers
@@ -206,10 +206,10 @@ func TestSweepReportsFirstFailureInSizeOrder(t *testing.T) {
 	}
 }
 
-// TestSweepZeroSearchMeansDefaults: a zero Config.Search sweeps with
-// assign.DefaultOptions() (GOMAXPROCS workers), the way core.Run
-// treats it — the sweep's own per-point worker cap must not turn the
-// zero value into a non-zero one that skips the defaults.
+// TestSweepZeroSearchMeansDefaults: a zero Config.Search is the paper
+// configuration at GOMAXPROCS workers, and the sweep's own per-point
+// worker cap changes only scheduling: the sweep equals the same
+// options at explicit worker counts 1 and 4.
 func TestSweepZeroSearchMeansDefaults(t *testing.T) {
 	for _, name := range []string{"durbin", "qsdpcm", "voice"} {
 		app, _ := apps.ByName(name)
@@ -224,14 +224,14 @@ func TestSweepZeroSearchMeansDefaults(t *testing.T) {
 		}
 		got, _ := sw.JSON()
 		for _, workers := range []int{1, 4} {
-			opts := assign.DefaultOptions()
+			opts := assign.Options{}
 			opts.Workers = workers
 			ref, err := Run(context.Background(), ws, sizes, core.Config{Search: opts})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want, _ := ref.JSON(); string(got) != string(want) {
-				t.Errorf("%s workers=%d: zero-options sweep differs from the default-options sweep", name, workers)
+				t.Errorf("%s workers=%d: zero-options sweep differs from the explicit-workers sweep", name, workers)
 			}
 		}
 	}

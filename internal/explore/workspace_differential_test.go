@@ -209,7 +209,7 @@ func TestSweepWorkspaceCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opts := assign.DefaultOptions()
+	opts := assign.Options{}
 	opts.Workers = 4
 	if _, err := explore.Run(ctx, ws, sweepSizes, core.Config{Search: opts}); err != context.Canceled {
 		t.Errorf("cancelled sweep returned %v, want context.Canceled", err)

@@ -28,7 +28,7 @@ func testTasks(t *testing.T, names ...string) []Task {
 
 func TestPartitionRespectsBudget(t *testing.T) {
 	tasks := testTasks(t, "durbin", "voice", "sobel")
-	plan, err := Partition(context.Background(), tasks, 4096, assign.DefaultOptions())
+	plan, err := Partition(context.Background(), tasks, 4096, assign.Options{})
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestPartitionMonotoneInBudget(t *testing.T) {
 	tasks := testTasks(t, "durbin", "voice")
 	var prev float64
 	for i, budget := range []int64{512, 2048, 8192} {
-		plan, err := Partition(context.Background(), tasks, budget, assign.DefaultOptions())
+		plan, err := Partition(context.Background(), tasks, budget, assign.Options{})
 		if err != nil {
 			t.Fatalf("Partition(%d): %v", budget, err)
 		}
@@ -74,7 +74,7 @@ func TestPartitionOptimalVsBruteForce(t *testing.T) {
 	// Two tasks, small budget: compare the DP against explicit
 	// enumeration of the same grid.
 	tasks := testTasks(t, "durbin", "voice")
-	opts := assign.DefaultOptions()
+	opts := assign.Options{}
 	budget := int64(1024)
 	plan, err := Partition(context.Background(), tasks, budget, opts)
 	if err != nil {
@@ -115,7 +115,7 @@ func TestPartitionOptimalVsBruteForce(t *testing.T) {
 
 func TestPartitionZeroBudget(t *testing.T) {
 	tasks := testTasks(t, "durbin")
-	plan, err := Partition(context.Background(), tasks, 0, assign.DefaultOptions())
+	plan, err := Partition(context.Background(), tasks, 0, assign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestPartitionSkewsTowardHungrierTask(t *testing.T) {
 	// gaining with a bigger line buffer — the split must not starve
 	// whichever profits more.
 	tasks := testTasks(t, "durbin", "sobel")
-	plan, err := Partition(context.Background(), tasks, 2048, assign.DefaultOptions())
+	plan, err := Partition(context.Background(), tasks, 2048, assign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,15 +150,15 @@ func TestPartitionSkewsTowardHungrierTask(t *testing.T) {
 }
 
 func TestPartitionErrors(t *testing.T) {
-	if _, err := Partition(context.Background(), nil, 1024, assign.DefaultOptions()); err == nil {
+	if _, err := Partition(context.Background(), nil, 1024, assign.Options{}); err == nil {
 		t.Error("accepted empty task list")
 	}
 	tasks := testTasks(t, "durbin")
-	if _, err := Partition(context.Background(), tasks, -1, assign.DefaultOptions()); err == nil {
+	if _, err := Partition(context.Background(), tasks, -1, assign.Options{}); err == nil {
 		t.Error("accepted negative budget")
 	}
 	dup := append(tasks, tasks[0])
-	if _, err := Partition(context.Background(), dup, 1024, assign.DefaultOptions()); err == nil ||
+	if _, err := Partition(context.Background(), dup, 1024, assign.Options{}); err == nil ||
 		!strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("err = %v", err)
 	}
@@ -170,13 +170,13 @@ func TestPartitionCancellation(t *testing.T) {
 	tasks := testTasks(t, "durbin", "voice", "sobel")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Partition(ctx, tasks, 4096, assign.DefaultOptions()); !errors.Is(err, context.Canceled) {
+	if _, err := Partition(ctx, tasks, 4096, assign.Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled partition returned %v, want context.Canceled", err)
 	}
 
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
-	opts := assign.DefaultOptions()
+	opts := assign.Options{}
 	opts.Progress = func(assign.Progress) { cancel() }
 	if _, err := Partition(ctx, tasks, 4096, opts); !errors.Is(err, context.Canceled) {
 		t.Errorf("partition cancelled mid-sweep returned %v, want context.Canceled", err)
@@ -185,7 +185,7 @@ func TestPartitionCancellation(t *testing.T) {
 
 func TestPlanString(t *testing.T) {
 	tasks := testTasks(t, "durbin", "voice")
-	plan, err := Partition(context.Background(), tasks, 2048, assign.DefaultOptions())
+	plan, err := Partition(context.Background(), tasks, 2048, assign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

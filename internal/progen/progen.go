@@ -132,10 +132,10 @@ func (c Config) Generate(seed int64) *Scenario {
 		Program:  prog,
 		Platform: plat,
 		Options: assign.Options{
-			Policy:      pickPolicy(rng),
-			Objective:   assign.Objective(rng.Intn(3)),
-			InPlace:     rng.Float64() < 0.75,
-			GainPerByte: rng.Float64() < 0.75,
+			Policy:       pickPolicy(rng),
+			Objective:    assign.Objective(rng.Intn(3)),
+			NoInPlace:    rng.Float64() >= 0.75,
+			AbsoluteGain: rng.Float64() >= 0.75,
 		},
 		Space: space,
 	}

@@ -56,7 +56,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("seed %d: platforms differ", seed)
 		}
 		if a.Options.Policy != b.Options.Policy || a.Options.Objective != b.Options.Objective ||
-			a.Options.InPlace != b.Options.InPlace || a.Options.GainPerByte != b.Options.GainPerByte {
+			a.Options.NoInPlace != b.Options.NoInPlace || a.Options.AbsoluteGain != b.Options.AbsoluteGain {
 			t.Fatalf("seed %d: options differ: %+v vs %+v", seed, a.Options, b.Options)
 		}
 		if a.Space != b.Space {

@@ -90,7 +90,7 @@ func TestBarClamping(t *testing.T) {
 func TestFigure2UsesCustomOptions(t *testing.T) {
 	// The rendering is agnostic to how results were produced.
 	app, _ := apps.ByName("durbin")
-	opts := assign.DefaultOptions()
+	opts := assign.Options{}
 	opts.Objective = assign.MinTime
 	ws, err := workspace.Compile(app.Build(apps.Test))
 	if err != nil {

@@ -65,10 +65,10 @@ func buildDiffCasesN(t testing.TB, n int) []*diffCase {
 
 		flags := fmt.Sprintf(`"engine":%q,"objective":%q,"policy":%q`,
 			engineName, sc.Options.Objective.String(), policyName)
-		if !sc.Options.InPlace {
+		if sc.Options.NoInPlace {
 			flags += `,"no_in_place":true`
 		}
-		if !sc.Options.GainPerByte {
+		if sc.Options.AbsoluteGain {
 			flags += `,"absolute_gain":true`
 		}
 
@@ -77,10 +77,10 @@ func buildDiffCasesN(t testing.TB, n int) []*diffCase {
 			mhla.WithObjective(sc.Options.Objective),
 			mhla.WithPolicy(sc.Options.Policy),
 		}
-		if !sc.Options.InPlace {
+		if sc.Options.NoInPlace {
 			opts = append(opts, mhla.WithoutInPlace())
 		}
-		if !sc.Options.GainPerByte {
+		if sc.Options.AbsoluteGain {
 			opts = append(opts, mhla.WithAbsoluteGain())
 		}
 

@@ -107,6 +107,7 @@ const asyncDiffScenarios = 24
 // distinct tenants.
 func TestJobsDifferential(t *testing.T) {
 	cases := buildDiffCasesN(t, asyncDiffScenarios)
+	baseline := goroutineBaseline()
 	srv, ts := newTestServer(t, Config{CacheEntries: asyncDiffScenarios + 8, JobWorkers: 4})
 
 	const submitters = 8
@@ -155,6 +156,9 @@ func TestJobsDifferential(t *testing.T) {
 	if st.Queued != 0 || st.Running != 0 {
 		t.Errorf("job gauges did not drain: %+v", st)
 	}
+	srv.Close()
+	ts.Close()
+	checkNoLeaks(t, srv, baseline)
 }
 
 // quickRunRequest is a fast catalog-app run, the filler job of the
@@ -189,7 +193,8 @@ func startBlocker(t testing.TB, baseURL string) jobJSON {
 // occasional job — and canceling a queued job promotes the jobs behind
 // it.
 func TestJobQueueOrdering(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobWorkers: 1, MaxStates: 2_000_000_000})
+	baseline := goroutineBaseline()
+	srv, ts := newTestServer(t, Config{JobWorkers: 1, MaxStates: 2_000_000_000})
 	blocker := startBlocker(t, ts.URL)
 
 	submit := func(apiKey string, priority int) jobJSON {
@@ -274,6 +279,9 @@ func TestJobQueueOrdering(t *testing.T) {
 				order[i-1].ID, prev.Started, order[i].ID, cur.Started)
 		}
 	}
+	srv.Close()
+	ts.Close()
+	checkNoLeaks(t, srv, baseline)
 }
 
 // deleteJob issues DELETE /v1/jobs/{id}.
@@ -419,7 +427,8 @@ func TestJobSubmitValidation(t *testing.T) {
 // moves queued → running → done, each line flushed as it happens, and
 // ends with the terminal envelope.
 func TestJobEventsStream(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobWorkers: 1, MaxStates: 2_000_000_000})
+	baseline := goroutineBaseline()
+	srv, ts := newTestServer(t, Config{JobWorkers: 1, MaxStates: 2_000_000_000})
 	blocker := startBlocker(t, ts.URL)
 	env := submitJob(t, ts.URL, "run", quickRunRequest, "alice", 5)
 
@@ -505,6 +514,11 @@ func TestJobEventsStream(t *testing.T) {
 	if dec.More() {
 		t.Fatal("terminal-job stream has more than one envelope")
 	}
+	resp.Body.Close()
+	resp2.Body.Close()
+	srv.Close()
+	ts.Close()
+	checkNoLeaks(t, srv, baseline)
 }
 
 // TestJobProgressSnapshots: a long search publishes engine progress

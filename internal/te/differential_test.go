@@ -41,7 +41,7 @@ func TestDifferentialExtendMatchesOracle(t *testing.T) {
 			for _, obj := range diffObjectives {
 				for _, perByte := range []bool{false, true} {
 					opts := sc.Options
-					opts.Objective, opts.GainPerByte = obj, perByte
+					opts.Objective, opts.AbsoluteGain = obj, !perByte
 					checkExtendMatchesOracle(t, fmt.Sprintf("%v perByte=%v", obj, perByte), ws, sc.Platform, opts)
 				}
 			}
@@ -61,7 +61,7 @@ func TestDifferentialExtendMatchesOracle(t *testing.T) {
 			}
 			for _, plat := range plats {
 				for _, obj := range diffObjectives {
-					opts := assign.DefaultOptions()
+					opts := assign.Options{}
 					opts.Objective = obj
 					checkExtendMatchesOracle(t, fmt.Sprintf("%s %v", plat.Name, obj), ws, plat, opts)
 				}

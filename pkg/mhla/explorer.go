@@ -72,7 +72,7 @@ func (e *Explorer) Explore(ctx context.Context, jobs []Job) ([]JobResult, error)
 		return results, ctx.Err()
 	}
 
-	workers := newConfig(e.Options).search.Workers
+	workers := newConfig(e.Options).Search.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

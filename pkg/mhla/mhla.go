@@ -38,7 +38,6 @@ import (
 	"mhla/internal/assign"
 	"mhla/internal/core"
 	"mhla/internal/energy"
-	"mhla/internal/platform"
 	"mhla/internal/workspace"
 )
 
@@ -50,10 +49,7 @@ const DefaultL1 = 4096
 // config accumulates the functional options into the internal flow
 // configuration.
 type config struct {
-	platform  *platform.Platform
-	search    assign.Options
-	disableTE bool
-	progress  core.ProgressFunc
+	core.Config
 	// workspace, when non-nil, is the precompiled program analysis
 	// Run/SweepL1 reuse instead of compiling their own.
 	workspace *Workspace
@@ -71,28 +67,19 @@ func (c *config) fail(field, reason string) {
 }
 
 func newConfig(opts []Option) *config {
-	cfg := &config{search: assign.DefaultOptions()}
+	cfg := &config{}
 	for _, o := range opts {
 		o(cfg)
 	}
-	if cfg.platform == nil {
-		cfg.platform = energy.TwoLevel(DefaultL1)
+	if cfg.Platform == nil {
+		cfg.Platform = energy.TwoLevel(DefaultL1)
 	}
 	if cfg.err == nil {
-		if err := cfg.search.Validate(); err != nil {
+		if err := cfg.Search.Validate(); err != nil {
 			cfg.err = err
 		}
 	}
 	return cfg
-}
-
-func (c *config) coreConfig() core.Config {
-	return core.Config{
-		Platform:  c.platform,
-		Search:    c.search,
-		DisableTE: c.disableTE,
-		Progress:  c.progress,
-	}
 }
 
 // Option configures a Run, Sweep, Search or Explorer job.
@@ -111,7 +98,7 @@ func WithPlatform(p *Platform) Option {
 			c.fail("Platform", fmt.Sprintf("need at least 2 memory layers, have %d", len(p.Layers)))
 			return
 		}
-		c.platform = p
+		c.Platform = p
 	}
 }
 
@@ -124,14 +111,14 @@ func WithL1(bytes int64) Option {
 			c.fail("L1", fmt.Sprintf("capacity %d bytes, must be positive", bytes))
 			return
 		}
-		c.platform = energy.TwoLevel(bytes)
+		c.Platform = energy.TwoLevel(bytes)
 	}
 }
 
 // WithObjective selects the quantity the assignment search minimizes:
 // Energy (default), Time or EDP.
 func WithObjective(o Objective) Option {
-	return func(c *config) { c.search.Objective = o }
+	return func(c *config) { c.Search.Objective = o }
 }
 
 // WithEngine selects the search algorithm by registry name: Greedy
@@ -139,7 +126,7 @@ func WithObjective(o Objective) Option {
 // for the live list and each engine's capabilities. Unknown names are
 // rejected with a typed *OptionError.
 func WithEngine(e Engine) Option {
-	return func(c *config) { c.search.Engine = e }
+	return func(c *config) { c.Search.Engine = e }
 }
 
 // WithSeed seeds the stochastic engine's random source (the portfolio
@@ -148,7 +135,7 @@ func WithEngine(e Engine) Option {
 // byte-reproducible (absent a deadline). Engines without the seed
 // capability ignore it.
 func WithSeed(seed int64) Option {
-	return func(c *config) { c.search.Seed = seed }
+	return func(c *config) { c.Search.Seed = seed }
 }
 
 // WithDeadline bounds the wall-clock time of the anytime engines
@@ -164,33 +151,36 @@ func WithDeadline(d time.Duration) Option {
 			c.fail("Deadline", fmt.Sprintf("negative deadline %v", d))
 			return
 		}
-		c.search.Deadline = d
+		c.Search.Deadline = d
 	}
 }
 
 // WithPolicy selects the copy transfer policy: Slide (default,
 // exploits inter-iteration reuse) or Refetch (the ablation baseline).
 func WithPolicy(p Policy) Option {
-	return func(c *config) { c.search.Policy = p }
+	return func(c *config) { c.Search.Policy = p }
 }
 
 // WithoutTE skips the time-extension step; the MHLA+TE operating
 // point then equals MHLA.
 func WithoutTE() Option {
-	return func(c *config) { c.disableTE = true }
+	return func(c *config) { c.DisableTE = true }
 }
 
 // WithoutInPlace disables lifetime-aware (in-place) capacity
-// estimation, the A1 ablation.
+// estimation, the A1 ablation: every object then occupies its space
+// for the whole program. In-place estimation is the default; the
+// option sets assign.Options.NoInPlace.
 func WithoutInPlace() Option {
-	return func(c *config) { c.search.InPlace = false }
+	return func(c *config) { c.Search.NoInPlace = true }
 }
 
 // WithAbsoluteGain makes the greedy engine rank moves by absolute
 // gain instead of gain per on-chip byte, the A2-style ablation of the
-// MHLA tool's ranking.
+// MHLA tool's ranking. Gain-per-byte ranking is the default; the
+// option sets assign.Options.AbsoluteGain.
 func WithAbsoluteGain() Option {
-	return func(c *config) { c.search.GainPerByte = false }
+	return func(c *config) { c.Search.AbsoluteGain = true }
 }
 
 // WithMaxStates caps the states the exact engines explore before
@@ -199,7 +189,7 @@ func WithAbsoluteGain() Option {
 // whose total exceeds it are flagged incomplete. Negative values are
 // rejected with a typed *OptionError.
 func WithMaxStates(n int) Option {
-	return func(c *config) { c.search.MaxStates = n }
+	return func(c *config) { c.Search.MaxStates = n }
 }
 
 // WithWorkers is the one worker budget of a call. 0 (the default)
@@ -214,7 +204,7 @@ func WithMaxStates(n int) Option {
 // worker count. Negative values are rejected with a typed
 // *OptionError.
 func WithWorkers(n int) Option {
-	return func(c *config) { c.search.Workers = n }
+	return func(c *config) { c.Search.Workers = n }
 }
 
 // WithWorkspace reuses a precompiled workspace (see Compile) instead
@@ -243,7 +233,7 @@ func WithWorkspace(ws *Workspace) Option {
 // callback never runs concurrently with itself but must not assume
 // the caller's goroutine.
 func WithProgress(fn ProgressFunc) Option {
-	return func(c *config) { c.progress = fn }
+	return func(c *config) { c.Progress = fn }
 }
 
 // TeeProgress fans flow progress snapshots out to several observers:
@@ -311,7 +301,7 @@ func Run(ctx context.Context, p *Program, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.Run(ctx, ws, cfg.coreConfig())
+	return core.Run(ctx, ws, cfg.Config)
 }
 
 // Search runs the assignment step alone on an analyzed program (step
@@ -327,7 +317,7 @@ func Search(ctx context.Context, an *Analysis, plat *Platform, opts ...Option) (
 		return nil, fmt.Errorf("mhla: nil analysis")
 	}
 	if plat == nil {
-		plat = cfg.platform
+		plat = cfg.Platform
 	}
 	return assign.Search(ctx, workspace.FromAnalysis(an), plat, cfg.assignOptions())
 }
@@ -386,5 +376,5 @@ func ParsePolicy(s string) (Policy, error) {
 // directly, wiring the flow-level progress callback into the engine
 // the way core.Run does.
 func (c *config) assignOptions() assign.Options {
-	return core.WireSearchProgress(c.search, c.progress)
+	return core.WireSearchProgress(c.Search, c.Progress)
 }

@@ -62,14 +62,14 @@ func Simulate(ctx context.Context, p *Program, cacheCfg CacheConfig, opts ...Opt
 	if cfg.err != nil {
 		return nil, cfg.err
 	}
-	if err := cacheCfg.Validate(cfg.platform); err != nil {
+	if err := cacheCfg.Validate(cfg.Platform); err != nil {
 		return nil, &assign.OptionError{Field: "CacheConfig", Reason: err.Error()}
 	}
 	ws, err := cfg.compiled(p)
 	if err != nil {
 		return nil, err
 	}
-	return cachesim.Simulate(ctx, ws, cfg.platform, cacheCfg)
+	return cachesim.Simulate(ctx, ws, cfg.Platform, cacheCfg)
 }
 
 // SimulateJSON renders a simulation result as indented JSON, the same

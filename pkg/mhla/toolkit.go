@@ -77,7 +77,7 @@ func SweepL1(ctx context.Context, p *Program, sizes []int64, opts ...Option) (*S
 	if err != nil {
 		return nil, err
 	}
-	return explore.Run(ctx, ws, sizes, cfg.coreConfig())
+	return explore.Run(ctx, ws, sizes, cfg.Config)
 }
 
 // DefaultSweepSizes is the standard L1 sweep: 256 B to 64 KiB in

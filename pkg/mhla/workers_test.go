@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mhla/internal/progen"
@@ -109,6 +110,29 @@ func TestFacadeInputValidation(t *testing.T) {
 				t.Errorf("SweepL1 did not reject: %v", err)
 			}
 		})
+	}
+}
+
+// TestFacadeRejectsInvalidPlatform: a platform that fails its own
+// Validate (an L1 so large its energy model overtakes SDRAM) is
+// rejected with a typed *OptionError on Platform by every entry point
+// that searches it, not only by Run.
+func TestFacadeRejectsInvalidPlatform(t *testing.T) {
+	prog := progen.Generate(1).Program
+	an, err := mhla.Analyze(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var oe *mhla.OptionError
+	if _, err := mhla.Search(context.Background(), an, mhla.TwoLevel(2560000)); !errors.As(err, &oe) || oe.Field != "Platform" {
+		t.Errorf("Search: error %v, want a *mhla.OptionError on Platform", err)
+	}
+	if _, err := mhla.SweepL1(context.Background(), prog, []int64{2560000}); !errors.As(err, &oe) || oe.Field != "Platform" {
+		t.Errorf("SweepL1: error %v, want a *mhla.OptionError on Platform", err)
+	}
+	_, err = mhla.Run(context.Background(), prog, mhla.WithL1(2560000))
+	if !errors.As(err, &oe) || oe.Field != "Platform" || !strings.HasPrefix(err.Error(), "core: assign: invalid option Platform: ") {
+		t.Errorf("Run: error %v, want core: assign: invalid option Platform: ...", err)
 	}
 }
 
