@@ -916,6 +916,7 @@ func BenchmarkCacheSim(b *testing.B) {
 				}
 			}
 			var res *mhla.CacheResult
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var err error

@@ -99,18 +99,17 @@ func (c *cache) fill(line int64, dirty bool) (victim int64, victimDirty, evicted
 	return victim, victimDirty, evicted
 }
 
-// dirtyLines returns every dirty resident line in deterministic
-// (set-major, MRU-first) order — the end-of-trace flush order.
-func (c *cache) dirtyLines() []int64 {
-	var out []int64
+// eachDirty calls f with every dirty resident line in deterministic
+// (set-major, MRU-first) order — the end-of-trace flush order. f must
+// not modify this cache.
+func (c *cache) eachDirty(f func(line int64)) {
 	for si, set := range c.sets {
 		for _, e := range set {
 			if e.dirty {
-				out = append(out, e.tag<<c.tagShift|int64(si))
+				f(e.tag<<c.tagShift | int64(si))
 			}
 		}
 	}
-	return out
 }
 
 // prefetchBuffer is the FIFO buffer prefetched lines land in (the
@@ -122,7 +121,7 @@ type prefetchBuffer struct {
 }
 
 func newPrefetchBuffer(entries int) *prefetchBuffer {
-	return &prefetchBuffer{entries: entries}
+	return &prefetchBuffer{entries: entries, lines: make([]int64, 0, entries)}
 }
 
 func (b *prefetchBuffer) contains(line int64) bool {

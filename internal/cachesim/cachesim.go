@@ -262,6 +262,34 @@ type inflightLine struct {
 	arrival int64
 }
 
+// inflightRing is the FIFO of one level's issued prefetches: a fixed
+// ring of PrefetchEntries slots, so a replay allocates nothing per
+// prefetch. An entry overtaken by a late demand access keeps its slot
+// until its arrival, so it still counts against the window.
+type inflightRing struct {
+	slots   []inflightLine
+	head, n int
+}
+
+func (r *inflightRing) full() bool { return r.n == len(r.slots) }
+
+func (r *inflightRing) push(fl inflightLine) {
+	r.slots[(r.head+r.n)%len(r.slots)] = fl
+	r.n++
+}
+
+// popArrived removes and returns the oldest entry if it arrived
+// before access now.
+func (r *inflightRing) popArrived(now int64) (inflightLine, bool) {
+	if r.n == 0 || r.slots[r.head].arrival >= now {
+		return inflightLine{}, false
+	}
+	fl := r.slots[r.head]
+	r.head = (r.head + 1) % len(r.slots)
+	r.n--
+	return fl, true
+}
+
 // level is the live state of one cache level during a run.
 type level struct {
 	cfg         LevelConfig
@@ -271,10 +299,29 @@ type level struct {
 	cache       *cache
 	pfb         *prefetchBuffer
 	pf          prefetcher
-	inflight    []inflightLine
+	inflight    inflightRing
 	inflightSet map[int64]bool
 	stats       LevelStats
 	proposals   []int64 // scratch for prefetcher observe
+}
+
+// charge is one priced word-weighted CPU access.
+type charge struct {
+	cycles int64
+	energy float64
+}
+
+// siteInfo is the per-site table of a run, indexed by the trace's
+// document-order Position.
+type siteInfo struct {
+	base  int64 // synthetic base address of the site's array
+	elem  int64 // element size in bytes
+	write bool
+	// probe[i] prices the probe of cache level i (the demand kind at
+	// level 0, a read deeper); mem prices a background access with
+	// the demand kind.
+	probe []charge
+	mem   charge
 }
 
 // simState is the whole run state.
@@ -282,10 +329,7 @@ type simState struct {
 	plat   *platform.Platform
 	levels []*level
 	bg     int
-	// bases maps workspace array index to synthetic base address.
-	bases    []int64
-	elemSize []int
-	arrayIdx map[*model.Array]int
+	sites  []siteInfo
 
 	accesses int64
 	memory   int64
@@ -294,10 +338,10 @@ type simState struct {
 }
 
 func newSimState(ws *workspace.Workspace, plat *platform.Platform, cfg Config) *simState {
+	refs := ws.Program.Accesses()
 	st := &simState{
-		plat:     plat,
-		bg:       plat.Background(),
-		arrayIdx: make(map[*model.Array]int, len(ws.Arrays)),
+		plat: plat,
+		bg:   plat.Background(),
 	}
 	for i, lv := range cfg.Levels {
 		parent := st.bg
@@ -313,8 +357,10 @@ func newSimState(ws *workspace.Workspace, plat *platform.Platform, cfg Config) *
 		}
 		if lv.Prefetcher != PrefetchNone {
 			l.pfb = newPrefetchBuffer(lv.PrefetchEntries)
-			l.pf = newPrefetcher(lv, l.lineShift)
-			l.inflightSet = make(map[int64]bool)
+			l.pf = newPrefetcher(lv, l.lineShift, len(refs))
+			l.inflight.slots = make([]inflightLine, lv.PrefetchEntries)
+			l.inflightSet = make(map[int64]bool, lv.PrefetchEntries)
+			l.proposals = make([]int64, 0, lv.PrefetchDegree)
 		}
 		st.levels = append(st.levels, l)
 	}
@@ -327,15 +373,28 @@ func newSimState(ws *workspace.Workspace, plat *platform.Platform, cfg Config) *
 			align = int64(lv.LineBytes)
 		}
 	}
-	st.bases = make([]int64, len(ws.Arrays))
-	st.elemSize = make([]int, len(ws.Arrays))
+	bases := make([]int64, len(ws.Arrays))
 	next := int64(0)
 	for i, arr := range ws.Arrays {
 		next = (next + align - 1) / align * align
-		st.bases[i] = next
-		st.elemSize[i] = arr.ElemSize
-		st.arrayIdx[arr] = i
+		bases[i] = next
 		next += arr.Bytes()
+	}
+
+	// Per-site tables: address base, element size and the priced
+	// probes, so the replay reads slots instead of keying maps.
+	nlev := len(cfg.Levels)
+	probes := make([]charge, len(refs)*nlev)
+	st.sites = make([]siteInfo, len(refs))
+	for _, ref := range refs {
+		arr, write := ref.Access.Array, ref.Access.Kind == model.Write
+		s := &st.sites[ref.Position]
+		s.base, s.elem, s.write = bases[ws.ArrayIndex[arr.Name]], int64(arr.ElemSize), write
+		s.probe = probes[ref.Position*nlev : (ref.Position+1)*nlev]
+		for i := range cfg.Levels {
+			s.probe[i] = st.price(i, arr.ElemSize, write && i == 0)
+		}
+		s.mem = st.price(st.bg, arr.ElemSize, write)
 	}
 	return st
 }
@@ -346,11 +405,18 @@ func words(elemSize, wordBytes int) int64 {
 	return int64((elemSize + wordBytes - 1) / wordBytes)
 }
 
-// chargeAccess prices one word-weighted CPU access at a layer.
-func (st *simState) chargeAccess(layer, elemSize int, write bool) {
+// price is one word-weighted CPU access at a layer.
+func (st *simState) price(layer, elemSize int, write bool) charge {
 	w := words(elemSize, st.plat.Layers[layer].WordBytes)
-	st.cycles += w * st.plat.AccessCycles(layer, write)
-	st.energy += float64(w) * st.plat.AccessEnergy(layer, write)
+	return charge{
+		cycles: w * st.plat.AccessCycles(layer, write),
+		energy: float64(w) * st.plat.AccessEnergy(layer, write),
+	}
+}
+
+func (st *simState) pay(c charge) {
+	st.cycles += c.cycles
+	st.energy += c.energy
 }
 
 // access replays one demand access of the trace.
@@ -361,23 +427,22 @@ func (st *simState) access(ta *trace.Access) {
 		st.deliver(i, now)
 	}
 
-	ai := st.arrayIdx[ta.Site.Array]
-	elem := st.elemSize[ai]
-	addr := st.bases[ai] + ta.Linear()*int64(elem)
-	write := ta.Site.Kind == model.Write
+	s := &st.sites[ta.Position]
+	addr := s.base + ta.Linear()*s.elem
+	write := s.write
 
 	// Probe down the hierarchy.
 	served := len(st.levels) // first level holding the line; len = memory
 	for i, lv := range st.levels {
 		line := addr >> lv.lineShift
 		lv.stats.Accesses++
-		st.chargeAccess(lv.layer, elem, write && i == 0)
+		st.pay(s.probe[i])
 		if lv.cache.access(line, write && i == 0) {
 			lv.stats.Hits++
 			served = i
 			break
 		}
-		if lv.inflightSet[line] {
+		if lv.pf != nil && lv.inflightSet[line] {
 			// The prefetch meant to hide this access has not arrived:
 			// late. The demand pays the full miss path; the in-flight
 			// entry is wasted.
@@ -394,7 +459,7 @@ func (st *simState) access(ta *trace.Access) {
 	}
 	if served == len(st.levels) {
 		st.memory++
-		st.chargeAccess(st.bg, elem, write)
+		st.pay(s.mem)
 	}
 
 	// Fill the missed levels outside-in (the serving level already
@@ -460,12 +525,12 @@ func (st *simState) issue(i int, line int64, now int64) {
 	if lv.cache.contains(line) || lv.pfb.contains(line) || lv.inflightSet[line] {
 		return
 	}
-	if len(lv.inflight) >= lv.cfg.PrefetchEntries {
+	if lv.inflight.full() {
 		return
 	}
 	lv.stats.PrefetchIssued++
 	lv.inflightSet[line] = true
-	lv.inflight = append(lv.inflight, inflightLine{line: line, arrival: now + int64(lv.cfg.PrefetchLatency)})
+	lv.inflight.push(inflightLine{line: line, arrival: now + int64(lv.cfg.PrefetchLatency)})
 }
 
 // deliver moves arrived prefetches of level i into its buffer,
@@ -473,9 +538,11 @@ func (st *simState) issue(i int, line int64, now int64) {
 // level holding the line.
 func (st *simState) deliver(i int, now int64) {
 	lv := st.levels[i]
-	for len(lv.inflight) > 0 && lv.inflight[0].arrival < now {
-		fl := lv.inflight[0]
-		lv.inflight = lv.inflight[1:]
+	for {
+		fl, ok := lv.inflight.popArrived(now)
+		if !ok {
+			return
+		}
 		if !lv.inflightSet[fl.line] {
 			continue // overtaken by a late demand access
 		}
@@ -506,9 +573,7 @@ func (st *simState) sourceLayer(i int, line int64) int {
 // first so dirt cascades to the background memory.
 func (st *simState) flush() {
 	for i := range st.levels {
-		for _, line := range st.levels[i].cache.dirtyLines() {
-			st.writeback(i, line)
-		}
+		st.levels[i].cache.eachDirty(func(line int64) { st.writeback(i, line) })
 	}
 }
 

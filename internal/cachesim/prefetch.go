@@ -69,7 +69,8 @@ func (p *nextLinePrefetcher) observe(pos int, addr, line int64, out []int64) []i
 	return out
 }
 
-// strideEntry is one site's predictor state.
+// strideEntry is one site's predictor state; the zero value is a site
+// not seen yet.
 type strideEntry struct {
 	last   int64 // last byte address seen at the site
 	stride int64 // last observed delta
@@ -83,15 +84,11 @@ type strideEntry struct {
 type stridePrefetcher struct {
 	degree    int
 	lineShift uint
-	table     map[int]*strideEntry
+	table     []strideEntry // indexed by site position
 }
 
 func (p *stridePrefetcher) observe(pos int, addr, line int64, out []int64) []int64 {
-	e := p.table[pos]
-	if e == nil {
-		e = &strideEntry{}
-		p.table[pos] = e
-	}
+	e := &p.table[pos]
 	if e.seen {
 		d := addr - e.last
 		if d != 0 && d == e.stride {
@@ -106,12 +103,14 @@ func (p *stridePrefetcher) observe(pos int, addr, line int64, out []int64) []int
 	return out
 }
 
-func newPrefetcher(cfg LevelConfig, lineShift uint) prefetcher {
+// newPrefetcher builds the level's prefetcher; sites is the number of
+// access sites of the program (the stride table's size).
+func newPrefetcher(cfg LevelConfig, lineShift uint, sites int) prefetcher {
 	switch cfg.Prefetcher {
 	case PrefetchNextLine:
 		return &nextLinePrefetcher{degree: cfg.PrefetchDegree}
 	case PrefetchStride:
-		return &stridePrefetcher{degree: cfg.PrefetchDegree, lineShift: lineShift, table: make(map[int]*strideEntry)}
+		return &stridePrefetcher{degree: cfg.PrefetchDegree, lineShift: lineShift, table: make([]strideEntry, sites)}
 	default:
 		return nil
 	}

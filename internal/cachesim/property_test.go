@@ -5,6 +5,8 @@ import (
 	"context"
 	"testing"
 
+	"mhla/internal/apps"
+	"mhla/internal/energy"
 	"mhla/internal/progen"
 	"mhla/internal/workspace"
 )
@@ -83,6 +85,41 @@ func TestLRUInclusionMonotone(t *testing.T) {
 			}
 			if res.MemoryAccesses != l.Misses {
 				t.Fatalf("seed %d sets %d: memory accesses %d != misses %d", seed, sets, res.MemoryAccesses, l.Misses)
+			}
+		}
+	}
+}
+
+// TestReplayAllocsIndependentOfTraceLength: a replay allocates per
+// program site, per cache set and per prefetch slot, never per access
+// or per prefetch, so the same program structure allocates the same at
+// test scale and at paper scale, with and without a prefetcher.
+func TestReplayAllocsIndependentOfTraceLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	for _, name := range []string{"durbin", "qsdpcm"} {
+		app, err := apps.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plat := energy.TwoLevel(app.L1)
+		for _, variant := range []string{"lru", "nextline", "stride"} {
+			cfg := goldenConfig(variant, plat)
+			var allocs [2]float64
+			for i, scale := range []apps.Scale{apps.Test, apps.Paper} {
+				ws, err := workspace.Compile(app.Build(scale))
+				if err != nil {
+					t.Fatal(err)
+				}
+				allocs[i] = testing.AllocsPerRun(1, func() {
+					if _, err := Simulate(context.Background(), ws, plat, cfg); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if allocs[0] != allocs[1] {
+				t.Errorf("%s/%s: %v allocations at test scale, %v at paper scale", name, variant, allocs[0], allocs[1])
 			}
 		}
 	}

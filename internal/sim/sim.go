@@ -65,6 +65,17 @@ type copyState struct {
 	key func(class int) assign.StreamKey
 }
 
+// site is the per-access-site table entry of a trace run.
+type site struct {
+	// copies are the live copies of the site's chain, outermost first.
+	copies []*copyState
+	// layer is the layer CPU accesses of the site hit; words the
+	// word-weighted access count and energy its priced energy.
+	layer  int
+	words  int64
+	energy float64
+}
+
 // box is an inclusive integer hyper-rectangle.
 type box struct{ lo, hi []int }
 
@@ -111,26 +122,15 @@ func Trace(a *assign.Assignment, opts Options) (*Result, error) {
 		TransferCount: make(map[assign.StreamKey]int64),
 	}
 
-	// Site lookup: chain and access layer per access site.
-	siteChain := make(map[*model.Access]*reuse.Chain)
-	for _, ch := range a.Analysis.Chains {
-		for _, ref := range ch.Accesses {
-			siteChain[ref.Access] = ch
-		}
-	}
-
 	// Instantiate the copies of every block up front (Selections order
-	// within a block decides the parent chaining, as before).
+	// within a chain decides the parent chaining).
 	blockCopies := make([][]*copyState, len(p.Blocks))
-	blockChainCopies := make([]map[*reuse.Chain][]*copyState, len(p.Blocks))
-	for bi := range p.Blocks {
-		blockChainCopies[bi] = make(map[*reuse.Chain][]*copyState)
-	}
+	chainCopies := make(map[*reuse.Chain][]*copyState)
 	for _, sel := range a.Selections() {
 		sel := sel
 		bi := sel.Chain.BlockIndex
 		parent := a.ArrayHome[sel.Chain.Array.Name]
-		if prev := blockChainCopies[bi][sel.Chain]; len(prev) > 0 {
+		if prev := chainCopies[sel.Chain]; len(prev) > 0 {
 			parent = prev[len(prev)-1].layer
 		}
 		cs := &copyState{
@@ -144,7 +144,24 @@ func Trace(a *assign.Assignment, opts Options) (*Result, error) {
 			},
 		}
 		blockCopies[bi] = append(blockCopies[bi], cs)
-		blockChainCopies[bi][sel.Chain] = append(blockChainCopies[bi][sel.Chain], cs)
+		chainCopies[sel.Chain] = append(chainCopies[sel.Chain], cs)
+	}
+
+	// Per-site table, indexed by the trace's document-order Position:
+	// the site's chain copies and its priced CPU access.
+	sites := make([]site, len(p.Accesses()))
+	for _, ch := range a.Analysis.Chains {
+		layer := a.AccessLayer(ch)
+		wb := a.Platform.Layers[layer].WordBytes
+		words := int64((ch.Array.ElemSize + wb - 1) / wb)
+		for _, ref := range ch.Accesses {
+			sites[ref.Position] = site{
+				copies: chainCopies[ch],
+				layer:  layer,
+				words:  words,
+				energy: float64(words) * a.Platform.AccessEnergy(layer, ref.Access.Kind == model.Write),
+			}
+		}
 	}
 
 	// Drain write copies at block end (the final write-back,
@@ -163,16 +180,12 @@ func Trace(a *assign.Assignment, opts Options) (*Result, error) {
 			drain(cur)
 			cur++
 		}
-		n := ta.Site
-		ch := siteChain[n]
-		for _, cs := range blockChainCopies[ta.Block][ch] {
-			cs.sync(a, ta.Env, res)
+		s := &sites[ta.Position]
+		for _, cs := range s.copies {
+			cs.sync(a, ta.Iters, res)
 		}
-		layer := a.AccessLayer(ch)
-		words := int64((n.Array.ElemSize + a.Platform.Layers[layer].WordBytes - 1) /
-			a.Platform.Layers[layer].WordBytes)
-		res.LayerAccesses[layer] += words
-		res.Energy += float64(words) * a.Platform.AccessEnergy(layer, n.Kind == model.Write)
+		res.LayerAccesses[s.layer] += s.words
+		res.Energy += s.energy
 		return true
 	})
 	if err != nil {
@@ -201,16 +214,17 @@ func Trace(a *assign.Assignment, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// sync brings the copy up to date with the current iterators,
-// counting any resulting transfer.
-func (cs *copyState) sync(a *assign.Assignment, env map[string]int, res *Result) {
+// sync brings the copy up to date with the current iterator values
+// (iters[j] belongs to the chain's Nest[j]: every site of a chain sits
+// in exactly the chain's nest), counting any resulting transfer.
+func (cs *copyState) sync(a *assign.Assignment, iters []int, res *Result) {
 	// Current fixed prefix.
 	changed := -1 // outermost changed loop, -1 = no change
 	if !cs.valid {
 		changed = -2 // first fill
 	}
 	for j := 0; j < cs.level; j++ {
-		v := env[cs.chain.Nest[j].Var]
+		v := iters[j]
 		if cs.valid && cs.prefix[j] != v && changed == -1 {
 			changed = j
 		}
@@ -219,7 +233,7 @@ func (cs *copyState) sync(a *assign.Assignment, env map[string]int, res *Result)
 	if changed == -1 {
 		return
 	}
-	newBox := cs.currentBox(env)
+	newBox := cs.currentBox(iters)
 	var moved int64
 	var class int
 	if changed == -2 {
@@ -265,7 +279,7 @@ func (cs *copyState) transfer(a *assign.Assignment, res *Result, class int, elem
 
 // currentBox computes the bounding box of the chain's access group for
 // the current fixed prefix, sweeping the loops below the copy level.
-func (cs *copyState) currentBox(env map[string]int) box {
+func (cs *copyState) currentBox(iters []int) box {
 	ch := cs.chain
 	rank := ch.Array.Rank()
 	b := box{lo: make([]int, rank), hi: make([]int, rank)}
@@ -277,8 +291,8 @@ func (cs *copyState) currentBox(env map[string]int) box {
 			for _, t := range e.Terms {
 				idx := nestIndex(ch, t.Var)
 				if idx >= 0 && idx < cs.level {
-					lo += t.Coef * env[t.Var]
-					hi += t.Coef * env[t.Var]
+					lo += t.Coef * iters[idx]
+					hi += t.Coef * iters[idx]
 					continue
 				}
 				trip := 1

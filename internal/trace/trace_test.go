@@ -2,9 +2,12 @@ package trace
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"mhla/internal/apps"
 	"mhla/internal/model"
+	"mhla/internal/progen"
 )
 
 // nest builds the two-block test program:
@@ -123,5 +126,153 @@ func TestWalkLimit(t *testing.T) {
 func TestWalkNilProgram(t *testing.T) {
 	if err := Walk(nil, Options{}, func(a *Access) bool { return true }); err == nil {
 		t.Fatal("nil program walked")
+	}
+}
+
+// refAccess is one event of referenceWalk.
+type refAccess struct {
+	Site     *model.Access
+	Block    int
+	Position int
+	Env      map[string]int
+}
+
+// linear is the reference row-major index: every dimension's index
+// expression evaluated over the string-keyed valuation.
+func (a *refAccess) linear() int64 {
+	var idx int64
+	for d, dim := range a.Site.Array.Dims {
+		idx = idx*int64(dim) + int64(a.Site.Index[d].Eval(a.Env))
+	}
+	return idx
+}
+
+// referenceWalk is the map-keyed walk the lowered Walk replaced, kept
+// as its oracle: iterator values live in a map keyed by loop variable,
+// positions come from a map keyed by site, and every index expression
+// is evaluated per access.
+func referenceWalk(p *model.Program, yield func(*refAccess) bool) {
+	pos := make(map[*model.Access]int)
+	for _, ref := range p.Accesses() {
+		pos[ref.Access] = ref.Position
+	}
+	acc := &refAccess{Env: make(map[string]int)}
+	stopped := false
+	var walk func(nodes []model.Node)
+	walk = func(nodes []model.Node) {
+		for _, n := range nodes {
+			switch n := n.(type) {
+			case *model.Loop:
+				for i := 0; i < n.Trip; i++ {
+					acc.Env[n.Var] = i
+					walk(n.Body)
+					if stopped {
+						return
+					}
+				}
+				delete(acc.Env, n.Var)
+			case *model.Access:
+				acc.Site = n
+				acc.Position = pos[n]
+				if !yield(acc) {
+					stopped = true
+					return
+				}
+			}
+		}
+	}
+	for bi, b := range p.Blocks {
+		acc.Block = bi
+		walk(b.Body)
+		if stopped {
+			break
+		}
+	}
+}
+
+// event is one access as both walks report it: site, block, position,
+// linear index and the enclosing iterator values, outermost first.
+type event struct {
+	site   *model.Access
+	block  int
+	pos    int
+	linear int64
+	iters  string
+}
+
+func walkEvents(t *testing.T, p *model.Program, stopAfter int) []event {
+	t.Helper()
+	var got []event
+	err := Walk(p, Options{MaxAccesses: 1 << 40}, func(a *Access) bool {
+		got = append(got, event{a.Site, a.Block, a.Position, a.Linear(), fmt.Sprint(a.Iters)})
+		return len(got) != stopAfter
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+func referenceEvents(p *model.Program, stopAfter int) []event {
+	nests := make(map[int][]*model.Loop)
+	for _, ref := range p.Accesses() {
+		nests[ref.Position] = ref.Nest
+	}
+	var want []event
+	referenceWalk(p, func(a *refAccess) bool {
+		iters := make([]int, len(nests[a.Position]))
+		for j, l := range nests[a.Position] {
+			iters[j] = a.Env[l.Var]
+		}
+		want = append(want, event{a.Site, a.Block, a.Position, a.linear(), fmt.Sprint(iters)})
+		return len(want) != stopAfter
+	})
+	return want
+}
+
+// checkAgainstReference asserts event-by-event equality of Walk and
+// referenceWalk, stopping both after stopAfter events (0 = never).
+func checkAgainstReference(t *testing.T, name string, p *model.Program, stopAfter int) {
+	t.Helper()
+	got, want := walkEvents(t, p, stopAfter), referenceEvents(p, stopAfter)
+	if len(got) != len(want) {
+		t.Fatalf("%s: walk yielded %d accesses, reference %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: access %d = %+v, reference %+v", name, i, got[i], want[i])
+		}
+	}
+}
+
+// TestWalkMatchesReference: the lowered walk reproduces the map-keyed
+// reference on every generated scenario and on the nine applications
+// at test scale.
+func TestWalkMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 220; seed++ {
+		checkAgainstReference(t, fmt.Sprintf("progen seed %d", seed), progen.Generate(seed).Program, 0)
+	}
+	for _, app := range apps.All() {
+		checkAgainstReference(t, app.Name, app.Build(apps.Test), 0)
+	}
+}
+
+// TestWalkEarlyStopMatchesReference: stopping after k accesses yields
+// exactly the reference's first k events, at every k of a small trace
+// (including mid-nest and block boundaries) and at a few k of larger
+// ones.
+func TestWalkEarlyStopMatchesReference(t *testing.T) {
+	p := nest(t)
+	for k := 1; k <= int(p.TotalAccesses()); k++ {
+		checkAgainstReference(t, fmt.Sprintf("nest stop %d", k), p, k)
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		p := progen.Generate(seed).Program
+		total := int(p.TotalAccesses())
+		for _, k := range []int{1, total / 3, total / 2, total - 1} {
+			if k >= 1 {
+				checkAgainstReference(t, fmt.Sprintf("progen seed %d stop %d", seed, k), p, k)
+			}
+		}
 	}
 }
