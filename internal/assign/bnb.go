@@ -534,6 +534,7 @@ func (s *space) tick() {
 	if s.opts.Progress != nil && n&7 == 0 {
 		s.progressMu.Lock()
 		s.opts.Progress(Progress{
+			Phase:     PhaseAssign,
 			Engine:    s.engine,
 			States:    int(s.leaves.Load()),
 			BestScore: math.Float64frombits(s.bestBits.Load()),

@@ -40,7 +40,7 @@ func greedySearch(ctx context.Context, ws *workspace.Workspace, plat *platform.P
 		g.apply(g.best)
 		g.curScore = g.bestScore
 		if opts.Progress != nil {
-			opts.Progress(Progress{Engine: Greedy, States: g.states, Iter: iter + 1, BestScore: g.curScore})
+			opts.Progress(Progress{Phase: PhaseAssign, Engine: Greedy, States: g.states, Iter: iter + 1, BestScore: g.curScore})
 		}
 	}
 	a := g.assignment()

@@ -72,7 +72,7 @@ func oracleGreedySearch(ctx context.Context, ws *workspace.Workspace, plat *plat
 		cur, curCost = best, bestCost
 		curScore = opts.Objective.Score(curCost)
 		if opts.Progress != nil {
-			opts.Progress(Progress{Engine: Greedy, States: states, Iter: iter + 1, BestScore: curScore})
+			opts.Progress(Progress{Phase: PhaseAssign, Engine: Greedy, States: states, Iter: iter + 1, BestScore: curScore})
 		}
 	}
 	return &Result{Assignment: cur, Cost: curCost, States: states, Complete: true, Engine: Greedy}

@@ -150,7 +150,7 @@ func lnsSearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Plat
 			stall++
 		}
 		if opts.Progress != nil && (improvedBest || states&511 == 0) {
-			opts.Progress(Progress{Engine: Stochastic, States: states, Iter: iter + 1, BestScore: bestScore})
+			opts.Progress(Progress{Phase: PhaseAssign, Engine: Stochastic, States: states, Iter: iter + 1, BestScore: bestScore})
 		}
 	}
 

@@ -92,13 +92,30 @@ func (e Engine) normalized() Engine {
 // default it selects).
 func (e Engine) String() string { return string(e.normalized()) }
 
-// Progress is a snapshot of a running search, delivered to the
-// Options.Progress callback (callbacks must be fast and must not
-// retain the snapshot's slices). The greedy engine calls it from the
-// searching goroutine; the parallel exact engines call it from their
-// worker goroutines, serialized, so the callback never runs
-// concurrently with itself.
+// Phase names a stage of the flow for progress reporting.
+type Phase string
+
+const (
+	// PhaseAnalyze is the data-reuse analysis.
+	PhaseAnalyze Phase = "analyze"
+	// PhaseAssign is the layer-assignment search (step 1).
+	PhaseAssign Phase = "assign"
+	// PhaseExtend is the time-extension scheduling (step 2).
+	PhaseExtend Phase = "extend"
+	// PhaseEvaluate is the final operating-point evaluation.
+	PhaseEvaluate Phase = "evaluate"
+)
+
+// Progress is one snapshot of the progress stream delivered to the
+// Options.Progress callback (callbacks must be fast). The flow
+// (internal/core) reports a snapshot carrying only Phase as it enters
+// each phase; the engines report PhaseAssign snapshots with their
+// counters. The greedy engine calls it from the searching goroutine;
+// the parallel exact engines call it from their worker goroutines,
+// serialized, so the callback never runs concurrently with itself.
 type Progress struct {
+	// Phase is the flow stage the snapshot belongs to.
+	Phase Phase
 	// Engine is the running algorithm.
 	Engine Engine
 	// States counts candidate states evaluated so far.
@@ -110,7 +127,7 @@ type Progress struct {
 	BestScore float64
 }
 
-// ProgressFunc receives search progress snapshots.
+// ProgressFunc receives progress snapshots.
 type ProgressFunc func(Progress)
 
 // Options configure the assignment search. The zero value is the
@@ -179,9 +196,10 @@ type Options struct {
 	// may differ, as the budget then cuts a differently-shaped tree).
 	// Greedy and Exhaustive ignore the seed.
 	Incumbent *Assignment
-	// Progress, when non-nil, receives periodic search snapshots:
-	// after every greedy iteration and every few thousand explored
-	// nodes of the exact engines.
+	// Progress, when non-nil, receives the progress stream: the
+	// flow's phase entries (when the search runs inside core.Run) and
+	// the engine's PhaseAssign snapshots, after every greedy iteration
+	// and every few thousand explored nodes of the exact engines.
 	Progress ProgressFunc
 }
 

@@ -79,7 +79,7 @@ func portfolioSearch(ctx context.Context, ws *workspace.Workspace, plat *platfor
 			for _, n := range lastStates {
 				total += n
 			}
-			opts.Progress(Progress{Engine: Portfolio, States: total, Iter: sp.Iter, BestScore: bestSeen})
+			opts.Progress(Progress{Phase: PhaseAssign, Engine: Portfolio, States: total, Iter: sp.Iter, BestScore: bestSeen})
 		}
 	}
 

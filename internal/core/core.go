@@ -33,63 +33,18 @@ import (
 	"mhla/internal/workspace"
 )
 
-// Phase names a stage of the flow for progress reporting.
-type Phase string
-
-const (
-	// PhaseAnalyze is the data-reuse analysis.
-	PhaseAnalyze Phase = "analyze"
-	// PhaseAssign is the layer-assignment search (step 1).
-	PhaseAssign Phase = "assign"
-	// PhaseExtend is the time-extension scheduling (step 2).
-	PhaseExtend Phase = "extend"
-	// PhaseEvaluate is the final operating-point evaluation.
-	PhaseEvaluate Phase = "evaluate"
-)
-
-// Progress is a flow progress snapshot. During PhaseAssign the Search
-// field carries the engine's own progress.
-type Progress struct {
-	Phase  Phase
-	Search assign.Progress
-}
-
-// ProgressFunc receives flow progress snapshots. Callbacks run on the
-// flow's goroutine and must be fast.
-type ProgressFunc func(Progress)
-
-// WireSearchProgress chains a flow-level progress callback onto the
-// search options: the engine's snapshots are forwarded as PhaseAssign
-// flow progress after any callback already configured on the options.
-// Run applies it internally; facade helpers that drive the assignment
-// layer directly (Search, Partition) use it to get the same semantics.
-func WireSearchProgress(s assign.Options, fn ProgressFunc) assign.Options {
-	if fn == nil {
-		return s
-	}
-	inner := s.Progress
-	s.Progress = func(sp assign.Progress) {
-		if inner != nil {
-			inner(sp)
-		}
-		fn(Progress{Phase: PhaseAssign, Search: sp})
-	}
-	return s
-}
-
 // Config configures a Run.
 type Config struct {
 	// Platform is the target architecture (required).
 	Platform *platform.Platform
 	// Search configures the assignment step; the zero value is the
-	// paper configuration (see assign.Options).
+	// paper configuration (see assign.Options). Its Progress callback,
+	// when non-nil, receives the flow's phase entries as well as the
+	// engine's snapshots.
 	Search assign.Options
 	// DisableTE skips the time-extension step even when a DMA engine
 	// exists (the MHLA+TE point then equals MHLA).
 	DisableTE bool
-	// Progress, when non-nil, is invoked as the flow enters each
-	// phase and with the assignment engine's periodic snapshots.
-	Progress ProgressFunc
 }
 
 // Result is the outcome of the full exploration.
@@ -174,13 +129,13 @@ func Begin(ctx context.Context, ws *workspace.Workspace, cfg Config) (*Pending, 
 	}
 	// The analyze phase is entered for a uniform progress stream even
 	// though the compiled analysis makes it instantaneous.
-	if err := cfg.enter(ctx, PhaseAnalyze); err != nil {
+	if err := cfg.enter(ctx, assign.PhaseAnalyze); err != nil {
 		return nil, err
 	}
-	if err := cfg.enter(ctx, PhaseAssign); err != nil {
+	if err := cfg.enter(ctx, assign.PhaseAssign); err != nil {
 		return nil, err
 	}
-	sr, err := assign.Search(ctx, ws, cfg.Platform, WireSearchProgress(cfg.Search, cfg.Progress))
+	sr, err := assign.Search(ctx, ws, cfg.Platform, cfg.Search)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -201,15 +156,15 @@ func Begin(ctx context.Context, ws *workspace.Workspace, cfg Config) (*Pending, 
 }
 
 // enter marks the flow entering a phase: it fails with ctx.Err() once
-// ctx is cancelled and otherwise reports the phase to the progress
-// callback. The context is explicit because the two flow halves
-// (Begin, Finish) may run under different calls.
-func (cfg Config) enter(ctx context.Context, ph Phase) error {
+// ctx is cancelled and otherwise reports the phase to
+// cfg.Search.Progress. The context is explicit because the two flow
+// halves (Begin, Finish) may run under different calls.
+func (cfg Config) enter(ctx context.Context, ph assign.Phase) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if cfg.Progress != nil {
-		cfg.Progress(Progress{Phase: ph})
+	if cfg.Search.Progress != nil {
+		cfg.Search.Progress(assign.Progress{Phase: ph})
 	}
 	return nil
 }
@@ -221,7 +176,7 @@ func (p *Pending) Finish(ctx context.Context) (*Result, error) {
 	cfg, res := p.cfg, p.res
 
 	// Step 2: time extensions.
-	if err := cfg.enter(ctx, PhaseExtend); err != nil {
+	if err := cfg.enter(ctx, assign.PhaseExtend); err != nil {
 		return nil, err
 	}
 	if cfg.DisableTE {
@@ -241,7 +196,7 @@ func (p *Pending) Finish(ctx context.Context) (*Result, error) {
 	}
 
 	// Ideal: every block transfer hidden.
-	if err := cfg.enter(ctx, PhaseEvaluate); err != nil {
+	if err := cfg.enter(ctx, assign.PhaseEvaluate); err != nil {
 		return nil, err
 	}
 	res.Ideal = res.Assignment.Evaluate(assign.EvalOptions{Ideal: true})

@@ -67,9 +67,9 @@ type Sweep struct {
 // DefaultSizes. The program-side analysis is shared read-only by
 // every point. cfg is the per-point flow configuration:
 // cfg.Platform is ignored (the sweep constructs the two-level
-// platform per size), and cfg.Progress and cfg.Search.Progress are
-// serialized across points, so neither callback ever runs
-// concurrently with itself.
+// platform per size), and cfg.Search.Progress, which receives every
+// point's phase entries and engine snapshots, is serialized across
+// points, so it never runs concurrently with itself.
 //
 // cfg.Search.Workers is the sweep's one worker budget (<= 0 means
 // GOMAXPROCS): it sizes the point pool, capped at the point count.
@@ -110,18 +110,7 @@ func Run(ctx context.Context, ws *workspace.Workspace, sizes []int64, cfg core.C
 		sizes = DefaultSizes()
 	}
 	// Per-point flows run on worker goroutines; serialize the
-	// caller's progress callbacks — both the flow-level one and a
-	// search-level one configured on the options — so neither races
-	// with itself.
-	if cfg.Progress != nil {
-		var mu sync.Mutex
-		inner := cfg.Progress
-		cfg.Progress = func(pr core.Progress) {
-			mu.Lock()
-			defer mu.Unlock()
-			inner(pr)
-		}
-	}
+	// caller's progress callback so it never races with itself.
 	if cfg.Search.Progress != nil {
 		var mu sync.Mutex
 		inner := cfg.Search.Progress

@@ -170,25 +170,28 @@ func TestSweepWorkspaceMatchesFreshRuns(t *testing.T) {
 	}
 }
 
-// TestSweepWorkspaceSerializesProgress: both the flow-level and the
-// search-level progress callbacks may mutate unsynchronized caller
-// state; the concurrent sweep must serialize each so it never runs
-// concurrently with itself (exercised under -race in CI).
+// TestSweepWorkspaceSerializesProgress: the progress callback may
+// mutate unsynchronized caller state; the concurrent sweep must
+// serialize it so it never runs concurrently with itself (exercised
+// under -race in CI).
 func TestSweepWorkspaceSerializesProgress(t *testing.T) {
 	sc := scenarioConfig.Generate(2)
 	ws, err := workspace.Compile(sc.Program)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var phases []core.Phase
+	var phases []assign.Phase
 	snaps := 0
 	opts := sweepOptions(sc)
-	opts.Progress = func(assign.Progress) { snaps++ }
+	opts.Progress = func(p assign.Progress) {
+		if p.Engine == "" {
+			phases = append(phases, p.Phase)
+		} else {
+			snaps++
+		}
+	}
 	opts.Workers = 4
-	_, err = explore.Run(context.Background(), ws, sweepSizes, core.Config{
-		Search:   opts,
-		Progress: func(pr core.Progress) { phases = append(phases, pr.Phase) },
-	})
+	_, err = explore.Run(context.Background(), ws, sweepSizes, core.Config{Search: opts})
 	if err != nil {
 		t.Fatal(err)
 	}

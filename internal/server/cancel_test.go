@@ -41,8 +41,8 @@ func abortMidSearch(t *testing.T, endpoint, body string) {
 	srv, ts := newTestServer(t, Config{
 		MaxStates: 2_000_000_000,
 		Progress: func(p mhla.Progress) {
-			if p.Phase == mhla.PhaseAssign && int64(p.Search.States) > maxStates.Load() {
-				maxStates.Store(int64(p.Search.States))
+			if p.Phase == mhla.PhaseAssign && int64(p.States) > maxStates.Load() {
+				maxStates.Store(int64(p.States))
 			}
 		},
 	})

@@ -67,9 +67,12 @@ type serverTask struct {
 }
 
 func (t *serverTask) Run(ctx context.Context, publish func(progress any)) error {
-	progress := mhla.TeeProgress(t.s.cfg.Progress, func(p mhla.Progress) {
+	progress := func(p mhla.Progress) {
+		if t.s.cfg.Progress != nil {
+			t.s.cfg.Progress(p)
+		}
 		publish(progressJSON(p))
-	})
+	}
 	body, apiErr := t.wk.execute(ctx, t.s, progress)
 	if apiErr != nil {
 		// A context error means the job was canceled (or the manager is
@@ -99,11 +102,11 @@ type jobProgressJSON struct {
 func progressJSON(p mhla.Progress) jobProgressJSON {
 	out := jobProgressJSON{Phase: string(p.Phase)}
 	if p.Phase == mhla.PhaseAssign {
-		out.Engine = p.Search.Engine.String()
-		out.States = p.Search.States
-		out.Iter = p.Search.Iter
-		if !math.IsInf(p.Search.BestScore, 0) && !math.IsNaN(p.Search.BestScore) {
-			score := p.Search.BestScore
+		out.Engine = p.Engine.String()
+		out.States = p.States
+		out.Iter = p.Iter
+		if !math.IsInf(p.BestScore, 0) && !math.IsNaN(p.BestScore) {
+			score := p.BestScore
 			out.BestScore = &score
 		}
 	}

@@ -17,8 +17,8 @@ import (
 type work interface {
 	// execute runs the compute stage and returns exactly the bytes the
 	// synchronous endpoint writes on success. progress, when non-nil,
-	// observes the flow (the caller has already chained the server-wide
-	// observer and any per-job publisher via mhla.TeeProgress).
+	// observes the flow (a job's progress also calls the server-wide
+	// observer; see serverTask.Run).
 	execute(ctx context.Context, s *Server, progress mhla.ProgressFunc) ([]byte, *apiError)
 }
 

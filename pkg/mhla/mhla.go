@@ -225,43 +225,18 @@ func WithWorkspace(ws *Workspace) Option {
 	}
 }
 
-// WithProgress streams flow progress: one callback as each phase
-// starts, plus the search engine's periodic snapshots. The callback
-// must be fast. Phase entries and greedy snapshots arrive on the
-// flow's goroutine; the parallel exact engines (BnB, Exhaustive)
-// deliver their snapshots from worker goroutines, serialized, so the
-// callback never runs concurrently with itself but must not assume
-// the caller's goroutine.
+// WithProgress streams progress: one snapshot as each phase of a
+// flow starts, plus the search engine's periodic PhaseAssign
+// snapshots. Run, SweepL1 and Partition deliver both for every flow
+// they run; Search, which runs the assign phase alone, delivers the
+// engine snapshots. The callback must be fast. Phase entries and
+// greedy snapshots arrive on the flow's goroutine; the parallel exact
+// engines (BnB, Exhaustive) and the sweep's point pool deliver from
+// worker goroutines, serialized, so the callback never runs
+// concurrently with itself within one call but must not assume the
+// caller's goroutine.
 func WithProgress(fn ProgressFunc) Option {
-	return func(c *config) { c.Progress = fn }
-}
-
-// TeeProgress fans flow progress snapshots out to several observers:
-// the returned callback forwards each snapshot to every non-nil fn,
-// in argument order and on the caller's goroutine, so the combined
-// callback keeps the same delivery guarantees each fn would have had
-// alone. nil fns are skipped; with zero (or only nil) fns the result
-// is nil, so it composes with code that gates on a nil ProgressFunc.
-// The serving layer uses this to chain its server-wide observer with
-// a per-job progress publisher.
-func TeeProgress(fns ...ProgressFunc) ProgressFunc {
-	var live []ProgressFunc
-	for _, fn := range fns {
-		if fn != nil {
-			live = append(live, fn)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return func(p Progress) {
-		for _, fn := range live {
-			fn(p)
-		}
-	}
+	return func(c *config) { c.Search.Progress = fn }
 }
 
 // Compile builds the compile-once workspace of a program: validation,
@@ -319,7 +294,7 @@ func Search(ctx context.Context, an *Analysis, plat *Platform, opts ...Option) (
 	if plat == nil {
 		plat = cfg.Platform
 	}
-	return assign.Search(ctx, workspace.FromAnalysis(an), plat, cfg.assignOptions())
+	return assign.Search(ctx, workspace.FromAnalysis(an), plat, cfg.Search)
 }
 
 // ParseObjective parses an objective name: "energy", "time" or "edp".
@@ -369,12 +344,4 @@ func ParsePolicy(s string) (Policy, error) {
 		return Refetch, nil
 	}
 	return 0, fmt.Errorf("mhla: unknown policy %q (want slide or refetch)", s)
-}
-
-// assignOptions exposes the accumulated assignment options for the
-// helpers (Search, Partition) that drive the assignment layer
-// directly, wiring the flow-level progress callback into the engine
-// the way core.Run does.
-func (c *config) assignOptions() assign.Options {
-	return core.WireSearchProgress(c.Search, c.Progress)
 }

@@ -3,6 +3,7 @@ package mhla_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -201,7 +202,7 @@ func TestWithProgress(t *testing.T) {
 			var searchSnapshots int
 			opts := append([]mhla.Option{mhla.WithL1(1024),
 				mhla.WithProgress(func(p mhla.Progress) {
-					if p.Search == (mhla.SearchProgress{}) {
+					if p.Engine == "" {
 						phases = append(phases, p.Phase)
 					} else {
 						searchSnapshots++
@@ -353,6 +354,49 @@ func TestSweepOptions(t *testing.T) {
 	}
 }
 
+// TestPartitionProgress: Partition streams the same progress as
+// SweepL1 does for each task's non-zero grid sizes — the four phase
+// entries once per point plus the engine snapshots — and nothing for
+// the zero partition.
+func TestPartitionProgress(t *testing.T) {
+	ctx := context.Background()
+	var tasks []mhla.Task
+	for _, name := range []string{"durbin", "sobel"} {
+		prog, _ := testApp(t, name)
+		tasks = append(tasks, mhla.Task{Name: name, Program: prog})
+	}
+	sizes := []int64{256, 512, 1024} // the non-zero grid of a 1024-byte budget
+	for _, e := range []mhla.Engine{mhla.Greedy, mhla.BnB} {
+		t.Run(string(e), func(t *testing.T) {
+			var got, want []mhla.Progress
+			if _, err := mhla.Partition(ctx, tasks, 1024, mhla.WithWorkers(1), mhla.WithEngine(e),
+				mhla.WithProgress(func(p mhla.Progress) { got = append(got, p) })); err != nil {
+				t.Fatal(err)
+			}
+			for _, task := range tasks {
+				if _, err := mhla.SweepL1(ctx, task.Program, sizes, mhla.WithWorkers(1), mhla.WithEngine(e),
+					mhla.WithProgress(func(p mhla.Progress) { want = append(want, p) })); err != nil {
+					t.Fatal(err)
+				}
+			}
+			phases := map[mhla.Phase]int{}
+			for _, p := range got {
+				if p.Engine == "" {
+					phases[p.Phase]++
+				}
+			}
+			for _, ph := range []mhla.Phase{mhla.PhaseAnalyze, mhla.PhaseAssign, mhla.PhaseExtend, mhla.PhaseEvaluate} {
+				if n := phases[ph]; n != len(tasks)*len(sizes) {
+					t.Errorf("phase %s entered %d times, want %d", ph, n, len(tasks)*len(sizes))
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("Partition progress differs from the per-task sweeps:\n got %v\nwant %v", got, want)
+			}
+		})
+	}
+}
+
 func TestParseHelpers(t *testing.T) {
 	if o, err := mhla.ParseObjective("edp"); err != nil || o != mhla.EDP {
 		t.Errorf("ParseObjective(edp) = %v, %v", o, err)
@@ -371,38 +415,5 @@ func TestParseHelpers(t *testing.T) {
 	}
 	if _, err := mhla.ParsePolicy("bogus"); err == nil {
 		t.Error("ParsePolicy accepted bogus")
-	}
-}
-
-func TestTeeProgress(t *testing.T) {
-	if mhla.TeeProgress() != nil {
-		t.Error("TeeProgress() of nothing should be nil")
-	}
-	if mhla.TeeProgress(nil, nil) != nil {
-		t.Error("TeeProgress of only nil fns should be nil")
-	}
-	var single []mhla.Phase
-	one := func(p mhla.Progress) { single = append(single, p.Phase) }
-	mhla.TeeProgress(nil, one, nil)(mhla.Progress{Phase: mhla.PhaseAssign})
-	if len(single) != 1 || single[0] != mhla.PhaseAssign {
-		t.Errorf("single-fn tee delivered %v", single)
-	}
-	// Fan-out preserves argument order per snapshot.
-	var order []string
-	tee := mhla.TeeProgress(
-		func(p mhla.Progress) { order = append(order, "a:"+string(p.Phase)) },
-		nil,
-		func(p mhla.Progress) { order = append(order, "b:"+string(p.Phase)) },
-	)
-	tee(mhla.Progress{Phase: mhla.PhaseAnalyze})
-	tee(mhla.Progress{Phase: mhla.PhaseExtend})
-	want := []string{"a:analyze", "b:analyze", "a:extend", "b:extend"}
-	if len(order) != len(want) {
-		t.Fatalf("tee delivered %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("tee delivered %v, want %v", order, want)
-		}
 	}
 }

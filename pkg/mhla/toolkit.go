@@ -103,7 +103,7 @@ func Partition(ctx context.Context, tasks []Task, budget int64, opts ...Option) 
 	if cfg.err != nil {
 		return nil, cfg.err
 	}
-	return multitask.Partition(ctx, tasks, budget, cfg.assignOptions())
+	return multitask.Partition(ctx, tasks, budget, cfg.Search)
 }
 
 // Figure2 renders the paper's performance figure for a set of

@@ -74,8 +74,6 @@ type (
 	EngineRun = assign.EngineRun
 	// SearchResult is the outcome of the assignment step alone.
 	SearchResult = assign.Result
-	// SearchProgress is one snapshot of a running assignment search.
-	SearchProgress = assign.Progress
 	// OptionError is the typed rejection of an invalid option or
 	// facade input (negative worker counts, non-positive L1 sizes,
 	// platforms without layers, ...); recover it with errors.As.
@@ -92,11 +90,12 @@ type (
 	// Original point, the way the paper's figures report them.
 	Gains = core.Gains
 	// Phase names a stage of the flow for progress reporting.
-	Phase = core.Phase
-	// Progress is a flow progress snapshot.
-	Progress = core.Progress
-	// ProgressFunc receives flow progress snapshots.
-	ProgressFunc = core.ProgressFunc
+	Phase = assign.Phase
+	// Progress is one progress snapshot: a phase entry, or an engine
+	// snapshot of the assign phase.
+	Progress = assign.Progress
+	// ProgressFunc receives progress snapshots.
+	ProgressFunc = assign.ProgressFunc
 
 	// Sweep is an L1-size trade-off exploration of one program.
 	Sweep = explore.Sweep
@@ -121,10 +120,10 @@ type (
 
 // The flow phases reported through WithProgress.
 const (
-	PhaseAnalyze  = core.PhaseAnalyze
-	PhaseAssign   = core.PhaseAssign
-	PhaseExtend   = core.PhaseExtend
-	PhaseEvaluate = core.PhaseEvaluate
+	PhaseAnalyze  = assign.PhaseAnalyze
+	PhaseAssign   = assign.PhaseAssign
+	PhaseExtend   = assign.PhaseExtend
+	PhaseEvaluate = assign.PhaseEvaluate
 )
 
 // Search objectives.
