@@ -52,7 +52,7 @@ func chainContrib(plat *platform.Platform, policy reuse.Policy, ch *reuse.Chain,
 	if len(layers) > 0 {
 		accessLayer = layers[len(layers)-1]
 	}
-	w := int64((ch.Array.ElemSize + plat.Layers[accessLayer].WordBytes - 1) / plat.Layers[accessLayer].WordBytes)
+	w := plat.Layers[accessLayer].Words(int64(ch.Array.ElemSize))
 	n := ch.AccessesPerExecution()
 	isWrite := ch.Kind == model.Write
 	c.cycles += n * w * plat.AccessCycles(accessLayer, isWrite)

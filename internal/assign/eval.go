@@ -148,7 +148,7 @@ func (a *Assignment) Evaluate(opts EvalOptions) Cost {
 	for _, ch := range a.Analysis.Chains {
 		layer := a.AccessLayer(ch)
 		n := ch.AccessesPerExecution()
-		words := a.accessWords(ch.Array.ElemSize, layer)
+		words := a.Platform.Layers[layer].Words(int64(ch.Array.ElemSize))
 		isWrite := ch.Kind == model.Write
 		cyc := n * words * a.Platform.AccessCycles(layer, isWrite)
 		blocks[ch.BlockIndex].access += cyc
@@ -223,16 +223,9 @@ func (a *Assignment) Evaluate(opts EvalOptions) Cost {
 	return cost
 }
 
-// accessWords returns the word accesses one element access costs on
-// the given layer.
-func (a *Assignment) accessWords(elemSize, layer int) int64 {
-	w := a.Platform.Layers[layer].WordBytes
-	return int64((elemSize + w - 1) / w)
-}
-
-// accessLayerBySite maps every access site to the layer its CPU
+// AccessLayerBySite maps every access site to the layer its CPU
 // accesses hit under this assignment.
-func (a *Assignment) accessLayerBySite() map[*model.Access]int {
+func (a *Assignment) AccessLayerBySite() map[*model.Access]int {
 	m := make(map[*model.Access]int)
 	for _, ch := range a.Analysis.Chains {
 		layer := a.AccessLayer(ch)
@@ -248,7 +241,7 @@ func (a *Assignment) accessLayerBySite() map[*model.Access]int {
 // the program: perLoop holds ONE iteration of every loop — the cycles
 // one time-extension level hides — and perBlock every top-level block.
 func (a *Assignment) BusyCycles() (perLoop map[*model.Loop]int64, perBlock []int64) {
-	sites := a.accessLayerBySite()
+	sites := a.AccessLayerBySite()
 	perLoop = make(map[*model.Loop]int64)
 	var body func(nodes []model.Node) int64
 	body = func(nodes []model.Node) int64 {
@@ -261,7 +254,7 @@ func (a *Assignment) BusyCycles() (perLoop map[*model.Loop]int64, perBlock []int
 				cyc += int64(n.Trip) * it
 			case *model.Access:
 				layer := sites[n]
-				cyc += a.accessWords(n.Array.ElemSize, layer) *
+				cyc += a.Platform.Layers[layer].Words(int64(n.Array.ElemSize)) *
 					a.Platform.AccessCycles(layer, n.Kind == model.Write)
 			case *model.Compute:
 				cyc += n.Cycles

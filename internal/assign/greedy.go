@@ -146,8 +146,7 @@ func newGreedy(ctx context.Context, ws *workspace.Workspace, plat *platform.Plat
 		g.byID[ci] = ci
 		n := ch.AccessesPerExecution()
 		for layer := range plat.Layers {
-			w := int64((ch.Array.ElemSize + plat.Layers[layer].WordBytes - 1) / plat.Layers[layer].WordBytes)
-			g.accessWords[ci*nlayers+layer] = n * w
+			g.accessWords[ci*nlayers+layer] = n * plat.Layers[layer].Words(int64(ch.Array.ElemSize))
 		}
 		for lv := 0; lv <= ch.Depth(); lv++ {
 			g.xferAt = append(g.xferAt, len(g.xfer))

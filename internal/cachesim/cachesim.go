@@ -21,7 +21,7 @@
 // serves misses past the last level. Per demand access:
 //
 //   - every probed cache level charges one word-weighted access at its
-//     layer ((ElemSize+WordBytes-1)/WordBytes words, the analytical
+//     layer (Layer.Words of the element size, the analytical
 //     evaluator's rounding), the innermost level with the demand kind,
 //     deeper probes as reads;
 //   - an access served by the background memory charges a word-weighted
@@ -399,15 +399,9 @@ func newSimState(ws *workspace.Workspace, plat *platform.Platform, cfg Config) *
 	return st
 }
 
-// words is the analytical evaluator's word rounding: CPU accesses are
-// charged per memory word of the layer.
-func words(elemSize, wordBytes int) int64 {
-	return int64((elemSize + wordBytes - 1) / wordBytes)
-}
-
 // price is one word-weighted CPU access at a layer.
 func (st *simState) price(layer, elemSize int, write bool) charge {
-	w := words(elemSize, st.plat.Layers[layer].WordBytes)
+	w := st.plat.Layers[layer].Words(int64(elemSize))
 	return charge{
 		cycles: w * st.plat.AccessCycles(layer, write),
 		energy: float64(w) * st.plat.AccessEnergy(layer, write),

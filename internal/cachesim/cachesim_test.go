@@ -130,8 +130,8 @@ func TestSequentialReads(t *testing.T) {
 	}
 	// Exact pricing: compute + 64 L1 probes + 8 memory accesses +
 	// 8 line fills.
-	w1 := words(4, plat.Layers[0].WordBytes)
-	wbg := words(4, plat.Layers[1].WordBytes)
+	w1 := plat.Layers[0].Words(4)
+	wbg := plat.Layers[1].Words(4)
 	wantCycles := ws.TotalCompute +
 		64*w1*plat.AccessCycles(0, false) +
 		8*wbg*plat.AccessCycles(1, false) +

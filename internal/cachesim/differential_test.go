@@ -41,22 +41,22 @@ func cycleBounds(t *testing.T, ws *workspace.Workspace, plat *platform.Platform,
 		elem := ta.Site.Array.ElemSize
 		write := ta.Site.Kind == model.Write
 		if len(cfg.Levels) == 0 {
-			w := words(elem, plat.Layers[bg].WordBytes)
+			w := plat.Layers[bg].Words(int64(elem))
 			lower += w * plat.AccessCycles(bg, write)
 			upper += w * plat.AccessCycles(bg, write)
 			return true
 		}
-		lower += words(elem, plat.Layers[0].WordBytes) * plat.AccessCycles(0, write)
+		lower += plat.Layers[0].Words(int64(elem)) * plat.AccessCycles(0, write)
 		for i, lv := range cfg.Levels {
 			parent := bg
 			if i+1 < len(cfg.Levels) {
 				parent = i + 1
 			}
-			upper += words(elem, plat.Layers[i].WordBytes) * plat.AccessCycles(i, write && i == 0)
+			upper += plat.Layers[i].Words(int64(elem)) * plat.AccessCycles(i, write && i == 0)
 			upper += plat.TransferCycles(parent, i, int64(lv.LineBytes)) // fill
 			upper += plat.TransferCycles(i, parent, int64(lv.LineBytes)) // eviction write-back
 		}
-		upper += words(elem, plat.Layers[bg].WordBytes) * plat.AccessCycles(bg, write)
+		upper += plat.Layers[bg].Words(int64(elem)) * plat.AccessCycles(bg, write)
 		return true
 	})
 	if err != nil {

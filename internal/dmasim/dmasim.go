@@ -180,7 +180,7 @@ func simulate(a *assign.Assignment, plan *te.Plan) (*Result, error) {
 	}
 
 	iter, _ := a.BusyCycles()
-	sites := accessLayers(a)
+	sites := a.AccessLayerBySite()
 	pool := newChannelPool(dmaChannels(a))
 
 	now := int64(0)
@@ -249,17 +249,6 @@ func dmaChannels(a *assign.Assignment) int {
 	return a.Platform.DMA.Channels
 }
 
-func accessLayers(a *assign.Assignment) map[*model.Access]int {
-	m := make(map[*model.Access]int)
-	for _, ch := range a.Analysis.Chains {
-		layer := a.AccessLayer(ch)
-		for _, ref := range ch.Accesses {
-			m[ref.Access] = layer
-		}
-	}
-	return m
-}
-
 // walker advances virtual time through one block.
 type walker struct {
 	a              *assign.Assignment
@@ -312,8 +301,7 @@ func (w *walker) walkNodes(nodes []model.Node, depth int) {
 			w.vals = w.vals[:depth]
 		case *model.Access:
 			layer := w.sites[n]
-			words := int64((n.Array.ElemSize + w.a.Platform.Layers[layer].WordBytes - 1) /
-				w.a.Platform.Layers[layer].WordBytes)
+			words := w.a.Platform.Layers[layer].Words(int64(n.Array.ElemSize))
 			w.now += words * w.a.Platform.AccessCycles(layer, n.Kind == model.Write)
 		case *model.Compute:
 			w.now += n.Cycles

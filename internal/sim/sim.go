@@ -152,8 +152,7 @@ func Trace(a *assign.Assignment, opts Options) (*Result, error) {
 	sites := make([]site, len(p.Accesses()))
 	for _, ch := range a.Analysis.Chains {
 		layer := a.AccessLayer(ch)
-		wb := a.Platform.Layers[layer].WordBytes
-		words := int64((ch.Array.ElemSize + wb - 1) / wb)
+		words := a.Platform.Layers[layer].Words(int64(ch.Array.ElemSize))
 		for _, ref := range ch.Accesses {
 			sites[ref.Position] = site{
 				copies: chainCopies[ch],
