@@ -30,6 +30,10 @@ type ChainReport struct {
 // contributions plus the program compute cycles and the array init
 // transfers add up to Evaluate's totals (asserted by tests).
 func (a *Assignment) Explain() []ChainReport {
+	moved := make(map[string]int64)
+	for _, st := range a.Streams() {
+		moved[st.ChainID] += st.Count * st.Bytes
+	}
 	var out []ChainReport
 	for _, ch := range a.Analysis.Chains {
 		var lv, ly []int
@@ -38,21 +42,17 @@ func (a *Assignment) Explain() []ChainReport {
 		}
 		c := chainContrib(a.Platform, a.Policy, ch, a.ArrayHome[ch.Array.Name], lv, ly)
 		rep := ChainReport{
-			Chain:       ch.ID,
-			Accesses:    ch.AccessesPerExecution(),
-			AccessLayer: a.Platform.Layers[a.AccessLayer(ch)].Name,
-			Cycles:      c.cycles,
-			EnergyPJ:    c.energy,
+			Chain:         ch.ID,
+			Accesses:      ch.AccessesPerExecution(),
+			AccessLayer:   a.Platform.Layers[a.AccessLayer(ch)].Name,
+			Cycles:        c.cycles,
+			EnergyPJ:      c.energy,
+			TransferBytes: moved[ch.ID],
 		}
 		for i, l := range lv {
 			cand := ch.Candidate(l)
 			rep.Copies = append(rep.Copies,
 				fmt.Sprintf("%d@%s(%dB)", l, a.Platform.Layers[ly[i]].Name, cand.Bytes))
-		}
-		for _, st := range a.Streams() {
-			if st.ChainID == ch.ID {
-				rep.TransferBytes += st.Count * st.Bytes
-			}
 		}
 		out = append(out, rep)
 	}
