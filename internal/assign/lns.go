@@ -3,6 +3,7 @@ package assign
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"time"
 
 	"mhla/internal/platform"
@@ -112,7 +113,7 @@ func lnsSearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Plat
 			perm[j], perm[o] = perm[o], perm[j]
 		}
 		positions = append(positions[:0], perm[:k]...)
-		sortInts(positions)
+		slices.Sort(positions)
 		// Repair: re-decide each position uniformly at random.
 		next = next[:0]
 		for _, p := range positions {
@@ -175,17 +176,6 @@ func curSubset(cur, positions, buf []int) []int {
 		buf = append(buf, cur[p])
 	}
 	return buf
-}
-
-// sortInts sorts a tiny slice in place (insertion sort; positions are
-// at most lnsMaxDestroy long, not worth the sort package's interface
-// overhead in the per-iteration hot path).
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // foldScore folds the complete decision vector's objective score from

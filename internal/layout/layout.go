@@ -65,8 +65,6 @@ func Map(a *assign.Assignment) ([]*LayerMap, error) {
 	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("layout: %w", err)
 	}
-	est := lifetime.NewEstimator(a.Analysis.Program)
-	est.InPlace = a.InPlace
 	var maps []*LayerMap
 	for li := range a.Platform.Layers {
 		if a.Platform.Layers[li].Capacity == 0 {
@@ -77,7 +75,7 @@ func Map(a *assign.Assignment) ([]*LayerMap, error) {
 			Layer:    li,
 			Name:     a.Platform.Layers[li].Name,
 			Capacity: a.Platform.Layers[li].Capacity,
-			Peak:     est.Peak(objs),
+			Peak:     a.PeakUsage(li),
 		}
 		place(m, objs, a.InPlace)
 		maps = append(maps, m)
@@ -147,8 +145,8 @@ func (m *LayerMap) Validate() error {
 			if addrOverlap && timeOverlap {
 				return fmt.Errorf("layout: %s: %s and %s overlap at [%d,%d)x[%d,%d]",
 					m.Name, p.Object.ID, q.Object.ID,
-					max64(p.Offset, q.Offset), min64(p.End(), q.End()),
-					maxInt(p.Object.Start, q.Object.Start), minInt(p.Object.End, q.Object.End))
+					max(p.Offset, q.Offset), min(p.End(), q.End()),
+					max(p.Object.Start, q.Object.Start), min(p.Object.End, q.Object.End))
 			}
 		}
 	}
@@ -175,32 +173,4 @@ func (m *LayerMap) String() string {
 			p.Offset, p.End(), p.Object.ID, p.Object.Start, p.Object.End)
 	}
 	return sb.String()
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

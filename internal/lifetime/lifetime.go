@@ -40,11 +40,6 @@ type Estimator struct {
 	InPlace bool
 }
 
-// NewEstimator returns an in-place estimator for a program.
-func NewEstimator(p *model.Program) *Estimator {
-	return &Estimator{NumBlocks: len(p.Blocks), InPlace: true}
-}
-
 // Profile returns the per-block occupancy in bytes.
 func (e *Estimator) Profile(objects []Object) []int64 {
 	prof := make([]int64, e.NumBlocks)
