@@ -396,6 +396,9 @@ func (m *Manager) Watch(id string) (notify <-chan struct{}, stop func(), ok bool
 	}, true
 }
 
+// Workers returns the size of the worker pool.
+func (m *Manager) Workers() int { return m.cfg.Workers }
+
 // Stats snapshots the manager counters.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()

@@ -258,11 +258,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			// Retry-After derived from the backlog depth and the observed
 			// job drain rate, so clients back off for as long as the
 			// queue ahead of them will actually take.
-			workers := s.cfg.JobWorkers
-			if workers <= 0 {
-				workers = 2 // the job manager's default pool size
-			}
-			hint := retryAfterSeconds(s.jobs.Stats().Queued, s.jobRate.perSec(time.Now()), float64(workers))
+			hint := retryAfterSeconds(s.jobs.Stats().Queued, s.jobRate.perSec(time.Now()), float64(s.jobs.Workers()))
 			(&apiError{status: http.StatusTooManyRequests, code: "backlog_full",
 				msg: "job backlog full; retry later", retryAfter: hint}).write(w)
 			return
