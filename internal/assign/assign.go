@@ -252,9 +252,7 @@ func (a *Assignment) Validate() error {
 // Objects returns the space consumers placed on the given layer, in
 // deterministic order: arrays homed there plus selected copies (with
 // any time-extension extras). The array spans and the base candidate
-// objects come precomputed from the workspace — this used to rerun
-// lifetime.ArraySpans and re-sort the array list on every call, on
-// the hot path of every Fits check.
+// objects come precomputed from the workspace.
 func (a *Assignment) Objects(layer int) []lifetime.Object {
 	var objs []lifetime.Object
 	for i, arr := range a.ws.Arrays {

@@ -8,13 +8,10 @@ import (
 )
 
 // This file holds the mutable, allocation-free inner-loop state of the
-// exact search engines (bnb.go). The engines used to deep-clone the
-// whole Assignment at every child node and rebuild each layer's
-// lifetime profile from scratch inside Fits; searchState instead
-// applies one decision at a time against incremental per-layer
-// occupancy trackers and undoes it on backtrack, so the steady-state
-// DFS allocates nothing. A full Assignment is materialized only at
-// improved leaves.
+// exact search engines (bnb.go): searchState applies one decision at a
+// time against incremental per-layer occupancy trackers and undoes it
+// on backtrack, so the steady-state DFS allocates nothing. A full
+// Assignment is materialized only at improved leaves.
 
 // objDesc is one precomputed space consumer of a chain decision: the
 // layer it occupies plus the ready-made lifetime object (ID string,
@@ -27,8 +24,7 @@ type objDesc struct {
 
 // optionKey encodes a chain selection (levels, layers) as a compact
 // string key, so the enumerated options of a chain can be indexed by a
-// map instead of compared pairwise (hasOption used to linear-scan with
-// slice equality per greedy-seed check).
+// map.
 func optionKey(levels, layers []int) string {
 	var b strings.Builder
 	for i := range levels {

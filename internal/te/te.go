@@ -249,10 +249,6 @@ func setExtra(work *assign.Assignment, occ *assign.Occupancy, st *Stream, ex ass
 //     copy's level — the parent's content would not be current yet;
 //   - otherwise the initiation may cross loops LoopIndex down to the
 //     parent level (or 0 for fetches from the array home).
-//
-// The dependence table (WriterBlocks) and the chain index come from
-// the compile-once workspace; they used to be recomputed per Extend
-// call (and the chain resolved by a linear scan per stream).
 func freedomLoops(ws *workspace.Workspace, st *Stream, opts Options) []int {
 	if st.LoopIndex < 0 {
 		return nil

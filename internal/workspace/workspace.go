@@ -1,16 +1,11 @@
 // Package workspace holds the compile-once, platform-independent
 // analysis of one program: everything the MHLA flow derives from the
 // application model alone, independent of the target platform and of
-// the search options. The paper's purpose is a *thorough trade-off
-// exploration across memory layer sizes* — but every sweep point and
-// every batch job used to recompute the reuse analysis, the array
-// lifetime spans, the per-candidate lifetime objects and the
-// dependence tables from scratch, even though none of them depend on
-// the platform. Compiling them once into an immutable Workspace and
-// threading that through assign/te/core/explore applies the paper's
-// own "prefetch the reusable part once" discipline to the tool's hot
-// path; only platform-dependent factors (layer capacities, access and
-// transfer costs) remain per-run.
+// the search options: the reuse analysis, the array lifetime spans,
+// the per-candidate lifetime objects, the dependence tables and the
+// per-block compute cycles. Every sweep point and batch job reads them
+// from one Workspace; only platform-dependent factors (layer
+// capacities, access and transfer costs) remain per-run.
 //
 // A Workspace is immutable after Compile/FromAnalysis and safe to
 // share across goroutines: the concurrent sweep in internal/explore
@@ -74,9 +69,7 @@ type Workspace struct {
 	WriterBlocks map[string][]int
 
 	// BlockCompute[bi] is the pure-compute cycle count of block bi;
-	// TotalCompute is their sum. Both are pure functions of the
-	// program that Evaluate and the exact engines used to re-derive by
-	// walking every loop body per call.
+	// TotalCompute is their sum.
 	BlockCompute []int64
 	TotalCompute int64
 
