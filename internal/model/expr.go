@@ -35,10 +35,27 @@ func IdxC(coef int, v string) Expr {
 	return Expr{Terms: []Term{{Var: v, Coef: coef}}}
 }
 
-// Affine builds const + sum(terms), normalizing the result.
+// Affine builds const + sum(terms), normalizing the result. Terms
+// already in normal form (sorted by name, no duplicates, no zero
+// coefficients) — the form every encoded expression carries — are
+// copied as they are.
 func Affine(c int, terms ...Term) Expr {
 	e := Expr{Const: c, Terms: append([]Term(nil), terms...)}
+	if normal(terms) {
+		return e
+	}
 	return e.normalize()
+}
+
+// normal reports whether terms are sorted by strictly increasing name
+// with no zero coefficient.
+func normal(terms []Term) bool {
+	for i, t := range terms {
+		if t.Coef == 0 || i > 0 && terms[i-1].Var >= t.Var {
+			return false
+		}
+	}
+	return true
 }
 
 // normalize sorts terms, merges duplicates and drops zero

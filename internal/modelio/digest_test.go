@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"testing"
 
+	"mhla/internal/apps"
+	"mhla/internal/model"
 	"mhla/internal/progen"
 )
 
@@ -95,5 +97,38 @@ func TestProgramDigestSensitive(t *testing.T) {
 	other := progen.Generate(6).Program
 	if got, _ := ProgramDigest(other); got == want {
 		t.Fatal("distinct programs collided")
+	}
+}
+
+// TestProgramDigestAllocsIndependentOfSize: ProgramDigest costs the
+// same allocations for a small progen program as for paper-scale
+// qsdpcm, whose canonical encoding is many times larger.
+func TestProgramDigestAllocsIndependentOfSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	app, err := apps.ByName("qsdpcm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, large := progen.Generate(1).Program, app.Build(apps.Paper)
+	allocs := func(p *model.Program) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, err := ProgramDigest(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	smallData, err := Canonical(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	largeData, err := Canonical(large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := allocs(large), allocs(small); got != want {
+		t.Fatalf("ProgramDigest allocates %v times for qsdpcm (%d B) and %v for progen 1 (%d B)",
+			got, len(largeData), want, len(smallData))
 	}
 }

@@ -86,61 +86,34 @@ type termJSON struct {
 	Coef int    `json:"coef"`
 }
 
-// EncodeProgram renders a program as indented JSON.
+// EncodeProgram renders a program as indented JSON, the canonical
+// encoding (see Canonical).
 func EncodeProgram(p *model.Program) ([]byte, error) {
-	pj := programJSON{Name: p.Name}
-	for _, a := range p.Arrays {
-		pj.Arrays = append(pj.Arrays, arrayJSON{
-			Name: a.Name, ElemSize: a.ElemSize, Dims: a.Dims,
-			Input: a.Input, Output: a.Output,
-		})
-	}
-	for _, b := range p.Blocks {
-		body, err := encodeNodes(b.Body)
-		if err != nil {
-			return nil, fmt.Errorf("modelio: block %q: %w", b.Name, err)
-		}
-		pj.Blocks = append(pj.Blocks, blockJSON{Name: b.Name, Body: body})
-	}
-	return json.MarshalIndent(pj, "", "  ")
+	return appendProgram(nil, p)
 }
 
-func encodeNodes(nodes []model.Node) ([]nodeJSON, error) {
-	out := make([]nodeJSON, 0, len(nodes))
-	for _, n := range nodes {
-		switch n := n.(type) {
-		case *model.Loop:
-			body, err := encodeNodes(n.Body)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, nodeJSON{Loop: &loopJSON{Var: n.Var, Trip: n.Trip, Body: body}})
-		case *model.Access:
-			aj := &accessJSON{Array: n.Array.Name}
-			for _, e := range n.Index {
-				ej := exprJSON{Const: e.Const}
-				for _, t := range e.Terms {
-					ej.Terms = append(ej.Terms, termJSON{Var: t.Var, Coef: t.Coef})
-				}
-				aj.Index = append(aj.Index, ej)
-			}
-			if n.Kind == model.Read {
-				out = append(out, nodeJSON{Load: aj})
-			} else {
-				out = append(out, nodeJSON{Store: aj})
-			}
-		case *model.Compute:
-			c := n.Cycles
-			out = append(out, nodeJSON{Compute: &c})
-		default:
-			return nil, fmt.Errorf("unknown node type %T", n)
-		}
-	}
-	return out, nil
-}
-
-// DecodeProgram parses and validates a program.
+// DecodeProgram parses and validates a program. Input in the strict
+// subset the scanner reads (see scanner) is decoded in one pass; any
+// other input goes through encoding/json, so both paths accept the same
+// programs, decode them to the same value and reject the rest with the
+// same errors.
 func DecodeProgram(data []byte) (*model.Program, error) {
+	p, ok := scanProgram(data)
+	if !ok {
+		var err error
+		if p, err = unmarshalProgram(data); err != nil {
+			return nil, err
+		}
+	}
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("modelio: %w", err)
+	}
+	return p, nil
+}
+
+// unmarshalProgram decodes a program with encoding/json and builds the
+// model, without validating it.
+func unmarshalProgram(data []byte) (*model.Program, error) {
 	var pj programJSON
 	if err := json.Unmarshal(data, &pj); err != nil {
 		return nil, fmt.Errorf("modelio: %w", err)
@@ -158,9 +131,6 @@ func DecodeProgram(data []byte) (*model.Program, error) {
 			return nil, fmt.Errorf("modelio: block %q: %w", bj.Name, err)
 		}
 		p.AddBlock(bj.Name, body...)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("modelio: %w", err)
 	}
 	return p, nil
 }
@@ -231,14 +201,18 @@ func EncodePlatform(p *platform.Platform) ([]byte, error) {
 	return json.MarshalIndent(p, "", "  ")
 }
 
-// DecodePlatform parses and validates a platform.
+// DecodePlatform parses and validates a platform, through the scanner
+// or encoding/json as DecodeProgram does.
 func DecodePlatform(data []byte) (*platform.Platform, error) {
-	var p platform.Platform
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("modelio: %w", err)
+	p, ok := scanPlatform(data)
+	if !ok {
+		p = new(platform.Platform)
+		if err := json.Unmarshal(data, p); err != nil {
+			return nil, fmt.Errorf("modelio: %w", err)
+		}
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("modelio: %w", err)
 	}
-	return &p, nil
+	return p, nil
 }

@@ -99,9 +99,11 @@ type jobProgressJSON struct {
 	BestScore *float64 `json:"best_score,omitempty"`
 }
 
+// progressJSON renders a snapshot. A phase entry (the snapshot that
+// opens a phase, before any engine reports) carries only its phase.
 func progressJSON(p mhla.Progress) jobProgressJSON {
 	out := jobProgressJSON{Phase: string(p.Phase)}
-	if p.Phase == mhla.PhaseAssign {
+	if p.Phase == mhla.PhaseAssign && p.Engine != "" {
 		out.Engine = p.Engine.String()
 		out.States = p.States
 		out.Iter = p.Iter

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mhla/pkg/mhla"
 )
 
 // postJob POSTs a JSON body with an optional API key (the tenant
@@ -519,6 +521,48 @@ func TestJobEventsStream(t *testing.T) {
 	srv.Close()
 	ts.Close()
 	checkNoLeaks(t, srv, baseline)
+}
+
+// TestJobProgressPhaseEntry: the snapshot that opens the assign phase,
+// before any engine reports, is published as {"phase":"assign"}, so a
+// BnB sweep job never claims the greedy engine or a best score of 0;
+// every engine snapshot names bnb.
+func TestJobProgressPhaseEntry(t *testing.T) {
+	var mu sync.Mutex
+	var seen []mhla.Progress
+	_, ts := newTestServer(t, Config{JobWorkers: 1, Progress: func(p mhla.Progress) {
+		mu.Lock()
+		seen = append(seen, p)
+		mu.Unlock()
+	}})
+	env := submitJob(t, ts.URL, "sweep", `{"app":"durbin","scale":"test","engine":"bnb"}`, "alice", 5)
+	waitJobState(t, ts.URL, env.ID, "done")
+	mu.Lock()
+	defer mu.Unlock()
+	entries, snapshots := 0, 0
+	for _, p := range seen {
+		if p.Phase != mhla.PhaseAssign {
+			continue
+		}
+		raw, err := json.Marshal(progressJSON(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Engine == "" {
+			entries++
+			if string(raw) != `{"phase":"assign"}` {
+				t.Errorf("phase entry published as %s", raw)
+			}
+			continue
+		}
+		snapshots++
+		if !strings.HasPrefix(string(raw), `{"phase":"assign","engine":"bnb"`) {
+			t.Errorf("engine snapshot published as %s", raw)
+		}
+	}
+	if entries == 0 || snapshots == 0 {
+		t.Fatalf("%d assign phase entries and %d engine snapshots, want both", entries, snapshots)
+	}
 }
 
 // TestJobProgressSnapshots: a long search publishes engine progress
