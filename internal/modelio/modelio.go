@@ -27,7 +27,10 @@
 //	}
 //
 // Platforms marshal directly (all platform fields are exported); the
-// helpers here add validation on decode.
+// helpers here add validation on decode. Both decoders read the common
+// case in one pass with a strict scanner and leave everything else to
+// encoding/json (see scanner); Canonical and ProgramDigest write the
+// program encoding directly from the model.
 package modelio
 
 import (

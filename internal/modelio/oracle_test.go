@@ -149,6 +149,26 @@ func TestEncodeProgramMatchesOracleEdgeCases(t *testing.T) {
 	}
 }
 
+// TestEncodeProgramErrorMatchesOracle: a node of no known type fails
+// the writer with the oracle's error, and the digest with the error
+// the round-trip digest used to return.
+func TestEncodeProgramErrorMatchesOracle(t *testing.T) {
+	p := &model.Program{Name: "p", Blocks: []*model.Block{
+		{Name: "ok", Body: []model.Node{&model.Compute{Cycles: 1}}},
+		{Name: "bad", Body: []model.Node{&model.Loop{Var: "i", Trip: 2, Body: []model.Node{nil}}}},
+	}}
+	_, want := encodeProgramOracle(p)
+	if want == nil {
+		t.Fatal("oracle accepted a nil node")
+	}
+	if _, err := EncodeProgram(p); err == nil || err.Error() != want.Error() {
+		t.Fatalf("EncodeProgram error %v, oracle %v", err, want)
+	}
+	if _, err := ProgramDigest(p); err == nil || err.Error() != "modelio: canonicalize: "+want.Error() {
+		t.Fatalf("ProgramDigest error %v, want canonicalize: %v", err, want)
+	}
+}
+
 func checkEncodeOracle(t *testing.T, p *model.Program) {
 	t.Helper()
 	want, err := encodeProgramOracle(p)

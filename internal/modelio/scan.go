@@ -35,10 +35,8 @@ type scanner struct {
 	// names interns identifiers: a program repeats a few loop
 	// variables many times.
 	names []string
-	// arrays are the program's declared arrays, byName indexes them
-	// once there are many.
-	arrays []*model.Array
-	byName map[string]*model.Array
+	// arrays indexes the program's declared arrays by name.
+	arrays map[string]*model.Array
 	// Pending list elements, stacks shared by nested lists.
 	nodes []model.Node
 	exprs []model.Expr
@@ -52,9 +50,6 @@ const (
 	// maxLoopDepth bounds loop nesting, well inside encoding/json's
 	// nesting limit (three JSON levels per loop).
 	maxLoopDepth = 1000
-	// linearArrays is the declared-array count up to which an access
-	// resolves its array by a linear scan.
-	linearArrays = 16
 )
 
 var scanners = sync.Pool{New: func() any { return new(scanner) }}
@@ -89,9 +84,8 @@ func (s *scanner) reset() {
 	clear(s.nodes)
 	clear(s.exprs)
 	clear(s.terms)
-	clear(s.byName)
+	clear(s.arrays)
 	s.names, s.nodes, s.exprs, s.terms, s.ints = s.names[:0], s.nodes[:0], s.exprs[:0], s.terms[:0], s.ints[:0]
-	s.arrays = nil
 	scanners.Put(s)
 }
 
@@ -129,47 +123,62 @@ func (s *scanner) literal(lit string) bool {
 	return false
 }
 
-// member reads the next key of an object whose opening brace is
-// consumed; first says no member has been read yet. It reports end at
-// the closing brace.
-func (s *scanner) member(first bool) (key []byte, end, ok bool) {
-	s.space()
-	if s.pos >= len(s.data) {
-		return nil, false, false
+// object reads an object whose keys are all in keys, each at most
+// once, calling member with each key's index to read its value. The
+// member functions callers pass do not escape, so they allocate
+// nothing.
+func (s *scanner) object(keys []string, member func(i int) bool) bool {
+	if !s.eat('{') {
+		return false
 	}
-	switch c := s.data[s.pos]; {
-	case c == '}':
-		s.pos++
-		return nil, true, true
-	case !first:
-		if c != ',' {
-			return nil, false, false
+	var seen uint16
+	for first := true; ; first = false {
+		if s.eat('}') {
+			return true
 		}
-		s.pos++
+		if !first && !s.eat(',') {
+			return false
+		}
+		key, ok := s.str()
+		if !ok || !s.eat(':') {
+			return false
+		}
+		i := 0
+		for i < len(keys) && keys[i] != string(key) {
+			i++
+		}
+		if i == len(keys) || seen&(1<<i) != 0 || !member(i) {
+			return false
+		}
+		seen |= 1 << i
 	}
-	key, ok = s.str()
-	return key, false, ok && s.eat(':')
 }
 
-// element reports whether another element follows in a list whose
-// opening bracket is consumed, consuming its separator; first says no
-// element has been read yet.
-func (s *scanner) element(first bool) (more, ok bool) {
-	s.space()
-	if s.pos >= len(s.data) {
-		return false, false
+// list reads a list, calling elem to read each element.
+func (s *scanner) list(elem func() bool) bool {
+	if !s.eat('[') {
+		return false
 	}
-	switch c := s.data[s.pos]; {
-	case c == ']':
-		s.pos++
-		return false, true
-	case !first:
-		if c != ',' {
-			return false, false
+	for first := true; ; first = false {
+		if s.eat(']') {
+			return true
 		}
-		s.pos++
+		if !first && !s.eat(',') || !elem() {
+			return false
+		}
 	}
-	return true, true
+}
+
+// pop returns a copy of the elements pushed onto a stack since it was
+// base long, or nil if there are none, and truncates the stack.
+func pop[T any](stack *[]T, base int) []T {
+	if len(*stack) == base {
+		return nil
+	}
+	out := slices.Clone((*stack)[base:])
+	clear((*stack)[base:])
+	*stack = (*stack)[:base]
+	return out
 }
 
 // str reads a string of ASCII without escapes or control characters
@@ -304,543 +313,280 @@ func (s *scanner) bool() (bool, bool) {
 	return false, s.literal("false")
 }
 
-// field reads the next member key of an object whose opening brace is
-// consumed and returns its index in keys, or -1 at the closing brace;
-// first says no member has been read yet. A key outside keys, or one
-// already recorded in seen, is not ok.
-func (s *scanner) field(first bool, keys []string, seen *uint16) (int, bool) {
-	key, end, ok := s.member(first)
-	if !ok || end {
-		return -1, ok
-	}
-	for i, k := range keys {
-		if k == string(key) {
-			bit := uint16(1) << i
-			if *seen&bit != 0 {
-				return 0, false
-			}
-			*seen |= bit
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-var programKeys = []string{"name", "arrays", "blocks"}
+var (
+	programKeys = []string{"name", "arrays", "blocks"}
+	arrayKeys   = []string{"name", "elem_size", "dims", "input", "output"}
+	blockKeys   = []string{"name", "body"}
+	nodeKeys    = []string{"loop", "load", "store", "compute"}
+	loopKeys    = []string{"var", "trip", "body"}
+	accessKeys  = []string{"array", "index"}
+	exprKeys    = []string{"const", "terms"}
+	termKeys    = []string{"var", "coef"}
+)
 
 func (s *scanner) program() (*model.Program, bool) {
-	if !s.eat('{') {
-		return nil, false
-	}
 	p := &model.Program{}
-	var seen uint16
-	for first := true; ; first = false {
-		i, ok := s.field(first, programKeys, &seen)
-		switch {
-		case !ok:
-		case i < 0:
-			return p, true
-		case i == 0:
+	arrays := false
+	ok := s.object(programKeys, func(i int) (ok bool) {
+		switch i {
+		case 0:
 			p.Name, ok = s.name()
-		case i == 1:
-			ok = s.arrayList(p)
-		default:
-			ok = seen&2 != 0 && s.blockList(p) // arrays come first
+		case 1:
+			arrays, ok = true, s.arrayList(p)
+		default: // blocks, which may name only arrays already read
+			ok = arrays && s.list(func() bool {
+				b, ok := s.block()
+				p.Blocks = append(p.Blocks, b)
+				return ok
+			})
 		}
-		if !ok {
-			return nil, false
-		}
-	}
+		return ok
+	})
+	return p, ok
 }
 
+// arrayList reads the arrays and indexes them by name, the last one
+// where several share a name, as the encoding/json path's map does.
 func (s *scanner) arrayList(p *model.Program) bool {
-	if !s.eat('[') {
-		return false
+	if s.arrays == nil {
+		s.arrays = make(map[string]*model.Array)
 	}
-	for first := true; ; first = false {
-		more, ok := s.element(first)
-		if !ok {
-			return false
-		}
-		if !more {
-			break
-		}
+	return s.list(func() bool {
 		a, ok := s.array()
-		if !ok {
-			return false
-		}
 		p.Arrays = append(p.Arrays, a)
-	}
-	s.arrays = p.Arrays
-	if len(s.arrays) > linearArrays {
-		if s.byName == nil {
-			s.byName = make(map[string]*model.Array, len(s.arrays))
-		}
-		for _, a := range s.arrays {
-			s.byName[a.Name] = a
-		}
-	}
-	return true
+		s.arrays[a.Name] = a
+		return ok
+	})
 }
-
-var arrayKeys = []string{"name", "elem_size", "dims", "input", "output"}
 
 func (s *scanner) array() (*model.Array, bool) {
-	if !s.eat('{') {
-		return nil, false
-	}
 	a := &model.Array{}
-	var seen uint16
-	for first := true; ; first = false {
-		i, ok := s.field(first, arrayKeys, &seen)
-		switch {
-		case !ok:
-		case i < 0:
-			return a, true
-		case i == 0:
+	ok := s.object(arrayKeys, func(i int) (ok bool) {
+		switch i {
+		case 0:
 			a.Name, ok = s.name()
-		case i == 1:
+		case 1:
 			a.ElemSize, ok = s.int()
-		case i == 2:
-			a.Dims, ok = s.dims()
-		case i == 3:
+		case 2: // an empty list decodes to nil, as Program.NewArray copies it
+			base := len(s.ints)
+			ok = s.list(func() bool {
+				d, ok := s.int()
+				s.ints = append(s.ints, d)
+				return ok
+			})
+			a.Dims = pop(&s.ints, base)
+		case 3:
 			a.Input, ok = s.bool()
 		default:
 			a.Output, ok = s.bool()
 		}
-		if !ok {
-			return nil, false
-		}
-	}
+		return ok
+	})
+	return a, ok
 }
-
-// dims reads a list of integers; an empty list decodes to nil, as
-// Program.NewArray copies it.
-func (s *scanner) dims() ([]int, bool) {
-	if !s.eat('[') {
-		return nil, false
-	}
-	s.ints = s.ints[:0]
-	for first := true; ; first = false {
-		more, ok := s.element(first)
-		if !ok {
-			return nil, false
-		}
-		if !more {
-			break
-		}
-		d, ok := s.int()
-		if !ok {
-			return nil, false
-		}
-		s.ints = append(s.ints, d)
-	}
-	if len(s.ints) == 0 {
-		return nil, true
-	}
-	return slices.Clone(s.ints), true
-}
-
-func (s *scanner) blockList(p *model.Program) bool {
-	if !s.eat('[') {
-		return false
-	}
-	for first := true; ; first = false {
-		more, ok := s.element(first)
-		if !ok {
-			return false
-		}
-		if !more {
-			return true
-		}
-		b, ok := s.block()
-		if !ok {
-			return false
-		}
-		p.Blocks = append(p.Blocks, b)
-	}
-}
-
-var blockKeys = []string{"name", "body"}
 
 func (s *scanner) block() (*model.Block, bool) {
-	if !s.eat('{') {
-		return nil, false
-	}
 	b := &model.Block{}
-	var seen uint16
-	for first := true; ; first = false {
-		i, ok := s.field(first, blockKeys, &seen)
-		switch {
-		case !ok:
-		case i < 0:
-			return b, true
-		case i == 0:
+	ok := s.object(blockKeys, func(i int) (ok bool) {
+		if i == 0 {
 			b.Name, ok = s.name()
-		default:
+		} else {
 			b.Body, ok = s.body()
 		}
-		if !ok {
-			return nil, false
-		}
-	}
+		return ok
+	})
+	return b, ok
 }
 
 // body reads a list of nodes; an empty list decodes to nil.
 func (s *scanner) body() ([]model.Node, bool) {
-	if !s.eat('[') {
-		return nil, false
-	}
 	base := len(s.nodes)
-	for first := true; ; first = false {
-		more, ok := s.element(first)
-		if !ok {
-			return nil, false
-		}
-		if !more {
-			break
-		}
+	ok := s.list(func() bool {
 		n, ok := s.node()
-		if !ok {
-			return nil, false
-		}
 		s.nodes = append(s.nodes, n)
-	}
-	var body []model.Node
-	if len(s.nodes) > base {
-		body = slices.Clone(s.nodes[base:])
-		clear(s.nodes[base:])
-		s.nodes = s.nodes[:base]
-	}
-	return body, true
+		return ok
+	})
+	return pop(&s.nodes, base), ok
 }
-
-var nodeKeys = []string{"loop", "load", "store", "compute"}
 
 // node reads a node object with exactly one member.
 func (s *scanner) node() (model.Node, bool) {
-	if !s.eat('{') {
-		return nil, false
-	}
-	var seen uint16
-	i, ok := s.field(true, nodeKeys, &seen)
-	if !ok || i < 0 {
-		return nil, false
-	}
 	var n model.Node
-	switch i {
-	case 0:
-		n, ok = s.loop()
-	case 1:
-		n, ok = s.access(model.Read)
-	case 2:
-		n, ok = s.access(model.Write)
-	default:
-		var c int64
-		c, ok = s.int64()
-		n = &model.Compute{Cycles: c}
-	}
-	if !ok || !s.eat('}') {
-		return nil, false
-	}
-	return n, true
+	members := 0
+	ok := s.object(nodeKeys, func(i int) (ok bool) {
+		members++
+		switch i {
+		case 0:
+			n, ok = s.loop()
+		case 1:
+			n, ok = s.access(model.Read)
+		case 2:
+			n, ok = s.access(model.Write)
+		default:
+			var c int64
+			c, ok = s.int64()
+			n = &model.Compute{Cycles: c}
+		}
+		return ok
+	})
+	return n, ok && members == 1
 }
 
-var loopKeys = []string{"var", "trip", "body"}
-
 func (s *scanner) loop() (*model.Loop, bool) {
-	if s.loops == maxLoopDepth || !s.eat('{') {
+	if s.loops == maxLoopDepth {
 		return nil, false
 	}
 	s.loops++
 	l := &model.Loop{}
-	var seen uint16
-	for first := true; ; first = false {
-		i, ok := s.field(first, loopKeys, &seen)
-		switch {
-		case !ok:
-		case i < 0:
-			s.loops--
-			return l, true
-		case i == 0:
+	ok := s.object(loopKeys, func(i int) (ok bool) {
+		switch i {
+		case 0:
 			l.Var, ok = s.name()
-		case i == 1:
+		case 1:
 			l.Trip, ok = s.int()
 		default:
 			l.Body, ok = s.body()
 		}
-		if !ok {
-			return nil, false
-		}
-	}
+		return ok
+	})
+	s.loops--
+	return l, ok
 }
-
-var accessKeys = []string{"array", "index"}
 
 func (s *scanner) access(kind model.AccessKind) (*model.Access, bool) {
-	if !s.eat('{') {
-		return nil, false
-	}
 	acc := &model.Access{Kind: kind}
 	var array []byte
-	var seen uint16
-	for first := true; ; first = false {
-		i, ok := s.field(first, accessKeys, &seen)
-		switch {
-		case !ok:
-		case i < 0:
-			acc.Array = s.lookup(array)
-			return acc, acc.Array != nil
-		case i == 0:
+	ok := s.object(accessKeys, func(i int) (ok bool) {
+		if i == 0 {
 			array, ok = s.str()
-		default:
+		} else {
 			acc.Index, ok = s.index()
 		}
-		if !ok {
-			return nil, false
-		}
-	}
-}
-
-// lookup returns the declared array of the given name, the last one
-// if several share it (as the encoding/json path's name map keeps).
-func (s *scanner) lookup(name []byte) *model.Array {
-	if len(s.arrays) > linearArrays {
-		return s.byName[string(name)]
-	}
-	for i := len(s.arrays) - 1; i >= 0; i-- {
-		if s.arrays[i].Name == string(name) {
-			return s.arrays[i]
-		}
-	}
-	return nil
+		return ok
+	})
+	acc.Array = s.arrays[string(array)]
+	return acc, ok && acc.Array != nil
 }
 
 // index reads a list of expressions; an empty list decodes to nil.
 func (s *scanner) index() ([]model.Expr, bool) {
-	if !s.eat('[') {
-		return nil, false
-	}
 	base := len(s.exprs)
-	for first := true; ; first = false {
-		more, ok := s.element(first)
-		if !ok {
-			return nil, false
-		}
-		if !more {
-			break
-		}
+	ok := s.list(func() bool {
 		e, ok := s.expr()
-		if !ok {
-			return nil, false
-		}
 		s.exprs = append(s.exprs, e)
-	}
-	var index []model.Expr
-	if len(s.exprs) > base {
-		index = slices.Clone(s.exprs[base:])
-		clear(s.exprs[base:])
-		s.exprs = s.exprs[:base]
-	}
-	return index, true
+		return ok
+	})
+	return pop(&s.exprs, base), ok
 }
-
-var exprKeys = []string{"const", "terms"}
 
 // expr reads an expression object and normalizes it with model.Affine,
 // as the encoding/json path does.
 func (s *scanner) expr() (model.Expr, bool) {
-	if !s.eat('{') {
-		return model.Expr{}, false
-	}
 	var c int
 	base := len(s.terms)
-	var seen uint16
-	for first := true; ; first = false {
-		i, ok := s.field(first, exprKeys, &seen)
-		switch {
-		case !ok:
-		case i < 0:
-			e := model.Affine(c, s.terms[base:]...)
-			clear(s.terms[base:])
-			s.terms = s.terms[:base]
-			return e, true
-		case i == 0:
+	ok := s.object(exprKeys, func(i int) (ok bool) {
+		if i == 0 {
 			c, ok = s.int()
-		default:
-			ok = s.termList()
+			return ok
 		}
-		if !ok {
-			return model.Expr{}, false
-		}
-	}
-}
-
-var termKeys = []string{"var", "coef"}
-
-// termList pushes a list of terms onto s.terms.
-func (s *scanner) termList() bool {
-	if !s.eat('[') {
-		return false
-	}
-	for first := true; ; first = false {
-		more, ok := s.element(first)
-		if !ok {
-			return false
-		}
-		if !more {
-			return true
-		}
-		t, ok := s.term()
-		if !ok {
-			return false
-		}
-		s.terms = append(s.terms, t)
-	}
+		return s.list(func() bool {
+			t, ok := s.term()
+			s.terms = append(s.terms, t)
+			return ok
+		})
+	})
+	e := model.Affine(c, s.terms[base:]...)
+	clear(s.terms[base:])
+	s.terms = s.terms[:base]
+	return e, ok
 }
 
 func (s *scanner) term() (model.Term, bool) {
-	if !s.eat('{') {
-		return model.Term{}, false
-	}
 	var t model.Term
-	var seen uint16
-	for first := true; ; first = false {
-		i, ok := s.field(first, termKeys, &seen)
-		switch {
-		case !ok:
-		case i < 0:
-			return t, true
-		case i == 0:
+	ok := s.object(termKeys, func(i int) (ok bool) {
+		if i == 0 {
 			t.Var, ok = s.name()
-		default:
+		} else {
 			t.Coef, ok = s.int()
 		}
-		if !ok {
-			return model.Term{}, false
-		}
-	}
+		return ok
+	})
+	return t, ok
 }
 
-var platformKeys = []string{"Name", "Layers", "DMA", "SoftCopyCycles", "SoftCopyPJ"}
+var (
+	platformKeys = []string{"Name", "Layers", "DMA", "SoftCopyCycles", "SoftCopyPJ"}
+	layerKeys    = []string{"Name", "Capacity", "WordBytes", "EnergyRead", "EnergyWrite",
+		"LatencyRead", "LatencyWrite", "BurstBytesPerCycle", "OffChip"}
+	dmaKeys = []string{"SetupCycles", "Channels", "EnergyPerTransfer", "MinBytes"}
+)
 
 func (s *scanner) platform() (*platform.Platform, bool) {
-	if !s.eat('{') {
-		return nil, false
-	}
 	p := &platform.Platform{}
-	var seen uint16
-	for first := true; ; first = false {
-		i, ok := s.field(first, platformKeys, &seen)
-		switch {
-		case !ok:
-		case i < 0:
-			return p, true
-		case i == 0:
+	ok := s.object(platformKeys, func(i int) (ok bool) {
+		switch i {
+		case 0:
 			p.Name, ok = s.name()
-		case i == 1:
-			p.Layers, ok = s.layers()
-		case i == 2:
-			if !s.literal("null") {
+		case 1: // an empty list decodes to an empty, non-nil slice
+			p.Layers = []platform.Layer{}
+			ok = s.list(func() bool {
+				p.Layers = append(p.Layers, platform.Layer{})
+				return s.layer(&p.Layers[len(p.Layers)-1])
+			})
+		case 2:
+			if ok = s.literal("null"); !ok {
 				p.DMA, ok = s.dma()
 			}
-		case i == 3:
+		case 3:
 			p.SoftCopyCycles, ok = s.int()
 		default:
 			p.SoftCopyPJ, ok = s.float()
 		}
-		if !ok {
-			return nil, false
-		}
-	}
+		return ok
+	})
+	return p, ok
 }
-
-// layers reads a list of layers; an empty list decodes to an empty,
-// non-nil slice, as encoding/json decodes it.
-func (s *scanner) layers() ([]platform.Layer, bool) {
-	if !s.eat('[') {
-		return nil, false
-	}
-	layers := []platform.Layer{}
-	for first := true; ; first = false {
-		more, ok := s.element(first)
-		if !ok {
-			return nil, false
-		}
-		if !more {
-			return layers, true
-		}
-		layers = append(layers, platform.Layer{})
-		if !s.layer(&layers[len(layers)-1]) {
-			return nil, false
-		}
-	}
-}
-
-var layerKeys = []string{"Name", "Capacity", "WordBytes", "EnergyRead", "EnergyWrite",
-	"LatencyRead", "LatencyWrite", "BurstBytesPerCycle", "OffChip"}
 
 func (s *scanner) layer(l *platform.Layer) bool {
-	if !s.eat('{') {
-		return false
-	}
-	var seen uint16
-	for first := true; ; first = false {
-		i, ok := s.field(first, layerKeys, &seen)
-		switch {
-		case !ok:
-		case i < 0:
-			return true
-		case i == 0:
+	return s.object(layerKeys, func(i int) (ok bool) {
+		switch i {
+		case 0:
 			l.Name, ok = s.name()
-		case i == 1:
+		case 1:
 			l.Capacity, ok = s.int64()
-		case i == 2:
+		case 2:
 			l.WordBytes, ok = s.int()
-		case i == 3:
+		case 3:
 			l.EnergyRead, ok = s.float()
-		case i == 4:
+		case 4:
 			l.EnergyWrite, ok = s.float()
-		case i == 5:
+		case 5:
 			l.LatencyRead, ok = s.int()
-		case i == 6:
+		case 6:
 			l.LatencyWrite, ok = s.int()
-		case i == 7:
+		case 7:
 			l.BurstBytesPerCycle, ok = s.int()
 		default:
 			l.OffChip, ok = s.bool()
 		}
-		if !ok {
-			return false
-		}
-	}
+		return ok
+	})
 }
 
-var dmaKeys = []string{"SetupCycles", "Channels", "EnergyPerTransfer", "MinBytes"}
-
 func (s *scanner) dma() (*platform.DMA, bool) {
-	if !s.eat('{') {
-		return nil, false
-	}
 	d := &platform.DMA{}
-	var seen uint16
-	for first := true; ; first = false {
-		i, ok := s.field(first, dmaKeys, &seen)
-		switch {
-		case !ok:
-		case i < 0:
-			return d, true
-		case i == 0:
+	ok := s.object(dmaKeys, func(i int) (ok bool) {
+		switch i {
+		case 0:
 			d.SetupCycles, ok = s.int()
-		case i == 1:
+		case 1:
 			d.Channels, ok = s.int()
-		case i == 2:
+		case 2:
 			d.EnergyPerTransfer, ok = s.float()
 		default:
 			d.MinBytes, ok = s.int()
 		}
-		if !ok {
-			return nil, false
-		}
-	}
+		return ok
+	})
+	return d, ok
 }
