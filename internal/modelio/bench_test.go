@@ -43,8 +43,7 @@ func churnBodies(b *testing.B) (progs, plats [][]byte) {
 func BenchmarkDecodeProgram(b *testing.B) {
 	progs, _ := churnBodies(b)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		if _, err := DecodeProgram(progs[i%len(progs)]); err != nil {
 			b.Fatal(err)
 		}
@@ -54,8 +53,7 @@ func BenchmarkDecodeProgram(b *testing.B) {
 func BenchmarkDecodePlatform(b *testing.B) {
 	_, plats := churnBodies(b)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		if _, err := DecodePlatform(plats[i%len(plats)]); err != nil {
 			b.Fatal(err)
 		}
@@ -68,8 +66,7 @@ func BenchmarkProgramDigest(b *testing.B) {
 		ps = append(ps, progen.Generate(seed).Program)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		if _, err := ProgramDigest(ps[i%len(ps)]); err != nil {
 			b.Fatal(err)
 		}
