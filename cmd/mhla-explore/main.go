@@ -70,9 +70,9 @@ func main() {
 		defer writeMemProfile()
 	}
 
-	sc := apps.Paper
-	if *scale == "test" {
-		sc = apps.Test
+	sc, err := apps.ParseScale(*scale)
+	if err != nil {
+		fatal(err)
 	}
 	var sizes []int64
 	if *sizeCSV != "" {

@@ -31,9 +31,9 @@ func main() {
 	)
 	flag.Parse()
 
-	sc := apps.Paper
-	if *scale == "test" {
-		sc = apps.Test
+	sc, err := apps.ParseScale(*scale)
+	if err != nil {
+		fatal(err)
 	}
 	// One job per application at its figure L1, in figure order (the
 	// Explorer keeps result order deterministic under concurrency).

@@ -141,9 +141,9 @@ func main() {
 		return
 	}
 
-	sc := apps.Paper
-	if *scale == "test" {
-		sc = apps.Test
+	sc, err := apps.ParseScale(*scale)
+	if err != nil {
+		fatal(err)
 	}
 	var prog *mhla.Program
 	name := *appName

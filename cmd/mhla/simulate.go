@@ -75,9 +75,9 @@ func runSimulate(ctx context.Context, prog *mhla.Program, plat *mhla.Platform, f
 	}
 
 	first := rows[0].res
-	lv := base.Levels[0]
 	fmt.Printf("cache simulation: %s on %s (%d accesses", first.Program, first.Platform, first.Accesses)
 	if len(base.Levels) > 0 {
+		lv := base.Levels[0]
 		fmt.Printf("; L1 %d sets x %d ways x %d B lines", lv.Sets, lv.Ways, lv.LineBytes)
 	}
 	fmt.Println(")")

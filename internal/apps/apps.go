@@ -41,6 +41,19 @@ func (s Scale) String() string {
 	return "paper"
 }
 
+// ParseScale is the one scale rule of the CLIs and the server: "" and
+// "paper" select Paper, "test" selects Test, anything else is an
+// error.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "", "paper":
+		return Paper, nil
+	case "test":
+		return Test, nil
+	}
+	return Paper, fmt.Errorf("apps: unknown scale %q (want paper or test)", name)
+}
+
 // App describes one benchmark application.
 type App struct {
 	// Name is the registry key ("me", "qsdpcm", ...).

@@ -41,6 +41,25 @@ func TestByName(t *testing.T) {
 	}
 }
 
+func TestParseScale(t *testing.T) {
+	for name, want := range map[string]Scale{"": Paper, "paper": Paper, "test": Test} {
+		if got, err := ParseScale(name); err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"tset", "Test", "PAPER", " test", "bogus"} {
+		if _, err := ParseScale(name); err == nil || !strings.Contains(err.Error(), "unknown scale") {
+			t.Errorf("ParseScale(%q) err = %v, want unknown scale", name, err)
+		}
+	}
+	// Every scale's name parses back to itself.
+	for _, sc := range []Scale{Paper, Test} {
+		if got, err := ParseScale(sc.String()); err != nil || got != sc {
+			t.Errorf("ParseScale(%q) = %v, %v", sc.String(), got, err)
+		}
+	}
+}
+
 func TestAllAppsValidateAndAnalyze(t *testing.T) {
 	for _, app := range All() {
 		for _, scale := range []Scale{Paper, Test} {

@@ -172,6 +172,13 @@ func TestValidateRejections(t *testing.T) {
 			p.AddBlock("b", For("i", 2, Load(ghost, Idx("i"))))
 			return p
 		}, "unregistered"},
+		{"unregistered array sharing a registered name", func() *Program {
+			p := NewProgram("p")
+			p.NewArray("a", 1, 4)
+			ghost := &Array{Name: "a", Dims: []int{4}, ElemSize: 1}
+			p.AddBlock("b", For("i", 2, Load(ghost, Idx("i"))))
+			return p
+		}, "unregistered"},
 		{"negative compute", func() *Program {
 			p := NewProgram("p")
 			p.AddBlock("b", Work(-5))

@@ -16,7 +16,7 @@ import "fmt"
 //   - every referenced array registered with the program
 //
 // The reuse analysis and the simulators rely on these invariants, so
-// they validate first (the flow does so once, in workspace.Compile).
+// they validate first (the flow does so once, in reuse.Analyze).
 func (p *Program) Validate() error {
 	if p == nil {
 		return fmt.Errorf("model: nil program")
@@ -27,16 +27,18 @@ func (p *Program) Validate() error {
 	if len(p.Blocks) == 0 {
 		return fmt.Errorf("model: program %q has no blocks", p.Name)
 	}
-	registered := make(map[*Array]bool, len(p.Arrays))
-	names := make(map[string]bool, len(p.Arrays))
+	// arrays maps each name to its registered array; an access is to a
+	// registered array when the lookup of its name returns that very
+	// pointer.
+	arrays := make(map[string]*Array, len(p.Arrays))
 	for _, a := range p.Arrays {
 		if a.Name == "" {
 			return fmt.Errorf("model: program %q contains an unnamed array", p.Name)
 		}
-		if names[a.Name] {
+		if arrays[a.Name] != nil {
 			return fmt.Errorf("model: duplicate array name %q", a.Name)
 		}
-		names[a.Name] = true
+		arrays[a.Name] = a
 		if len(a.Dims) == 0 {
 			return fmt.Errorf("model: array %q has no dimensions", a.Name)
 		}
@@ -48,8 +50,10 @@ func (p *Program) Validate() error {
 		if a.ElemSize <= 0 {
 			return fmt.Errorf("model: array %q has element size %d", a.Name, a.ElemSize)
 		}
-		registered[a] = true
 	}
+	// One iterator map serves every block: validateNodes removes each
+	// loop's iterator on the way out, so it is empty between blocks.
+	trips := make(map[string]int)
 	blockNames := make(map[string]bool, len(p.Blocks))
 	for bi, b := range p.Blocks {
 		if b.Name == "" {
@@ -59,14 +63,14 @@ func (p *Program) Validate() error {
 			return fmt.Errorf("model: duplicate block name %q", b.Name)
 		}
 		blockNames[b.Name] = true
-		if err := validateNodes(b.Body, b.Name, map[string]int{}, registered); err != nil {
+		if err := validateNodes(b.Body, b.Name, trips, arrays); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func validateNodes(nodes []Node, block string, trips map[string]int, registered map[*Array]bool) error {
+func validateNodes(nodes []Node, block string, trips map[string]int, arrays map[string]*Array) error {
 	for _, n := range nodes {
 		switch n := n.(type) {
 		case *Loop:
@@ -80,12 +84,12 @@ func validateNodes(nodes []Node, block string, trips map[string]int, registered 
 				return fmt.Errorf("model: block %q: loop %q has trip count %d", block, n.Var, n.Trip)
 			}
 			trips[n.Var] = n.Trip
-			if err := validateNodes(n.Body, block, trips, registered); err != nil {
+			if err := validateNodes(n.Body, block, trips, arrays); err != nil {
 				return err
 			}
 			delete(trips, n.Var)
 		case *Access:
-			if err := validateAccess(n, block, trips, registered); err != nil {
+			if err := validateAccess(n, block, trips, arrays); err != nil {
 				return err
 			}
 		case *Compute:
@@ -101,11 +105,11 @@ func validateNodes(nodes []Node, block string, trips map[string]int, registered 
 	return nil
 }
 
-func validateAccess(acc *Access, block string, trips map[string]int, registered map[*Array]bool) error {
+func validateAccess(acc *Access, block string, trips map[string]int, arrays map[string]*Array) error {
 	if acc.Array == nil {
 		return fmt.Errorf("model: block %q: access with nil array", block)
 	}
-	if !registered[acc.Array] {
+	if arrays[acc.Array.Name] != acc.Array {
 		return fmt.Errorf("model: block %q: access to unregistered array %q", block, acc.Array.Name)
 	}
 	if len(acc.Index) != acc.Array.Rank() {

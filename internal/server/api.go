@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
 
-	"mhla/internal/apps"
 	"mhla/internal/assign"
 	"mhla/pkg/mhla"
 )
@@ -122,38 +122,33 @@ func writeJSON(w http.ResponseWriter, body []byte) {
 // unaffected — the deadline is cleared again once the body is read.
 const bodyReadTimeout = 30 * time.Second
 
-// decodeRequest strictly decodes one JSON request object: bounded
-// body, read deadline, unknown fields rejected, trailing data
-// rejected.
-func decodeRequest(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any) *apiError {
+// readBody reads one request body whole under the read deadline and
+// the size cap. Any body over the cap is 413 too_large, also one whose
+// bytes after its first JSON object are only whitespace.
+func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, *apiError) {
 	// Best-effort (httptest recorders don't support deadlines): bound
 	// the body read, then clear the deadline so neither the compute
 	// phase nor the next keep-alive request inherits it.
 	rc := http.NewResponseController(w)
 	rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	defer rc.SetReadDeadline(time.Time{})
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			return &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
+			return nil, &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
 				msg: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)}
 		}
-		return badRequest("bad_request", "malformed request: %v", err)
+		return nil, badRequest("bad_request", "malformed request: %v", err)
 	}
-	if dec.More() {
-		return badRequest("bad_request", "trailing data after request object")
-	}
-	return nil
+	return data, nil
 }
 
-// decodeStrictBytes strictly decodes one JSON object from in-memory
-// bytes: unknown fields rejected, trailing data rejected. It is
-// decodeRequest for payloads already read off the wire — the nested
-// request object of a job submission.
-func decodeStrictBytes(data []byte, dst any) *apiError {
+// decodeStrict is the one strict JSON decoder of the service: it
+// decodes exactly one object from data into dst, rejecting unknown
+// fields and trailing data. Request bodies and the nested request of a
+// job submission both go through it.
+func decodeStrict(data []byte, dst any) *apiError {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -249,52 +244,6 @@ type programRef struct {
 	App     string          `json:"app,omitempty"`
 	Scale   string          `json:"scale,omitempty"`
 	Program json.RawMessage `json:"program,omitempty"`
-}
-
-// scaleName validates the scale field and returns its normalized name
-// ("" means paper).
-func (ref programRef) scaleName() (string, *apiError) {
-	switch ref.Scale {
-	case "", "paper":
-		return "paper", nil
-	case "test":
-		return "test", nil
-	default:
-		return "", badRequest("bad_request", "unknown scale %q (want paper or test)", ref.Scale)
-	}
-}
-
-// resolve builds the referenced program.
-func (ref programRef) resolve() (*mhla.Program, *apiError) {
-	switch {
-	case ref.App != "" && len(ref.Program) > 0:
-		return nil, badRequest("bad_request", "exactly one of app and program must be set")
-	case ref.App != "":
-		name, apiErr := ref.scaleName()
-		if apiErr != nil {
-			return nil, apiErr
-		}
-		scale := apps.Paper
-		if name == "test" {
-			scale = apps.Test
-		}
-		app, err := apps.ByName(ref.App)
-		if err != nil {
-			return nil, &apiError{status: http.StatusNotFound, code: "unknown_app", msg: err.Error()}
-		}
-		return app.Build(scale), nil
-	case len(ref.Program) > 0:
-		if ref.Scale != "" {
-			return nil, badRequest("bad_request", "scale applies to catalog apps, not inline programs")
-		}
-		prog, err := mhla.DecodeProgram(ref.Program)
-		if err != nil {
-			return nil, badRequest("invalid_program", "%v", err)
-		}
-		return prog, nil
-	default:
-		return nil, badRequest("bad_request", "one of app and program must be set")
-	}
 }
 
 // platformSelection is the platform choice of a run or simulate

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -209,5 +210,31 @@ func TestStatusWriterResponseController(t *testing.T) {
 	ep := srv.Stats().Endpoints["/v1/stream"]
 	if ep.Requests != 1 || ep.Errors != 0 {
 		t.Fatalf("streamed 200 miscounted: %+v, want 1 request, 0 errors", ep)
+	}
+}
+
+// TestOversizedBodyWithBlankTailIsTooLarge: a body over MaxBodyBytes
+// is 413 too_large on every POST endpoint, also when everything past
+// its first JSON object is whitespace. A streaming decoder stops after
+// that object, and its trailing-data peek swallows the size-cap error,
+// so such a body used to be served.
+func TestOversizedBodyWithBlankTailIsTooLarge(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 1 << 10})
+	tail := strings.Repeat(" ", 4<<10)
+	for _, tc := range []struct{ endpoint, body string }{
+		{"/v1/run", `{"app":"durbin","scale":"test","l1_bytes":512}`},
+		{"/v1/sweep", `{"app":"durbin","scale":"test","sizes":[256,512]}`},
+		{"/v1/batch", `{"apps":["durbin"],"scale":"test","l1_sizes":[512]}`},
+		{"/v1/simulate", `{"app":"durbin","scale":"test","l1_bytes":512}`},
+		{"/v1/jobs", `{"kind":"run","request":{"app":"durbin","scale":"test","l1_bytes":512}}`},
+	} {
+		code, body := postTB(t, ts.URL+tc.endpoint, tc.body+tail)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413 (%s)", tc.endpoint, code, body)
+			continue
+		}
+		if got := decodeError(t, body); got != "too_large" {
+			t.Errorf("%s: error code %q, want too_large", tc.endpoint, got)
+		}
 	}
 }

@@ -45,7 +45,7 @@ func (s *Server) buildWork(kind string, raw json.RawMessage) (work, *apiError) {
 	if !ok {
 		return nil, badRequest("bad_request", "unknown kind %q (want run, sweep, batch or simulate)", kind)
 	}
-	return build(s, func(dst any) *apiError { return decodeStrictBytes(raw, dst) })
+	return build(s, raw)
 }
 
 // serverTask adapts a validated work value to the jobs.Task interface.
@@ -148,7 +148,8 @@ func jobEnvelope(st jobs.Snapshot) jobJSON {
 		out.Position = &pos
 	}
 	if st.State == jobs.Failed {
-		out.Error = failureDetail(st.Err)
+		e := failureEnvelope(st.Err)
+		out.Error = &errorDetail{Code: e.code, Message: e.msg}
 	}
 	if !st.Started.IsZero() {
 		started := st.Started
@@ -161,19 +162,11 @@ func jobEnvelope(st jobs.Snapshot) jobJSON {
 	return out
 }
 
-// failureDetail recovers the typed error of a failed job. Anything
-// that is not an *apiError (a task panic, say) keeps a fixed message —
-// the same sanitization discipline as mapRunError.
-func failureDetail(err error) *errorDetail {
-	var apiErr *apiError
-	if errors.As(err, &apiErr) {
-		return &errorDetail{Code: apiErr.code, Message: apiErr.msg}
-	}
-	return &errorDetail{Code: "internal", Message: "internal error running the job"}
-}
-
-// failureEnvelope is the full wire error of a failed job's result
-// fetch: exactly what the synchronous endpoint would have written.
+// failureEnvelope is the wire error of a failed job: its result fetch
+// writes it whole (exactly what the synchronous endpoint would have
+// written) and its envelope carries the code and message.
+// Anything that is not an *apiError (a task panic, say) keeps a fixed
+// message — the same sanitization discipline as mapRunError.
 func failureEnvelope(err error) *apiError {
 	var apiErr *apiError
 	if errors.As(err, &apiErr) {
@@ -223,19 +216,15 @@ func writeJobJSON(w http.ResponseWriter, status int, st jobs.Snapshot) {
 // its own bound) and queue it, answering 202 with the job envelope
 // immediately.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
-	releaseIntake, apiErr := s.acquireIntake(ctx)
-	if apiErr != nil {
-		apiErr.write(w)
+	data, releaseIntake, ok := s.admit(ctx, w, r)
+	if !ok {
 		return
 	}
 	defer releaseIntake()
 	var req jobSubmitRequest
-	if apiErr := decodeRequest(w, r, s.cfg.MaxBodyBytes, &req); apiErr != nil {
+	if apiErr := decodeStrict(data, &req); apiErr != nil {
 		apiErr.write(w)
 		return
 	}

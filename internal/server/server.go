@@ -211,11 +211,12 @@ type Server struct {
 	// rebuild, re-encode and hash on the hot path (inline programs
 	// still digest per request — their bytes are the request).
 	catMu   sync.Mutex
-	catalog map[string]catalogProgram
+	catalog map[string]resolvedProgram
 }
 
-// catalogProgram is one memoized catalog build.
-type catalogProgram struct {
+// resolvedProgram is the program of a compute request together with
+// its canonical digest, the workspace cache key.
+type resolvedProgram struct {
 	prog   *mhla.Program
 	digest string
 }
@@ -231,7 +232,7 @@ func New(cfg Config) *Server {
 		mux:    http.NewServeMux(),
 
 		endpoints: make(map[string]*endpointCounter),
-		catalog:   make(map[string]catalogProgram),
+		catalog:   make(map[string]resolvedProgram),
 	}
 	// Recovery order matters: the persister reads + replays + compacts
 	// the journal first (no job manager needed, only buildWork), the
@@ -501,63 +502,71 @@ func (s *Server) computeCtx(r *http.Request) (context.Context, context.CancelFun
 }
 
 // resolveProgram builds the referenced program and its canonical
-// digest: catalog apps through the per-(app, scale) memo, inline
-// programs through decode + digest.
-func (s *Server) resolveProgram(ref programRef) (*mhla.Program, string, *apiError) {
-	if ref.App == "" || len(ref.Program) > 0 {
-		// Inline path — or an invalid combination, which resolve
-		// reports.
-		return resolveFresh(ref)
-	}
-	scale, apiErr := ref.scaleName()
-	if apiErr != nil {
-		return nil, "", apiErr
-	}
-	// Memo first: warm app-mode requests skip the program rebuild as
-	// well as the re-encode + hash.
-	key := ref.App + "/" + scale
-	s.catMu.Lock()
-	memo, ok := s.catalog[key]
-	s.catMu.Unlock()
-	if ok {
-		return memo.prog, memo.digest, nil
-	}
-	prog, digest, apiErr := resolveFresh(ref)
-	if apiErr != nil {
-		return nil, "", apiErr
-	}
-	s.catMu.Lock()
-	// First store wins, so every request of an (app, scale) pair
-	// shares one program value (and thus one workspace identity).
-	if memo, ok := s.catalog[key]; ok {
+// digest: inline programs through decode + digest, catalog apps
+// through the per-(app, scale) memo.
+func (s *Server) resolveProgram(ref programRef) (resolvedProgram, *apiError) {
+	var (
+		prog *mhla.Program
+		key  string // the memo key; empty for inline programs
+	)
+	switch {
+	case ref.App != "" && len(ref.Program) > 0:
+		return resolvedProgram{}, badRequest("bad_request", "exactly one of app and program must be set")
+	case len(ref.Program) > 0:
+		if ref.Scale != "" {
+			return resolvedProgram{}, badRequest("bad_request", "scale applies to catalog apps, not inline programs")
+		}
+		var err error
+		if prog, err = mhla.DecodeProgram(ref.Program); err != nil {
+			return resolvedProgram{}, badRequest("invalid_program", "%v", err)
+		}
+	case ref.App == "":
+		return resolvedProgram{}, badRequest("bad_request", "one of app and program must be set")
+	default:
+		scale, err := apps.ParseScale(ref.Scale)
+		if err != nil {
+			return resolvedProgram{}, badRequest("bad_request", "unknown scale %q (want paper or test)", ref.Scale)
+		}
+		// Memo first: warm app-mode requests skip the program rebuild as
+		// well as the re-encode + hash.
+		key = ref.App + "/" + scale.String()
+		s.catMu.Lock()
+		rp, ok := s.catalog[key]
 		s.catMu.Unlock()
-		return memo.prog, memo.digest, nil
-	}
-	s.catalog[key] = catalogProgram{prog: prog, digest: digest}
-	s.catMu.Unlock()
-	return prog, digest, nil
-}
-
-// resolveFresh builds the referenced program and digests it, without
-// the memo.
-func resolveFresh(ref programRef) (*mhla.Program, string, *apiError) {
-	prog, apiErr := ref.resolve()
-	if apiErr != nil {
-		return nil, "", apiErr
+		if ok {
+			return rp, nil
+		}
+		app, err := apps.ByName(ref.App)
+		if err != nil {
+			return resolvedProgram{}, &apiError{status: http.StatusNotFound, code: "unknown_app", msg: err.Error()}
+		}
+		prog = app.Build(scale)
 	}
 	digest, err := mhla.ProgramDigest(prog)
 	if err != nil {
-		return nil, "", badRequest("invalid_program", "%v", err)
+		return resolvedProgram{}, badRequest("invalid_program", "%v", err)
 	}
-	return prog, digest, nil
+	rp := resolvedProgram{prog: prog, digest: digest}
+	if key == "" {
+		return rp, nil
+	}
+	s.catMu.Lock()
+	defer s.catMu.Unlock()
+	// First store wins, so every request of an (app, scale) pair
+	// shares one program value (and thus one workspace identity).
+	if memo, ok := s.catalog[key]; ok {
+		return memo, nil
+	}
+	s.catalog[key] = rp
+	return rp, nil
 }
 
 // workspaceFor returns the compiled workspace of the program through
 // the LRU cache: canonical digest as key, singleflight compile on
 // miss.
-func (s *Server) workspaceFor(prog *mhla.Program, digest string) (*mhla.Workspace, *apiError) {
-	ws, err := s.cache.get(digest, func() (*mhla.Workspace, error) {
-		return mhla.Compile(prog)
+func (s *Server) workspaceFor(rp resolvedProgram) (*mhla.Workspace, *apiError) {
+	ws, err := s.cache.get(rp.digest, func() (*mhla.Workspace, error) {
+		return mhla.Compile(rp.prog)
 	})
 	if err != nil {
 		// The program passed decode validation, so a compile failure is
@@ -590,28 +599,44 @@ func mapRunError(err error) *apiError {
 	}
 }
 
-// serveCompute is the shared synchronous compute skeleton: intake
-// slot, decode+validate (the kind's build over the request body),
-// intake back, compute slot, execute, write. The compute slot is taken
-// only once the request is fully read and validated, so slow-body or
-// malformed clients never pin a compute slot, and the intake slot goes
-// back first — a request queued on compute must not starve the
-// fast-reject path of later requests.
-func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, build buildFunc) {
+// admit is the intake stage of every POST compute and job
+// submission: method check, intake slot, body read. On success the
+// caller owns release (idempotent) and must run it; on failure the
+// error response is already written and ok is false.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Request) (body []byte, release func(), ok bool) {
 	if !requireMethod(w, r, http.MethodPost) {
-		return
+		return nil, nil, false
 	}
-	ctx, cancel := s.computeCtx(r)
-	defer cancel()
-	releaseIntake, apiErr := s.acquireIntake(ctx)
+	release, apiErr := s.acquireIntake(ctx)
 	if apiErr != nil {
 		apiErr.write(w)
+		return nil, nil, false
+	}
+	body, apiErr = readBody(w, r, s.cfg.MaxBodyBytes)
+	if apiErr != nil {
+		release()
+		apiErr.write(w)
+		return nil, nil, false
+	}
+	return body, release, true
+}
+
+// serveCompute is the shared synchronous compute skeleton: admit,
+// build (decode + validate + resolve), intake back, compute slot,
+// execute, write. The compute slot is taken only once the request is
+// fully read and validated, so slow-body or malformed clients never
+// pin a compute slot, and the intake slot goes back first — a request
+// queued on compute must not starve the fast-reject path of later
+// requests.
+func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, build buildFunc) {
+	ctx, cancel := s.computeCtx(r)
+	defer cancel()
+	data, releaseIntake, ok := s.admit(ctx, w, r)
+	if !ok {
 		return
 	}
 	defer releaseIntake()
-	wk, apiErr := build(s, func(dst any) *apiError {
-		return decodeRequest(w, r, s.cfg.MaxBodyBytes, dst)
-	})
+	wk, apiErr := build(s, data)
 	if apiErr != nil {
 		apiErr.write(w)
 		return

@@ -22,10 +22,9 @@ type work interface {
 	execute(ctx context.Context, s *Server, progress mhla.ProgressFunc) ([]byte, *apiError)
 }
 
-// buildFunc turns one compute request into a validated work value:
-// decode fills a fresh request object (from the HTTP body or from a
-// job's nested request bytes), then the request validates itself.
-type buildFunc func(s *Server, decode func(dst any) *apiError) (work, *apiError)
+// buildFunc turns the bytes of one compute request (an HTTP body or a
+// job's nested request) into a validated work value.
+type buildFunc func(s *Server, body []byte) (work, *apiError)
 
 // computeKinds is the one kind dispatch: /v1/<kind> serves each entry
 // synchronously, and job submissions and journal replay build their
@@ -38,13 +37,13 @@ var computeKinds = map[string]buildFunc{
 	"simulate": decodeWork[simulateRequest],
 }
 
-// decodeWork decodes one R and validates it into a work value.
+// decodeWork strictly decodes one R and validates it into a work value.
 func decodeWork[R any, P interface {
 	*R
 	work(*Server) (work, *apiError)
-}](s *Server, decode func(dst any) *apiError) (work, *apiError) {
+}](s *Server, body []byte) (work, *apiError) {
 	req := P(new(R))
-	if apiErr := decode(req); apiErr != nil {
+	if apiErr := decodeStrict(body, req); apiErr != nil {
 		return nil, apiErr
 	}
 	return req.work(s)
@@ -62,8 +61,7 @@ func flowOptions(ws *mhla.Workspace, progress mhla.ProgressFunc) []mhla.Option {
 
 // runWork is the validated form of a POST /v1/run body.
 type runWork struct {
-	prog       *mhla.Program
-	digest     string
+	program    resolvedProgram
 	plat       *mhla.Platform
 	searchOpts []mhla.Option
 }
@@ -78,15 +76,15 @@ func (req *runRequest) work(s *Server) (work, *apiError) {
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	prog, digest, apiErr := s.resolveProgram(req.programRef)
+	program, apiErr := s.resolveProgram(req.programRef)
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	return &runWork{prog: prog, digest: digest, plat: plat, searchOpts: searchOpts}, nil
+	return &runWork{program: program, plat: plat, searchOpts: searchOpts}, nil
 }
 
 func (wk *runWork) execute(ctx context.Context, s *Server, progress mhla.ProgressFunc) ([]byte, *apiError) {
-	ws, apiErr := s.workspaceFor(wk.prog, wk.digest)
+	ws, apiErr := s.workspaceFor(wk.program)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -105,8 +103,7 @@ func (wk *runWork) execute(ctx context.Context, s *Server, progress mhla.Progres
 
 // sweepWork is the validated form of a POST /v1/sweep body.
 type sweepWork struct {
-	prog       *mhla.Program
-	digest     string
+	program    resolvedProgram
 	sizes      []int64
 	searchOpts []mhla.Option
 }
@@ -119,20 +116,19 @@ func (req *sweepRequest) work(s *Server) (work, *apiError) {
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	prog, digest, apiErr := s.resolveProgram(req.programRef)
+	program, apiErr := s.resolveProgram(req.programRef)
 	if apiErr != nil {
 		return nil, apiErr
 	}
 	return &sweepWork{
-		prog:       prog,
-		digest:     digest,
+		program:    program,
 		sizes:      req.Sizes,
 		searchOpts: searchOpts,
 	}, nil
 }
 
 func (wk *sweepWork) execute(ctx context.Context, s *Server, progress mhla.ProgressFunc) ([]byte, *apiError) {
-	ws, apiErr := s.workspaceFor(wk.prog, wk.digest)
+	ws, apiErr := s.workspaceFor(wk.program)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -148,12 +144,11 @@ func (wk *sweepWork) execute(ctx context.Context, s *Server, progress mhla.Progr
 	return body, nil
 }
 
-// batchWork is the validated form of a POST /v1/batch body. Programs
-// stay unresolved until execute: batch refers to catalog apps only,
-// and resolving them through the per-(app, scale) memo is cheap.
+// batchWork is the validated form of a POST /v1/batch body: the
+// catalog apps with the programs resolved at intake, in request order.
 type batchWork struct {
 	apps       []string
-	scale      string
+	programs   []resolvedProgram
 	l1Sizes    []int64
 	objectives []mhla.Objective
 	searchOpts []mhla.Option
@@ -175,16 +170,17 @@ func (req *batchRequest) work(s *Server) (work, *apiError) {
 		}
 		objectives = append(objectives, o)
 	}
-	// Resolve the app names now so unknown apps are rejected at intake
-	// (the typed 404), not when the job runs.
-	for _, ref := range req.Apps {
-		if _, _, apiErr := s.resolveProgram(programRef{App: ref, Scale: req.Scale}); apiErr != nil {
+	// Resolve the apps now so unknown apps are rejected at intake (the
+	// typed 404), not when the job runs.
+	programs := make([]resolvedProgram, len(req.Apps))
+	for i, ref := range req.Apps {
+		if programs[i], apiErr = s.resolveProgram(programRef{App: ref, Scale: req.Scale}); apiErr != nil {
 			return nil, apiErr
 		}
 	}
 	return &batchWork{
 		apps:       req.Apps,
-		scale:      req.Scale,
+		programs:   programs,
 		l1Sizes:    req.L1Sizes,
 		objectives: objectives,
 		searchOpts: searchOpts,
@@ -200,19 +196,15 @@ func (wk *batchWork) execute(ctx context.Context, s *Server, progress mhla.Progr
 	// requests (and concurrent run/sweep requests for the same apps)
 	// share one compiled analysis per program.
 	workspaces := make(map[*mhla.Program]*mhla.Workspace, len(wk.apps))
-	for _, ref := range wk.apps {
-		prog, digest, apiErr := s.resolveProgram(programRef{App: ref, Scale: wk.scale})
-		if apiErr != nil {
-			return nil, apiErr
-		}
-		ws, apiErr := s.workspaceFor(prog, digest)
+	for i, name := range wk.apps {
+		ws, apiErr := s.workspaceFor(wk.programs[i])
 		if apiErr != nil {
 			return nil, apiErr
 		}
 		// Run the grid jobs against the cached workspace's own program
 		// value: WithWorkspace checks program identity.
 		workspaces[ws.Program] = ws
-		grid.Apps = append(grid.Apps, mhla.GridApp{Name: ref, Program: ws.Program})
+		grid.Apps = append(grid.Apps, mhla.GridApp{Name: name, Program: ws.Program})
 	}
 
 	jobs := grid.Jobs()
@@ -255,8 +247,7 @@ func (wk *batchWork) execute(ctx context.Context, s *Server, progress mhla.Progr
 
 // simulateWork is the validated form of a POST /v1/simulate body.
 type simulateWork struct {
-	prog     *mhla.Program
-	digest   string
+	program  resolvedProgram
 	plat     *mhla.Platform
 	cacheCfg mhla.CacheConfig
 }
@@ -270,15 +261,15 @@ func (req *simulateRequest) work(s *Server) (work, *apiError) {
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	prog, digest, apiErr := s.resolveProgram(req.programRef)
+	program, apiErr := s.resolveProgram(req.programRef)
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	return &simulateWork{prog: prog, digest: digest, plat: plat, cacheCfg: cacheCfg}, nil
+	return &simulateWork{program: program, plat: plat, cacheCfg: cacheCfg}, nil
 }
 
 func (wk *simulateWork) execute(ctx context.Context, s *Server, progress mhla.ProgressFunc) ([]byte, *apiError) {
-	ws, apiErr := s.workspaceFor(wk.prog, wk.digest)
+	ws, apiErr := s.workspaceFor(wk.program)
 	if apiErr != nil {
 		return nil, apiErr
 	}

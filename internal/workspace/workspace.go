@@ -103,16 +103,13 @@ func (ws *Workspace) Memo(key string, build func() any) any {
 	return v
 }
 
-// Compile validates the program, runs the data-reuse analysis and
-// builds the workspace tables. It is the one-stop entry point for
+// Compile runs the data-reuse analysis (which validates the program)
+// and builds the workspace tables. It is the one-stop entry point for
 // callers starting from a bare program; callers that already hold an
 // Analysis use FromAnalysis.
 func Compile(p *model.Program) (*Workspace, error) {
 	if p == nil {
 		return nil, fmt.Errorf("workspace: nil program")
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("workspace: %w", err)
 	}
 	an, err := reuse.Analyze(p)
 	if err != nil {
