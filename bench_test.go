@@ -299,6 +299,63 @@ func BenchmarkParallelBnB(b *testing.B) {
 	}
 }
 
+// sweepJobsPoolStates is the branch-and-bound state count of one pass
+// of BenchmarkSweepJobsPool: the explored tree fixes it, so any change
+// to it is a change to what the search explores.
+const sweepJobsPoolStates = 169_453
+
+// BenchmarkSweepJobsPool runs branch-and-bound L1 sweeps (default
+// ladder, MaxStates 10M) over the program pool of cmd/mhla-bench's
+// sweep-jobs workload: the first 16 scenarios of its generator config
+// with a decision space of at least 1e5. The constants are duplicated
+// because cmd/mhla-bench is its own module. One op is one pass over
+// the pool, at one worker and at the default worker count; states/op
+// is the state count summed over every point of every sweep and is
+// checked against sweepJobsPoolStates. Measured numbers are recorded
+// in BENCH_INCREMENTAL_BNB.json.
+func BenchmarkSweepJobsPool(b *testing.B) {
+	gen := progen.Config{MaxArrays: 5, MaxBlocks: 3, MaxNests: 3, MaxDepth: 4, MaxAccesses: 4, MaxSpace: 2e7}
+	var pool []*mhla.Workspace
+	for seed := int64(1); len(pool) < 16; seed++ {
+		sc := gen.Generate(seed)
+		if sc.Space < 100_000 {
+			continue
+		}
+		ws, err := mhla.Compile(sc.Program)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool = append(pool, ws)
+	}
+	for _, w := range []int{1, 0} {
+		name := "workers=default"
+		if w > 0 {
+			name = fmt.Sprintf("workers=%d", w)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var states int
+			for i := 0; i < b.N; i++ {
+				states = 0
+				for _, ws := range pool {
+					sw, err := mhla.SweepL1(context.Background(), nil, nil, mhla.WithWorkspace(ws),
+						mhla.WithEngine(mhla.BnB), mhla.WithMaxStates(10_000_000), mhla.WithWorkers(w))
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, pt := range sw.Points {
+						states += pt.Result.SearchStates
+					}
+				}
+			}
+			if states != sweepJobsPoolStates {
+				b.Fatalf("explored %d states per pass, want %d", states, sweepJobsPoolStates)
+			}
+			b.ReportMetric(float64(states), "states/op")
+		})
+	}
+}
+
 // freshSweep evaluates every size with its own full flow run —
 // validate + analyze + tables per point, the pre-workspace behavior —
 // over w concurrent workers. It returns the summed MHLA+TE cycles as

@@ -400,10 +400,24 @@ func (s *space) replay(a *Assignment) (st *searchState, decisions []int, ok bool
 // deterministic function of the incumbent score, so the explored tree
 // stays byte-identical at every worker count.
 func (s *space) pruneSubtree(bound, bestScore float64) bool {
+	return bound > pruneLimit(bestScore)
+}
+
+// pruneLimit is the threshold pruneSubtree compares a bound against:
+// the incumbent score plus its slack, +Inf while there is no
+// incumbent.
+func pruneLimit(bestScore float64) float64 {
 	if math.IsInf(bestScore, 1) {
-		return false
+		return bestScore
 	}
-	return bound > bestScore+1e-9*(1+math.Abs(bestScore))
+	return bestScore + 1e-9*(1+math.Abs(bestScore))
+}
+
+// boundAt is the optimistic score of a node at the given depth whose
+// decided prefix contributes acc. At a leaf the suffix is zero and the
+// bound is the exact leaf score.
+func (s *space) boundAt(depth int, acc contrib) float64 {
+	return s.opts.Objective.contribScore(acc.plus(s.suffixAt(depth)))
 }
 
 // expandRoots splits the decision tree into independent subtree roots
@@ -420,8 +434,7 @@ func (s *space) expandRoots() []rootNode {
 		next := make([]rootNode, 0, 2*len(frontier))
 		for _, n := range frontier {
 			if s.prune {
-				bound := s.opts.Objective.contribScore(n.acc.plus(s.suffixAt(depth)))
-				if s.pruneSubtree(bound, s.seedScore) {
+				if s.pruneSubtree(s.boundAt(depth, n.acc), s.seedScore) {
 					continue
 				}
 			}
@@ -454,57 +467,80 @@ type taskResult struct {
 // searchTask runs the depth-first search below one subtree root. The
 // task prunes against the greedy seed and its own incumbent only —
 // both independent of scheduling — so its result is a pure function
-// of the root. The DFS mutates one preallocated searchState with
-// apply/undo; its steady state allocates nothing — a full Assignment
-// is materialized only when a leaf improves the task incumbent.
+// of the root. Branch and bound bounds each child before applying it:
+// contribAt reads only the contribution tables and the array homes
+// already decided, so a child whose bound cannot beat the incumbent is
+// skipped without touching the occupancy trackers, and only surviving
+// children are applied and checked for feasibility. A skipped child
+// still counts as a visited node for cancellation polling and
+// progress. The root, whose bound no parent checked, is checked once
+// on entry. Leaves keep the strict improvement rule. The DFS mutates
+// one preallocated searchState with apply/undo; its steady state
+// allocates nothing — a full Assignment is materialized only when a
+// leaf improves the task incumbent.
 func (s *space) searchTask(root rootNode) taskResult {
 	r := taskResult{score: s.seedScore, complete: true}
 	budget := s.opts.MaxStates
+	levels := s.levels()
 	localNodes := 0
+	// visit counts one DFS node and reports whether the periodic
+	// poll found the search cancelled.
+	visit := func() bool {
+		localNodes++
+		if localNodes&1023 == 0 {
+			s.tick()
+			return s.cancelled.Load()
+		}
+		return false
+	}
 	st := newSearchState(s)
 	st.applyPrefix(root.decisions)
 	var dfs func(depth int, acc contrib)
 	dfs = func(depth int, acc contrib) {
-		if s.cancelled.Load() {
+		if s.cancelled.Load() || visit() {
 			return
-		}
-		localNodes++
-		if localNodes&1023 == 0 {
-			s.tick()
-			if s.cancelled.Load() {
-				return
-			}
 		}
 		if r.states > budget {
 			r.complete = false
 			return
 		}
-		if s.prune || depth == s.levels() {
-			score := s.opts.Objective.contribScore(acc.plus(s.suffixAt(depth)))
-			if s.prune && s.pruneSubtree(score, r.score) {
-				return
+		if depth == levels {
+			// Under branch and bound the parent has already checked
+			// this exact leaf score against the incumbent.
+			score := s.boundAt(depth, acc)
+			r.states++
+			s.leaves.Add(1)
+			if score < r.score || (!r.found && score <= r.score) {
+				r.best, r.score, r.found = st.materialize(), score, true
+				s.publishBest(score)
 			}
-			if depth == s.levels() {
-				// The suffix bound of a complete assignment is zero,
-				// so score is the exact leaf score here.
-				r.states++
-				s.leaves.Add(1)
-				if score < r.score || (!r.found && score <= r.score) {
-					r.best, r.score, r.found = st.materialize(), score, true
-					s.publishBest(score)
-				}
-				return
-			}
+			return
 		}
+		// The incumbent changes only at leaves, so the threshold is
+		// refreshed only after a child returns.
+		limit := pruneLimit(r.score)
 		for oi, nopts := 0, s.optionCount(depth); oi < nopts; oi++ {
+			child := acc.plus(st.contribAt(depth, oi))
+			// Once the budget is spent a feasible child is still
+			// entered, to mark the task incomplete.
+			if s.prune && r.states <= budget && s.boundAt(depth+1, child) > limit {
+				if visit() {
+					return
+				}
+				continue
+			}
 			if !st.apply(depth, oi) {
 				continue
 			}
-			dfs(depth+1, acc.plus(st.contribAt(depth, oi)))
+			dfs(depth+1, child)
 			st.undo(depth, oi)
+			limit = pruneLimit(r.score)
 		}
 	}
-	dfs(len(root.decisions), root.acc)
+	depth := len(root.decisions)
+	if !s.prune || !s.pruneSubtree(s.boundAt(depth, root.acc), r.score) {
+		dfs(depth, root.acc)
+	}
 	return r
 }
 
@@ -554,15 +590,7 @@ func (s *space) tick() {
 func exactSearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options, prune bool) *Result {
 	s := newSpace(ctx, ws, plat, opts, prune)
 	if prune {
-		// A warm-start incumbent (Options.Incumbent) replaces the
-		// greedy seed only when it maps, fits and scores strictly
-		// better under this platform; both seeds are feasible leaves,
-		// so the returned assignment is the same either way and the
-		// explored tree can only shrink.
-		s.seedIncumbent()
-		if opts.Incumbent != nil {
-			s.installSeed(opts.Incumbent)
-		}
+		s.installIncumbents()
 	}
 	if ctx.Err() != nil {
 		return nil
@@ -599,7 +627,25 @@ func exactSearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Pl
 	if s.cancelled.Load() || ctx.Err() != nil {
 		return nil
 	}
+	return s.merge(results)
+}
 
+// installIncumbents installs branch and bound's starting incumbent:
+// the greedy seed, then the warm start (Options.Incumbent), which
+// replaces it only when it maps, fits and scores strictly better under
+// this platform. Both seeds are feasible leaves, so the returned
+// assignment is the same either way and the explored tree can only
+// shrink.
+func (s *space) installIncumbents() {
+	s.seedIncumbent()
+	if s.opts.Incumbent != nil {
+		s.installSeed(s.opts.Incumbent)
+	}
+}
+
+// merge folds the task results, in task order, into the search's
+// Result.
+func (s *space) merge(results []taskResult) *Result {
 	// Deterministic merge: strict improvement only, so among equal
 	// scores the earliest task — holding the lexicographically first
 	// leaf of the sequential DFS order — wins at any worker count.
@@ -616,7 +662,7 @@ func exactSearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Pl
 			best, bestScore = results[i].best, results[i].score
 		}
 	}
-	if states > opts.MaxStates {
+	if states > s.opts.MaxStates {
 		complete = false
 	}
 	if best == nil {

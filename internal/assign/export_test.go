@@ -22,3 +22,34 @@ func GreedySeed(ctx context.Context, ws *workspace.Workspace, plat *platform.Pla
 	s.seedIncumbent()
 	return s.seed, s.seedScore
 }
+
+// TaskOutcome is the deterministic outcome of one subtree task of an
+// exact search.
+type TaskOutcome struct {
+	Best     *Assignment
+	Score    float64
+	States   int
+	Complete bool
+	Found    bool
+}
+
+// SearchTasksAgainstReference builds and seeds the search space
+// exactSearch builds, runs every subtree task through searchTask and
+// through referenceSearchTask (bnb_reference_test.go), and returns
+// both outcome lists in task order plus the Result the reference
+// outcomes merge to. opts.MaxStates is used as given.
+func SearchTasksAgainstReference(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options, prune bool) (got, want []TaskOutcome, ref *Result) {
+	s := newSpace(ctx, ws, plat, opts, prune)
+	if prune {
+		s.installIncumbents()
+	}
+	tasks := s.expandRoots()
+	refResults := make([]taskResult, len(tasks))
+	for i, root := range tasks {
+		g, w := s.searchTask(root), s.referenceSearchTask(root)
+		refResults[i] = w
+		got = append(got, TaskOutcome{g.best, g.score, g.states, g.complete, g.found})
+		want = append(want, TaskOutcome{w.best, w.score, w.states, w.complete, w.found})
+	}
+	return got, want, s.merge(refResults)
+}
