@@ -948,8 +948,8 @@ func BenchmarkTraceSimulator(b *testing.B) {
 // accesses/s — the replay rate of the demand stream, reported as
 // macc_per_s (millions of accesses per second). hit_pct and pf_pct
 // record the model outputs so regressions in the simulation itself
-// (not just its speed) show up in the numbers. Measured numbers are
-// recorded in BENCH_CACHESIM.json.
+// (not just its speed) show up in the numbers. BENCH_CACHESIM.json
+// records the /v1/simulate pool instead (BenchmarkSimulatePool).
 func BenchmarkCacheSim(b *testing.B) {
 	app, err := apps.ByName("me")
 	if err != nil {
@@ -989,6 +989,73 @@ func BenchmarkCacheSim(b *testing.B) {
 			l1 := res.Levels[0]
 			b.ReportMetric(100*float64(l1.Hits)/float64(l1.Accesses), "hit_pct")
 			b.ReportMetric(100*float64(l1.PrefetchHits)/float64(l1.Accesses), "pf_pct")
+		})
+	}
+}
+
+// BenchmarkSimulatePool replays the /v1/simulate pool of mhla-bench in
+// process: the five paper-scale applications it serves (qsdpcm,
+// wavelet, durbin, voice, dab) through one cache configuration per
+// sub-benchmark, the same four as that workload: no cache (anchor),
+// the derived LRU hierarchy, and next-line and stride prefetch into an
+// 8-entry buffer arriving 4 accesses late. One op is the five replays;
+// each application's workspace is compiled once, before timing, as the
+// server's cache does. Measured numbers are recorded in
+// BENCH_CACHESIM.json.
+func BenchmarkSimulatePool(b *testing.B) {
+	type replay struct {
+		prog *mhla.Program
+		ws   *mhla.Workspace
+		plat *mhla.Platform
+	}
+	var pool []replay
+	for _, name := range []string{"qsdpcm", "wavelet", "durbin", "voice", "dab"} {
+		app, err := apps.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog := app.Build(apps.Paper)
+		ws, err := mhla.Compile(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool = append(pool, replay{prog, ws, mhla.TwoLevel(app.L1)})
+	}
+	for _, variant := range []string{"anchor", "lru", "nextline", "stride"} {
+		b.Run(variant, func(b *testing.B) {
+			cfgs := make([]mhla.CacheConfig, len(pool))
+			for i, r := range pool {
+				cfgs[i].MaxAccesses = 20_000_000
+				if variant == "anchor" {
+					continue
+				}
+				cfgs[i].Levels = mhla.CacheConfigFor(r.plat, 0, 0).Levels
+				for j := range cfgs[i].Levels {
+					switch variant {
+					case "nextline":
+						cfgs[i].Levels[j].Prefetcher = mhla.PrefetchNextLine
+					case "stride":
+						cfgs[i].Levels[j].Prefetcher = mhla.PrefetchStride
+					default:
+						continue
+					}
+					cfgs[i].Levels[j].PrefetchEntries, cfgs[i].Levels[j].PrefetchLatency = 8, 4
+				}
+			}
+			var accesses int64
+			b.ReportAllocs()
+			for b.Loop() {
+				accesses = 0
+				for i, r := range pool {
+					res, err := mhla.Simulate(context.Background(), r.prog, cfgs[i],
+						mhla.WithPlatform(r.plat), mhla.WithWorkspace(r.ws))
+					if err != nil {
+						b.Fatal(err)
+					}
+					accesses += res.Accesses
+				}
+			}
+			b.ReportMetric(float64(accesses)*float64(b.N)/b.Elapsed().Seconds()/1e6, "macc_per_s")
 		})
 	}
 }

@@ -6,41 +6,37 @@ package cachesim
 // costs — pricing happens in the simulator loop with the platform cost
 // model.
 
-// cacheEntry is one resident line of a set.
-type cacheEntry struct {
-	tag   int64
-	dirty bool
-}
-
-// cache is a set-associative LRU cache over line indices. Each set
-// keeps its entries ordered most-recently-used first, so LRU is the
-// last slot and the iteration order is deterministic.
+// cache is a set-associative LRU cache over line indices, held in one
+// flat pointer-free slice: set si owns slots[si*ways : si*ways+ways],
+// of which the first used[si] are resident, each tag<<1|dirty. Each
+// set keeps its entries ordered most-recently-used first, so LRU is
+// the last resident slot and the iteration order is deterministic.
 type cache struct {
 	ways     int
 	setMask  int64
 	tagShift uint
-	sets     [][]cacheEntry
+	slots    []int64
+	used     []int
 }
 
 func newCache(nsets, ways int) *cache {
-	c := &cache{
+	return &cache{
 		ways:     ways,
 		setMask:  int64(nsets - 1),
 		tagShift: uint(log2(int64(nsets))),
-		sets:     make([][]cacheEntry, nsets),
+		slots:    make([]int64, nsets*ways),
+		used:     make([]int, nsets),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]cacheEntry, 0, ways)
-	}
-	return c
 }
 
-func (c *cache) locate(line int64) (set []cacheEntry, si int, idx int) {
+// locate returns the resident slots of line's set, its set index and the
+// slot index holding line (-1 when absent).
+func (c *cache) locate(line int64) (set []int64, si int, idx int) {
 	si = int(line & c.setMask)
-	set = c.sets[si]
+	set = c.slots[si*c.ways : si*c.ways+c.used[si]]
 	tag := line >> c.tagShift
-	for i := range set {
-		if set[i].tag == tag {
+	for i, e := range set {
+		if e>>1 == tag {
 			return set, si, i
 		}
 	}
@@ -50,15 +46,18 @@ func (c *cache) locate(line int64) (set []cacheEntry, si int, idx int) {
 // access probes the cache for a demand access: a hit promotes the line
 // to MRU (and marks it dirty for a store).
 func (c *cache) access(line int64, dirty bool) bool {
-	set, si, i := c.locate(line)
+	set, _, i := c.locate(line)
 	if i < 0 {
 		return false
 	}
 	e := set[i]
-	e.dirty = e.dirty || dirty
-	copy(set[1:i+1], set[:i])
+	if dirty {
+		e |= 1
+	}
+	for ; i > 0; i-- {
+		set[i] = set[i-1]
+	}
 	set[0] = e
-	c.sets[si] = set
 	return true
 }
 
@@ -76,7 +75,7 @@ func (c *cache) markDirty(line int64) bool {
 	if i < 0 {
 		return false
 	}
-	set[i].dirty = true
+	set[i] |= 1
 	return true
 }
 
@@ -84,18 +83,23 @@ func (c *cache) markDirty(line int64) bool {
 // The line must not be resident already.
 func (c *cache) fill(line int64, dirty bool) (victim int64, victimDirty, evicted bool) {
 	si := int(line & c.setMask)
-	set := c.sets[si]
-	if len(set) == c.ways {
-		last := set[len(set)-1]
-		victim = last.tag<<c.tagShift | int64(si)
-		victimDirty = last.dirty
+	n := c.used[si]
+	if n == c.ways {
+		last := c.slots[si*c.ways+n-1]
+		victim = last>>1<<c.tagShift | int64(si)
+		victimDirty = last&1 != 0
 		evicted = true
-		set = set[:len(set)-1]
+	} else {
+		n++
+		c.used[si] = n
 	}
-	set = append(set, cacheEntry{})
-	copy(set[1:], set)
-	set[0] = cacheEntry{tag: line >> c.tagShift, dirty: dirty}
-	c.sets[si] = set
+	set := c.slots[si*c.ways : si*c.ways+n]
+	copy(set[1:], set[:n-1])
+	e := line >> c.tagShift << 1
+	if dirty {
+		e |= 1
+	}
+	set[0] = e
 	return victim, victimDirty, evicted
 }
 
@@ -103,10 +107,10 @@ func (c *cache) fill(line int64, dirty bool) (victim int64, victimDirty, evicted
 // (set-major, MRU-first) order — the end-of-trace flush order. f must
 // not modify this cache.
 func (c *cache) eachDirty(f func(line int64)) {
-	for si, set := range c.sets {
-		for _, e := range set {
-			if e.dirty {
-				f(e.tag<<c.tagShift | int64(si))
+	for si, n := range c.used {
+		for _, e := range c.slots[si*c.ways : si*c.ways+n] {
+			if e&1 != 0 {
+				f(e>>1<<c.tagShift | int64(si))
 			}
 		}
 	}

@@ -4,8 +4,8 @@
 // models (internal/assign, internal/sim) cannot express.
 //
 // It replays the dynamic access trace of a program's loop nests — the
-// shared streaming iterator of internal/trace, the same walk
-// internal/sim consumes — through a configurable hierarchy of
+// leaf-loop strips of internal/trace, the same traversal internal/sim
+// consumes access by access — through a configurable hierarchy of
 // set-associative LRU caches (one level per on-chip platform layer,
 // innermost first), each with an optional FIFO prefetch buffer fed by
 // a pluggable next-line or stride prefetcher. It produces per-level
@@ -256,16 +256,20 @@ type Result struct {
 
 // inflightLine is one issued, not-yet-arrived prefetch. Arrivals are
 // indexed in demand accesses, monotone in issue order (fixed per-level
-// latency), so a FIFO queue delivers deterministically.
+// latency), so a FIFO queue delivers deterministically. live is
+// cleared when a late demand access overtakes the entry or another
+// entry of its line delivers; a dead entry keeps its slot until its
+// arrival, so it still counts against the window.
 type inflightLine struct {
 	line    int64
 	arrival int64
+	live    bool
 }
 
 // inflightRing is the FIFO of one level's issued prefetches: a fixed
 // ring of PrefetchEntries slots, so a replay allocates nothing per
-// prefetch. An entry overtaken by a late demand access keeps its slot
-// until its arrival, so it still counts against the window.
+// prefetch. At most one live entry holds a line: issue refuses a line
+// some live entry holds.
 type inflightRing struct {
 	slots   []inflightLine
 	head, n int
@@ -273,21 +277,46 @@ type inflightRing struct {
 
 func (r *inflightRing) full() bool { return r.n == len(r.slots) }
 
-func (r *inflightRing) push(fl inflightLine) {
-	r.slots[(r.head+r.n)%len(r.slots)] = fl
+func (r *inflightRing) push(line, arrival int64) {
+	i := r.head + r.n
+	if i >= len(r.slots) {
+		i -= len(r.slots)
+	}
+	r.slots[i] = inflightLine{line: line, arrival: arrival, live: true}
 	r.n++
+}
+
+// due reports whether the oldest entry arrived before access now.
+func (r *inflightRing) due(now int64) bool {
+	return r.n > 0 && r.slots[r.head].arrival < now
 }
 
 // popArrived removes and returns the oldest entry if it arrived
 // before access now.
 func (r *inflightRing) popArrived(now int64) (inflightLine, bool) {
-	if r.n == 0 || r.slots[r.head].arrival >= now {
+	if !r.due(now) {
 		return inflightLine{}, false
 	}
 	fl := r.slots[r.head]
-	r.head = (r.head + 1) % len(r.slots)
+	r.head++
+	if r.head == len(r.slots) {
+		r.head = 0
+	}
 	r.n--
 	return fl, true
+}
+
+// find returns the live queued entry holding line, or nil.
+func (r *inflightRing) find(line int64) *inflightLine {
+	for k, i := 0, r.head; k < r.n; k++ {
+		if e := &r.slots[i]; e.live && e.line == line {
+			return e
+		}
+		if i++; i == len(r.slots) {
+			i = 0
+		}
+	}
+	return nil
 }
 
 // level is the live state of one cache level during a run.
@@ -298,11 +327,9 @@ type level struct {
 	lineShift   uint
 	cache       *cache
 	pfb         *prefetchBuffer
-	pf          prefetcher
 	inflight    inflightRing
-	inflightSet map[int64]bool
+	stride      []strideEntry // stride predictor state, indexed by site position
 	stats       LevelStats
-	proposals   []int64 // scratch for prefetcher observe
 }
 
 // charge is one priced word-weighted CPU access.
@@ -357,10 +384,10 @@ func newSimState(ws *workspace.Workspace, plat *platform.Platform, cfg Config) *
 		}
 		if lv.Prefetcher != PrefetchNone {
 			l.pfb = newPrefetchBuffer(lv.PrefetchEntries)
-			l.pf = newPrefetcher(lv, l.lineShift, len(refs))
 			l.inflight.slots = make([]inflightLine, lv.PrefetchEntries)
-			l.inflightSet = make(map[int64]bool, lv.PrefetchEntries)
-			l.proposals = make([]int64, 0, lv.PrefetchDegree)
+			if lv.Prefetcher == PrefetchStride {
+				l.stride = make([]strideEntry, len(refs))
+			}
 		}
 		st.levels = append(st.levels, l)
 	}
@@ -413,16 +440,19 @@ func (st *simState) pay(c charge) {
 	st.energy += c.energy
 }
 
-// access replays one demand access of the trace.
-func (st *simState) access(ta *trace.Access) {
+// access replays one demand access of the trace: site pos touching
+// element lin of its array.
+func (st *simState) access(pos int, lin int64) {
 	st.accesses++
 	now := st.accesses
-	for i := range st.levels {
-		st.deliver(i, now)
+	for i, lv := range st.levels {
+		if lv.inflight.due(now) {
+			st.deliver(i, now)
+		}
 	}
 
-	s := &st.sites[ta.Position]
-	addr := s.base + ta.Linear()*s.elem
+	s := &st.sites[pos]
+	addr := s.base + lin*s.elem
 	write := s.write
 
 	// Probe down the hierarchy.
@@ -436,18 +466,20 @@ func (st *simState) access(ta *trace.Access) {
 			served = i
 			break
 		}
-		if lv.pf != nil && lv.inflightSet[line] {
-			// The prefetch meant to hide this access has not arrived:
-			// late. The demand pays the full miss path; the in-flight
-			// entry is wasted.
-			lv.stats.PrefetchLate++
-			delete(lv.inflightSet, line)
-		} else if lv.pfb != nil && lv.pfb.consume(line) {
-			lv.stats.PrefetchHits++
-			lv.stats.PrefetchUseful++
-			st.install(i, line, write && i == 0)
-			served = i
-			break
+		if lv.pfb != nil {
+			if e := lv.inflight.find(line); e != nil {
+				// The prefetch meant to hide this access has not
+				// arrived: late. The demand pays the full miss path;
+				// the in-flight entry is wasted.
+				lv.stats.PrefetchLate++
+				e.live = false
+			} else if lv.pfb.consume(line) {
+				lv.stats.PrefetchHits++
+				lv.stats.PrefetchUseful++
+				st.install(i, line, write && i == 0)
+				served = i
+				break
+			}
 		}
 		lv.stats.Misses++
 	}
@@ -468,14 +500,8 @@ func (st *simState) access(ta *trace.Access) {
 
 	// Prefetchers observe every probed level.
 	for i := 0; i <= served && i < len(st.levels); i++ {
-		lv := st.levels[i]
-		if lv.pf == nil {
-			continue
-		}
-		line := addr >> lv.lineShift
-		lv.proposals = lv.pf.observe(ta.Position, addr, line, lv.proposals[:0])
-		for _, pl := range lv.proposals {
-			st.issue(i, pl, now)
+		if lv := st.levels[i]; lv.pfb != nil {
+			lv.observe(pos, addr, addr>>lv.lineShift, now)
 		}
 	}
 }
@@ -511,25 +537,25 @@ func (st *simState) writeback(i int, line int64) {
 
 // issue enqueues a prefetch proposal unless it is useless (already
 // resident, buffered or in flight) or the in-flight window is full.
-func (st *simState) issue(i int, line int64, now int64) {
-	lv := st.levels[i]
+func (lv *level) issue(line int64, now int64) {
 	if line < 0 {
 		return
 	}
-	if lv.cache.contains(line) || lv.pfb.contains(line) || lv.inflightSet[line] {
+	if lv.cache.contains(line) || lv.pfb.contains(line) || lv.inflight.find(line) != nil {
 		return
 	}
 	if lv.inflight.full() {
 		return
 	}
 	lv.stats.PrefetchIssued++
-	lv.inflightSet[line] = true
-	lv.inflight.push(inflightLine{line: line, arrival: now + int64(lv.cfg.PrefetchLatency)})
+	lv.inflight.push(line, now+int64(lv.cfg.PrefetchLatency))
 }
 
 // deliver moves arrived prefetches of level i into its buffer,
 // charging the (cycle-hidden) fill energy from the innermost deeper
-// level holding the line.
+// level holding the line. An arrival delivers when a live entry holds
+// its line — its own, or a later re-issue of a line a late demand
+// overtook — and clears that entry.
 func (st *simState) deliver(i int, now int64) {
 	lv := st.levels[i]
 	for {
@@ -537,10 +563,13 @@ func (st *simState) deliver(i int, now int64) {
 		if !ok {
 			return
 		}
-		if !lv.inflightSet[fl.line] {
-			continue // overtaken by a late demand access
+		if !fl.live {
+			e := lv.inflight.find(fl.line)
+			if e == nil {
+				continue // overtaken, or delivered by an earlier slot
+			}
+			e.live = false
 		}
-		delete(lv.inflightSet, fl.line)
 		if lv.cache.contains(fl.line) || lv.pfb.contains(fl.line) {
 			continue // redundant by arrival time
 		}
@@ -588,14 +617,20 @@ func Simulate(ctx context.Context, ws *workspace.Workspace, plat *platform.Platf
 
 	const checkEvery = 1 << 16 // ctx poll interval in accesses
 	var ctxErr error
-	err := trace.Walk(ws.Program, trace.Options{MaxAccesses: cfg.MaxAccesses}, func(ta *trace.Access) bool {
-		if st.accesses&(checkEvery-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				ctxErr = err
-				return false
+	poll := int64(0) // access count at which ctx is polled next
+	err := trace.WalkStrips(ws.Program, trace.Options{MaxAccesses: cfg.MaxAccesses}, func(s *trace.Strip) bool {
+		for it := int64(0); it < int64(s.Trip); it++ {
+			if st.accesses >= poll {
+				if ctxErr = ctx.Err(); ctxErr != nil {
+					return false
+				}
+				poll = st.accesses + checkEvery
+			}
+			for j := range s.Sites {
+				ss := &s.Sites[j]
+				st.access(ss.Position, ss.Linear+it*ss.Step)
 			}
 		}
-		st.access(ta)
 		return true
 	})
 	if err != nil {

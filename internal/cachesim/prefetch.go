@@ -46,72 +46,43 @@ func ParsePrefetcher(s string) (PrefetcherKind, error) {
 	return 0, fmt.Errorf("cachesim: unknown prefetcher %q (want none, nextline or stride)", s)
 }
 
-// prefetcher observes every demand access reaching its level and
-// proposes candidate line indices to fetch ahead. Proposals are
-// filtered by the simulator (already resident, buffered or in flight)
-// before they count as issued.
-type prefetcher interface {
-	// observe appends proposed line indices to out and returns it.
-	// pos is the document-order site ordinal, addr the byte address
-	// and line the level's line index of the access.
-	observe(pos int, addr, line int64, out []int64) []int64
-}
-
-// nextLinePrefetcher proposes line+1 .. line+degree on every access.
-type nextLinePrefetcher struct {
-	degree int
-}
-
-func (p *nextLinePrefetcher) observe(pos int, addr, line int64, out []int64) []int64 {
-	for k := 1; k <= p.degree; k++ {
-		out = append(out, line+int64(k))
-	}
-	return out
-}
-
-// strideEntry is one site's predictor state; the zero value is a site
-// not seen yet.
+// strideEntry is one site's stride predictor state; the zero value is
+// a site not seen yet.
 type strideEntry struct {
 	last   int64 // last byte address seen at the site
 	stride int64 // last observed delta
 	seen   bool
 }
 
-// stridePrefetcher keys predictor state by access site (the static
-// program position stands in for the PC). A proposal is made only when
-// the current delta confirms the previous one — two-delta confidence —
+// observe runs the level's prefetcher on a demand access reaching it
+// and issues its proposals (filtered by issue: already resident,
+// buffered or in flight). pos is the document-order site ordinal, addr
+// the byte address and line the level's line index of the access.
+//
+// Next-line proposes line+1 .. line+degree on every access. Stride
+// keys predictor state by access site (the static program position
+// stands in for the PC) and proposes addr+k*delta only when the
+// current delta confirms the previous one — two-delta confidence —
 // which keeps it quiet on irregular streams.
-type stridePrefetcher struct {
-	degree    int
-	lineShift uint
-	table     []strideEntry // indexed by site position
-}
-
-func (p *stridePrefetcher) observe(pos int, addr, line int64, out []int64) []int64 {
-	e := &p.table[pos]
-	if e.seen {
-		d := addr - e.last
-		if d != 0 && d == e.stride {
-			for k := 1; k <= p.degree; k++ {
-				out = append(out, (addr+int64(k)*d)>>p.lineShift)
-			}
-		}
-		e.stride = d
-	}
-	e.last = addr
-	e.seen = true
-	return out
-}
-
-// newPrefetcher builds the level's prefetcher; sites is the number of
-// access sites of the program (the stride table's size).
-func newPrefetcher(cfg LevelConfig, lineShift uint, sites int) prefetcher {
-	switch cfg.Prefetcher {
+func (lv *level) observe(pos int, addr, line, now int64) {
+	degree := int64(lv.cfg.PrefetchDegree)
+	switch lv.cfg.Prefetcher {
 	case PrefetchNextLine:
-		return &nextLinePrefetcher{degree: cfg.PrefetchDegree}
+		for k := int64(1); k <= degree; k++ {
+			lv.issue(line+k, now)
+		}
 	case PrefetchStride:
-		return &stridePrefetcher{degree: cfg.PrefetchDegree, lineShift: lineShift, table: make([]strideEntry, sites)}
-	default:
-		return nil
+		e := &lv.stride[pos]
+		if e.seen {
+			d := addr - e.last
+			if d != 0 && d == e.stride {
+				for k := int64(1); k <= degree; k++ {
+					lv.issue((addr+k*d)>>lv.lineShift, now)
+				}
+			}
+			e.stride = d
+		}
+		e.last = addr
+		e.seen = true
 	}
 }

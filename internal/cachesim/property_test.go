@@ -91,9 +91,10 @@ func TestLRUInclusionMonotone(t *testing.T) {
 }
 
 // TestReplayAllocsIndependentOfTraceLength: a replay allocates per
-// program site, per cache set and per prefetch slot, never per access
-// or per prefetch, so the same program structure allocates the same at
-// test scale and at paper scale, with and without a prefetcher.
+// program site, per loop, per cache level and per prefetch window,
+// never per access, strip or prefetch, so the same program structure
+// allocates the same at test scale and at paper scale, with no cache
+// and with a cache with and without a prefetcher.
 func TestReplayAllocsIndependentOfTraceLength(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
@@ -104,7 +105,7 @@ func TestReplayAllocsIndependentOfTraceLength(t *testing.T) {
 			t.Fatal(err)
 		}
 		plat := energy.TwoLevel(app.L1)
-		for _, variant := range []string{"lru", "nextline", "stride"} {
+		for _, variant := range []string{"anchor", "lru", "nextline", "stride"} {
 			cfg := goldenConfig(variant, plat)
 			var allocs [2]float64
 			for i, scale := range []apps.Scale{apps.Test, apps.Paper} {

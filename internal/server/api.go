@@ -124,7 +124,9 @@ const bodyReadTimeout = 30 * time.Second
 
 // readBody reads one request body whole under the read deadline and
 // the size cap. Any body over the cap is 413 too_large, also one whose
-// bytes after its first JSON object are only whitespace.
+// bytes after its first JSON object are only whitespace. A body that
+// declares a length within the cap is read into one buffer of that
+// size.
 func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, *apiError) {
 	// Best-effort (httptest recorders don't support deadlines): bound
 	// the body read, then clear the deadline so neither the compute
@@ -132,7 +134,14 @@ func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, *
 	rc := http.NewResponseController(w)
 	rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	defer rc.SetReadDeadline(time.Time{})
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+	body := http.MaxBytesReader(w, r.Body, maxBytes)
+	var data []byte
+	var err error
+	if n := r.ContentLength; 0 < n && n <= maxBytes {
+		data, err = readSized(body, n)
+	} else {
+		data, err = io.ReadAll(body)
+	}
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -142,6 +151,28 @@ func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, *
 		return nil, badRequest("bad_request", "malformed request: %v", err)
 	}
 	return data, nil
+}
+
+// readSized reads r to EOF like io.ReadAll, starting from one buffer
+// with room for n bytes and one more, so the read that meets EOF after
+// n bytes needs no growth. A longer body still reads whole (the buffer
+// grows as io.ReadAll's would), so the size cap and its 413 do not
+// depend on the declared length being true.
+func readSized(r io.Reader, n int64) ([]byte, error) {
+	b := make([]byte, 0, n+1)
+	for {
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // decodeStrict is the one strict JSON decoder of the service: it

@@ -238,3 +238,36 @@ func TestOversizedBodyWithBlankTailIsTooLarge(t *testing.T) {
 		}
 	}
 }
+
+// TestDeclaredLengthDoesNotBypassCap: readBody sizes its buffer from a
+// Content-Length within the cap, but reads the body the request really
+// carries: a body longer than it declares is still served whole, and
+// one whose real length is over the cap is still 413 too_large.
+func TestDeclaredLengthDoesNotBypassCap(t *testing.T) {
+	srv := New(Config{MaxBodyBytes: 1 << 10})
+	defer srv.Close()
+	handler := srv.Handler()
+	run := `{"app":"durbin","scale":"test","l1_bytes":512}`
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"understated", run, http.StatusOK},
+		{"understated over the cap", run + strings.Repeat(" ", 4<<10), http.StatusRequestEntityTooLarge},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(tc.body))
+		req.ContentLength = 8
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body.Bytes())
+			continue
+		}
+		if tc.want != http.StatusOK {
+			if got := decodeError(t, rec.Body.Bytes()); got != "too_large" {
+				t.Errorf("%s: error code %q, want too_large", tc.name, got)
+			}
+		}
+	}
+}

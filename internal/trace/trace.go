@@ -7,21 +7,33 @@
 // of internal/cachesim — and they must never drift on what "the trace"
 // means (which accesses run, in which order, under which iterator
 // valuation). Factoring the walk here makes that a structural
-// guarantee instead of a test obligation: both consume the same Walk.
+// guarantee instead of a test obligation: both consume the same
+// traversal.
 //
-// Walk lowers the program once, up front, into a small tree of loops
-// and access sites. Each site carries its document-order position, its
-// loop depth and its row-major linear element index as an affine form
-// over the depth-indexed iterator values, so the replay itself touches
-// no map and evaluates no string-keyed expression. Allocation is
-// O(sites + loops) per walk, independent of the trace length: one
-// Access value and one iterator slice are reused across yields.
+// WalkStrips lowers the program once, up front, into a small tree of
+// loops and strips. A leaf loop, one whose body holds only access
+// sites, becomes one strip; a site outside any leaf loop becomes a
+// one-iteration strip of its own. Each site carries its document-order
+// position and its row-major linear element index as an affine form
+// over the depth-indexed iterator values, split into the terms on the
+// enclosing loops and the step: the merged coefficient of the leaf
+// loop's own iterator. Entering a strip evaluates the outer terms once,
+// so the consumer gets every site's linear index at iteration 0, its
+// step and the trip count, and expands iteration it of site s as
+// s.Linear + it*s.Step without touching a map, an expression or a
+// callback per access. Allocation is O(sites + loops) per walk,
+// independent of the trace length: the strips and the iterator slice
+// are built with the lowering and reused on every entry.
+//
+// Walk is a per-access adapter over the same traversal for consumers
+// that need the iterator values (internal/sim): it sets the leaf
+// loop's iterator in Access.Iters and reports Linear + it*Step.
 //
 // The lowering resolves every index term to the innermost enclosing
 // loop of its name and drops terms naming no enclosing loop. That is
 // the meaning of a validated program (model.Program.Validate rejects
-// shadowed and out-of-scope iterators); Walk serves validated programs
-// only. The MaxAccesses guard (against accidentally tracing
+// shadowed and out-of-scope iterators); the walk serves validated
+// programs only. The MaxAccesses guard (against accidentally tracing
 // paper-scale workloads) lives here too, so every trace consumer is
 // bounded the same way.
 package trace
@@ -37,7 +49,7 @@ import (
 // MaxAccesses at zero.
 const DefaultMaxAccesses = 5_000_000
 
-// ErrLimit is wrapped by Walk's error when the program would execute
+// ErrLimit is wrapped by the walk's error when the program would execute
 // more dynamic accesses than the configured bound; consumers branch on
 // it with errors.Is to report "too large", not "broken".
 var ErrLimit = errors.New("access limit exceeded")
@@ -67,18 +79,56 @@ type Access struct {
 	// model.AccessRef.Nest[j]).
 	Iters []int
 
-	site *site
+	linear int64
 }
 
 // Linear returns the row-major linear element index of the access
 // within its array (outermost dimension first, matching
 // model.Array.Dims).
-func (a *Access) Linear() int64 {
-	idx := a.site.base
-	for _, t := range a.site.terms {
-		idx += t.coef * int64(a.Iters[t.depth])
-	}
-	return idx
+func (a *Access) Linear() int64 { return a.linear }
+
+// Strip is one entry of a leaf loop: Trip iterations of its sites, in
+// document order within each iteration. A site outside any leaf loop is
+// a strip of its own with Trip 1. The value passed to the yield
+// callback belongs to the walk and is reused on the next entry of the
+// same loop; consumers must not modify it.
+type Strip struct {
+	// Block is the index of the enclosing top-level block.
+	Block int
+	// Trip is the iteration count.
+	Trip int
+	// Sites are the strip's access sites in document order.
+	Sites []StripSite
+
+	// iters are the live values of the sites' enclosing loop
+	// iterators, outermost first; for a leaf loop the last one is its
+	// own iterator, which the walk leaves to the consumer.
+	iters []int
+	leaf  bool
+}
+
+// StripSite is one access site of a strip. Iteration it of the strip
+// accesses element Linear + it*Step of the site's array.
+type StripSite struct {
+	// Site is the static access site.
+	Site *model.Access
+	// Position is the document-order ordinal of the site within the
+	// program (model.AccessRef.Position).
+	Position int
+	// Linear is the row-major linear element index at iteration 0 of
+	// this entry of the strip.
+	Linear int64
+	// Step is the change of the linear index per iteration: the merged
+	// coefficient of the leaf loop's iterator, 0 when the site has no
+	// term on it or sits outside any leaf loop.
+	Step int64
+
+	// base + Σ coef·iters[depth] over outer is Linear: every
+	// dimension's affine index scaled by the extent of the dimensions
+	// inside it, terms on one loop merged, the leaf loop's term split
+	// off into Step.
+	base  int64
+	outer []term
 }
 
 // term is one lowered index term: coef times the iterator at depth.
@@ -87,80 +137,135 @@ type term struct {
 	coef  int64
 }
 
-// site is one lowered access site.
-type site struct {
-	acc   *model.Access
-	pos   int
-	depth int
-	// base + Σ coef·Iters[depth] is the row-major linear element
-	// index: every dimension's affine index scaled by the extent of
-	// the dimensions inside it, terms on one loop merged.
-	base  int64
-	terms []term
-}
-
-// node is one lowered body node: a loop (site == nil) or an access.
+// node is one lowered body node: a loop holding further loops
+// (strip == nil), or a strip.
 type node struct {
-	trip int
-	body []node
-	site *site
+	trip  int
+	body  []node
+	strip *Strip
 }
 
 // lowering is the state of one program's lowering: the next site's
-// document-order position and the deepest site nesting seen.
+// document-order position, the deepest site nesting seen and the
+// strips built with each one's iterator depth, whose iterator slices
+// are cut once that depth is known.
 type lowering struct {
 	pos, depth int
+	strips     []*Strip
+	depths     []int
 }
 
 // body lowers one body; scope holds the enclosing loop variables,
 // outermost first. A loop containing no access site is dropped (it
 // yields nothing), so every loop sits above some site and the deepest
-// site bounds the iterator slice.
+// site bounds the iterator slice. A loop whose lowered body holds only
+// sites becomes one strip.
 func (lw *lowering) body(nodes []model.Node, scope []string) []node {
 	var out []node
 	for _, n := range nodes {
 		switch n := n.(type) {
 		case *model.Loop:
-			if body := lw.body(n.Body, append(scope, n.Var)); len(body) > 0 {
+			inner := append(scope, n.Var)
+			if isLeaf(n.Body) {
+				out = append(out, node{strip: lw.strip(n.Body, inner, n.Trip, true)})
+			} else if body := lw.body(n.Body, inner); len(body) > 0 {
 				out = append(out, node{trip: n.Trip, body: body})
 			}
 		case *model.Access:
-			out = append(out, node{site: lowerSite(n, scope, lw.pos)})
-			lw.pos++
-			if len(scope) > lw.depth {
-				lw.depth = len(scope)
-			}
+			out = append(out, node{strip: lw.strip([]model.Node{n}, scope, 1, false)})
 		}
 	}
 	return out
 }
 
-func lowerSite(acc *model.Access, scope []string, pos int) *site {
-	s := &site{acc: acc, pos: pos, depth: len(scope)}
-	stride := int64(1)
-	for d := len(acc.Array.Dims) - 1; d >= 0; d-- {
-		e := acc.Index[d]
-		s.base += stride * int64(e.Const)
-		for _, t := range e.Terms {
-			depth := innermost(scope, t.Var)
-			if depth < 0 {
-				continue
+// isLeaf reports whether a loop body holds access sites and no loop
+// with a site in it (loops without one are dropped, so they do not
+// count).
+func isLeaf(nodes []model.Node) bool {
+	leaf := false
+	for _, n := range nodes {
+		switch n := n.(type) {
+		case *model.Loop:
+			if hasSite(n.Body) {
+				return false
 			}
-			s.addTerm(depth, stride*int64(t.Coef))
+		case *model.Access:
+			leaf = true
 		}
-		stride *= int64(acc.Array.Dims[d])
 	}
+	return leaf
+}
+
+// hasSite reports whether a body holds an access site at any depth.
+func hasSite(nodes []model.Node) bool {
+	for _, n := range nodes {
+		switch n := n.(type) {
+		case *model.Loop:
+			if hasSite(n.Body) {
+				return true
+			}
+		case *model.Access:
+			return true
+		}
+	}
+	return false
+}
+
+// strip lowers the access sites among nodes into one strip under
+// scope; leaf says the last scope entry is the strip's own loop, whose
+// term becomes the step.
+func (lw *lowering) strip(nodes []model.Node, scope []string, trip int, leaf bool) *Strip {
+	s := &Strip{Trip: trip, Sites: make([]StripSite, 0, len(nodes)), leaf: leaf}
+	for _, n := range nodes {
+		acc, ok := n.(*model.Access)
+		if !ok {
+			continue
+		}
+		s.Sites = append(s.Sites, StripSite{Site: acc, Position: lw.pos})
+		ss := &s.Sites[len(s.Sites)-1]
+		lw.pos++
+		stride := int64(1)
+		for d := len(acc.Array.Dims) - 1; d >= 0; d-- {
+			e := acc.Index[d]
+			ss.base += stride * int64(e.Const)
+			for _, t := range e.Terms {
+				if depth := innermost(scope, t.Var); depth >= 0 {
+					ss.addTerm(depth, stride*int64(t.Coef))
+				}
+			}
+			stride *= int64(acc.Array.Dims[d])
+		}
+		if leaf {
+			ss.splitStep(len(scope) - 1)
+		}
+	}
+	if len(scope) > lw.depth {
+		lw.depth = len(scope)
+	}
+	lw.strips = append(lw.strips, s)
+	lw.depths = append(lw.depths, len(scope))
 	return s
 }
 
-func (s *site) addTerm(depth int, coef int64) {
-	for i := range s.terms {
-		if s.terms[i].depth == depth {
-			s.terms[i].coef += coef
+func (s *StripSite) addTerm(depth int, coef int64) {
+	for i := range s.outer {
+		if s.outer[i].depth == depth {
+			s.outer[i].coef += coef
 			return
 		}
 	}
-	s.terms = append(s.terms, term{depth: depth, coef: coef})
+	s.outer = append(s.outer, term{depth: depth, coef: coef})
+}
+
+// splitStep moves the merged term on the iterator at depth into Step.
+func (s *StripSite) splitStep(depth int) {
+	for i, t := range s.outer {
+		if t.depth == depth {
+			s.Step = t.coef
+			s.outer = append(s.outer[:i], s.outer[i+1:]...)
+			return
+		}
+	}
 }
 
 // innermost returns the depth of the innermost scope entry named v, or
@@ -174,11 +279,11 @@ func innermost(scope []string, v string) int {
 	return -1
 }
 
-// walker is the replay state of one Walk.
+// walker is the replay state of one walk.
 type walker struct {
-	acc   Access
+	block int
 	iters []int
-	yield func(*Access) bool
+	yield func(*Strip) bool
 }
 
 // run replays one lowered body at the given loop depth, reporting
@@ -186,9 +291,17 @@ type walker struct {
 func (w *walker) run(nodes []node, depth int) bool {
 	for i := range nodes {
 		n := &nodes[i]
-		if s := n.site; s != nil {
-			w.acc.Site, w.acc.Position, w.acc.Iters, w.acc.site = s.acc, s.pos, w.iters[:s.depth], s
-			if !w.yield(&w.acc) {
+		if s := n.strip; s != nil {
+			for j := range s.Sites {
+				ss := &s.Sites[j]
+				lin := ss.base
+				for _, t := range ss.outer {
+					lin += t.coef * int64(w.iters[t.depth])
+				}
+				ss.Linear = lin
+			}
+			s.Block = w.block
+			if !w.yield(s) {
 				return false
 			}
 			continue
@@ -203,14 +316,15 @@ func (w *walker) run(nodes []node, depth int) bool {
 	return true
 }
 
-// Walk replays the program's dynamic access trace in execution order:
-// blocks in sequence, loops iterated 0..Trip-1, body nodes in
-// document order. It calls yield once per dynamic access; returning
-// false stops the walk early (Walk then returns nil — an early stop is
-// the consumer's choice, not a failure). The walk is bounded up front:
-// a program whose total dynamic access count exceeds the configured
+// WalkStrips replays the program's dynamic access trace in execution
+// order as strips: blocks in sequence, loops iterated 0..Trip-1, body
+// nodes in document order, one yield per entry of a leaf loop and per
+// execution of a site outside any leaf loop. Returning false stops the
+// walk early (WalkStrips then returns nil — an early stop is the
+// consumer's choice, not a failure). The walk is bounded up front: a
+// program whose total dynamic access count exceeds the configured
 // limit returns an error wrapping ErrLimit before the first yield.
-func Walk(p *model.Program, opts Options, yield func(*Access) bool) error {
+func WalkStrips(p *model.Program, opts Options, yield func(*Strip) bool) error {
 	if p == nil {
 		return fmt.Errorf("trace: nil program")
 	}
@@ -228,11 +342,38 @@ func Walk(p *model.Program, opts Options, yield func(*Access) bool) error {
 		blocks[bi] = lw.body(b.Body, nil)
 	}
 	w := &walker{iters: make([]int, lw.depth), yield: yield}
+	for i, s := range lw.strips {
+		s.iters = w.iters[:lw.depths[i]]
+	}
 	for bi, body := range blocks {
-		w.acc.Block = bi
+		w.block = bi
 		if !w.run(body, 0) {
 			break
 		}
 	}
 	return nil
+}
+
+// Walk replays the trace one access at a time: it calls yield once per
+// dynamic access, in the order and under the bound of WalkStrips, with
+// the access's live iterator values. Returning false stops the walk
+// early (Walk then returns nil).
+func Walk(p *model.Program, opts Options, yield func(*Access) bool) error {
+	var acc Access
+	return WalkStrips(p, opts, func(s *Strip) bool {
+		acc.Block, acc.Iters = s.Block, s.iters
+		for it := 0; it < s.Trip; it++ {
+			if s.leaf {
+				s.iters[len(s.iters)-1] = it
+			}
+			for i := range s.Sites {
+				ss := &s.Sites[i]
+				acc.Site, acc.Position, acc.linear = ss.Site, ss.Position, ss.Linear+int64(it)*ss.Step
+				if !yield(&acc) {
+					return false
+				}
+			}
+		}
+		return true
+	})
 }

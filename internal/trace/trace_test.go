@@ -276,3 +276,137 @@ func TestWalkEarlyStopMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// stripEvents expands WalkStrips into per-access events: iteration it
+// of site s is element s.Linear + it*s.Step, under the strip's outer
+// iterator values plus it for a leaf loop's own iterator.
+func stripEvents(t *testing.T, p *model.Program) []event {
+	t.Helper()
+	var got []event
+	err := WalkStrips(p, Options{MaxAccesses: 1 << 40}, func(s *Strip) bool {
+		if !s.leaf && (s.Trip != 1 || len(s.Sites) != 1) {
+			t.Fatalf("lone-site strip with trip %d and %d sites", s.Trip, len(s.Sites))
+		}
+		iters := append([]int(nil), s.iters...)
+		for it := 0; it < s.Trip; it++ {
+			if s.leaf {
+				iters[len(iters)-1] = it
+			}
+			for _, ss := range s.Sites {
+				got = append(got, event{ss.Site, s.Block, ss.Position, ss.Linear + int64(it)*ss.Step, fmt.Sprint(iters)})
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// checkStripsAgainstReference asserts that the expanded strips equal
+// referenceWalk event by event.
+func checkStripsAgainstReference(t *testing.T, name string, p *model.Program) {
+	t.Helper()
+	got, want := stripEvents(t, p), referenceEvents(p, 0)
+	if len(got) != len(want) {
+		t.Fatalf("%s: strips expand to %d accesses, reference %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: access %d = %+v, reference %+v", name, i, got[i], want[i])
+		}
+	}
+}
+
+// stripCases builds a program exercising every strip shape:
+//
+//	block 0: for i in 0..2 {
+//	           read X[i]                      // between loops: lone
+//	           for j in 0..3 {                // leaf loop
+//	             read A[i][1]                 // no term on j: step 0
+//	             write D[i+j][j]              // two terms on j: step 5
+//	           }
+//	           for k in 0..1 { }              // empty: dropped
+//	           read X[2-i]                    // between loops: lone
+//	         }
+//	block 1: read X[1]                        // outside any loop: lone
+func stripCases(t *testing.T) *model.Program {
+	t.Helper()
+	x := &model.Array{Name: "X", Dims: []int{3}, ElemSize: 4, Input: true}
+	a := &model.Array{Name: "A", Dims: []int{3, 2}, ElemSize: 2, Input: true}
+	d := &model.Array{Name: "D", Dims: []int{6, 4}, ElemSize: 1, Output: true}
+	p := &model.Program{
+		Name:   "trace-strips",
+		Arrays: []*model.Array{x, a, d},
+		Blocks: []*model.Block{
+			{Name: "b0", Body: []model.Node{
+				&model.Loop{Var: "i", Trip: 3, Body: []model.Node{
+					&model.Access{Array: x, Kind: model.Read, Index: []model.Expr{model.Idx("i")}},
+					&model.Loop{Var: "j", Trip: 4, Body: []model.Node{
+						&model.Access{Array: a, Kind: model.Read, Index: []model.Expr{model.Idx("i"), model.ConstExpr(1)}},
+						&model.Compute{Cycles: 1},
+						&model.Access{Array: d, Kind: model.Write, Index: []model.Expr{
+							model.Affine(0, model.Term{Var: "i", Coef: 1}, model.Term{Var: "j", Coef: 1}), model.Idx("j")}},
+					}},
+					&model.Loop{Var: "k", Trip: 2, Body: []model.Node{&model.Compute{Cycles: 3}}},
+					&model.Access{Array: x, Kind: model.Read, Index: []model.Expr{model.Affine(2, model.Term{Var: "i", Coef: -1})}},
+				}},
+			}},
+			{Name: "b1", Body: []model.Node{
+				&model.Access{Array: x, Kind: model.Read, Index: []model.Expr{model.ConstExpr(1)}},
+			}},
+		},
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestStripShapes: a leaf loop is one strip per entry with its trip
+// count and per-site steps (0 without a term on its iterator, the
+// merged coefficient with two), a site between or outside loops is a
+// one-iteration strip, and an empty loop yields nothing.
+func TestStripShapes(t *testing.T) {
+	p := stripCases(t)
+	type shape struct {
+		block, trip int
+		leaf        bool
+		steps       string
+	}
+	var got []shape
+	err := WalkStrips(p, Options{}, func(s *Strip) bool {
+		var steps []int64
+		for _, ss := range s.Sites {
+			steps = append(steps, ss.Step)
+		}
+		got = append(got, shape{s.Block, s.Trip, s.leaf, fmt.Sprint(steps)})
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []shape
+	for i := 0; i < 3; i++ {
+		want = append(want, shape{0, 1, false, "[0]"}, shape{0, 4, true, "[0 5]"}, shape{0, 1, false, "[0]"})
+	}
+	want = append(want, shape{1, 1, false, "[0]"})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("strips %v, want %v", got, want)
+	}
+	checkStripsAgainstReference(t, "strip cases", p)
+	checkAgainstReference(t, "strip cases", p, 0)
+}
+
+// TestStripsMatchReference: expanding the strips reproduces the
+// map-keyed reference walk on every generated scenario and on the nine
+// applications at test scale.
+func TestStripsMatchReference(t *testing.T) {
+	for seed := int64(0); seed < 220; seed++ {
+		checkStripsAgainstReference(t, fmt.Sprintf("progen seed %d", seed), progen.Generate(seed).Program)
+	}
+	for _, app := range apps.All() {
+		checkStripsAgainstReference(t, app.Name, app.Build(apps.Test))
+	}
+}
