@@ -5,13 +5,12 @@
 //
 // It replays the dynamic access trace of a program's loop nests — the
 // leaf-loop strips of internal/trace, the same traversal internal/sim
-// consumes access by access — through a configurable hierarchy of
-// set-associative LRU caches (one level per on-chip platform layer,
-// innermost first), each with an optional FIFO prefetch buffer fed by
-// a pluggable next-line or stride prefetcher. It produces per-level
-// hit/miss/eviction/writeback counts and prefetch
-// issued/useful/late/accuracy statistics, priced in cycles and energy
-// with the existing internal/platform cost model — the same
+// consumes — through a configurable hierarchy of set-associative LRU
+// caches (one level per on-chip platform layer, innermost first), each
+// with an optional FIFO prefetch buffer fed by a next-line or stride
+// prefetcher. It produces per-level hit/miss/eviction/writeback counts
+// and prefetch issued/useful/late/accuracy statistics, priced in cycles
+// and energy with the existing internal/platform cost model — the same
 // AccessCycles/AccessEnergy and TransferCycles/TransferEnergy entry
 // points the analytical evaluator charges.
 //

@@ -21,7 +21,8 @@ var diffConfig = progen.Config{MaxTrip: 16, MaxDepth: 3, MaxNests: 3}
 const diffSeeds = 60 // >= 50 scenarios per the acceptance bar
 
 // cycleBounds computes an analytical sandwich for the simulated cycle
-// count of a configuration, by one extra pass over the same trace:
+// count of a configuration, by one extra pass over the same trace (per
+// strip, every site's per-access charge times the trip count):
 //
 //   - lower: compute plus one word-weighted L1 probe per access — every
 //     demand access pays at least its innermost probe, whatever else
@@ -37,26 +38,29 @@ func cycleBounds(t *testing.T, ws *workspace.Workspace, plat *platform.Platform,
 	t.Helper()
 	cfg = cfg.normalized()
 	bg := plat.Background()
-	err := trace.Walk(ws.Program, trace.Options{}, func(ta *trace.Access) bool {
-		elem := ta.Site.Array.ElemSize
-		write := ta.Site.Kind == model.Write
-		if len(cfg.Levels) == 0 {
-			w := plat.Layers[bg].Words(int64(elem))
-			lower += w * plat.AccessCycles(bg, write)
-			upper += w * plat.AccessCycles(bg, write)
-			return true
-		}
-		lower += plat.Layers[0].Words(int64(elem)) * plat.AccessCycles(0, write)
-		for i, lv := range cfg.Levels {
-			parent := bg
-			if i+1 < len(cfg.Levels) {
-				parent = i + 1
+	err := trace.WalkStrips(ws.Program, trace.Options{}, func(s *trace.Strip) bool {
+		trip := int64(s.Trip)
+		for _, ss := range s.Sites {
+			elem := ss.Site.Array.ElemSize
+			write := ss.Site.Kind == model.Write
+			if len(cfg.Levels) == 0 {
+				w := plat.Layers[bg].Words(int64(elem))
+				lower += trip * w * plat.AccessCycles(bg, write)
+				upper += trip * w * plat.AccessCycles(bg, write)
+				continue
 			}
-			upper += plat.Layers[i].Words(int64(elem)) * plat.AccessCycles(i, write && i == 0)
-			upper += plat.TransferCycles(parent, i, int64(lv.LineBytes)) // fill
-			upper += plat.TransferCycles(i, parent, int64(lv.LineBytes)) // eviction write-back
+			lower += trip * plat.Layers[0].Words(int64(elem)) * plat.AccessCycles(0, write)
+			for i, lv := range cfg.Levels {
+				parent := bg
+				if i+1 < len(cfg.Levels) {
+					parent = i + 1
+				}
+				upper += trip * plat.Layers[i].Words(int64(elem)) * plat.AccessCycles(i, write && i == 0)
+				upper += trip * plat.TransferCycles(parent, i, int64(lv.LineBytes)) // fill
+				upper += trip * plat.TransferCycles(i, parent, int64(lv.LineBytes)) // eviction write-back
+			}
+			upper += trip * plat.Layers[bg].Words(int64(elem)) * plat.AccessCycles(bg, write)
 		}
-		upper += plat.Layers[bg].Words(int64(elem)) * plat.AccessCycles(bg, write)
 		return true
 	})
 	if err != nil {

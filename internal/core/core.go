@@ -235,7 +235,10 @@ func (r *Result) TEBoost() float64 {
 
 // Verify cross-checks the analytical MHLA evaluation against the
 // element-level trace simulator. It is intended for down-scaled
-// programs; maxAccesses bounds the trace (0 = simulator default).
+// programs; maxAccesses bounds the trace (0 = simulator default;
+// negative is an error). Per-layer accesses, every stream's bytes and
+// transfer count and the stream set must match exactly, energy to
+// float rounding.
 func (r *Result) Verify(maxAccesses int64) error {
 	tr, err := sim.Trace(r.Assignment, sim.Options{MaxAccesses: maxAccesses})
 	if err != nil {
@@ -247,10 +250,22 @@ func (r *Result) Verify(maxAccesses int64) error {
 				i, tr.LayerAccesses[i], n)
 		}
 	}
-	for _, st := range r.Assignment.Streams() {
+	streams := r.Assignment.Streams()
+	known := make(map[assign.StreamKey]bool, len(streams))
+	for _, st := range streams {
+		known[st.Key] = true
 		if tr.TransferBytes[st.Key] != st.Count*st.Bytes {
 			return fmt.Errorf("core: verify: stream %s bytes differ: trace %d, analytic %d",
 				st.Key, tr.TransferBytes[st.Key], st.Count*st.Bytes)
+		}
+		if tr.TransferCount[st.Key] != st.Count {
+			return fmt.Errorf("core: verify: stream %s transfer counts differ: trace %d, analytic %d",
+				st.Key, tr.TransferCount[st.Key], st.Count)
+		}
+	}
+	for key := range tr.TransferCount {
+		if !known[key] {
+			return fmt.Errorf("core: verify: trace stream %s is not an analytic stream", key)
 		}
 	}
 	// The trace accumulates energy event by event; allow relative

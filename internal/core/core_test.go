@@ -148,7 +148,9 @@ func TestRunCustomSearchOptions(t *testing.T) {
 // it is configured with. For every generated scenario, core.Run with
 // the scenario's options must reach the assignment and MHLA cost of
 // assign.Search with the same options — including the option sets
-// that look like a zero value apart from their ablation switches.
+// that look like a zero value apart from their ablation switches — and
+// the trace simulator must reproduce its access counts, stream bytes,
+// transfer counts and stream set.
 func TestRunMatchesSearchOnScenarios(t *testing.T) {
 	seeds := int64(220)
 	if testing.Short() {
@@ -177,6 +179,9 @@ func TestRunMatchesSearchOnScenarios(t *testing.T) {
 			}
 			if !reflect.DeepEqual(res.MHLA, sr.Cost) {
 				t.Errorf("options %+v: Run MHLA cost %+v != Search cost %+v", sc.Options, res.MHLA, sr.Cost)
+			}
+			if err := res.Verify(0); err != nil {
+				t.Errorf("options %+v: %v", sc.Options, err)
 			}
 		})
 	}

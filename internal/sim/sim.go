@@ -2,7 +2,7 @@
 // hierarchy simulator used to cross-validate the analytical models of
 // internal/reuse and internal/assign.
 //
-// The simulator interprets the application model access by access,
+// The simulator replays the strips of internal/trace access by access,
 // maintaining every selected copy as a software-managed buffer whose
 // bounding box follows the fixed loop iterators, exactly as the
 // generated data-transfer code of the MHLA tool would. It counts CPU
@@ -13,13 +13,14 @@
 // evaluation — a property the test suites of this package and of
 // internal/core assert.
 //
-// The simulator is deliberately independent: it recomputes footprint
-// boxes from the access expressions instead of reusing the reuse
-// package's candidate geometry.
+// The simulator is deliberately independent: it lowers each copy's
+// footprint from the access expressions itself instead of reusing the
+// reuse package's candidate geometry.
 package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"mhla/internal/assign"
 	"mhla/internal/model"
@@ -32,7 +33,8 @@ type Options struct {
 	// MaxAccesses aborts the trace when the program would execute
 	// more dynamic accesses than this (a guard against accidentally
 	// tracing paper-scale workloads; enforced by the shared iterator
-	// of internal/trace). 0 means trace.DefaultMaxAccesses.
+	// of internal/trace). 0 means trace.DefaultMaxAccesses; a negative
+	// value is an error.
 	MaxAccesses int64
 }
 
@@ -59,11 +61,26 @@ type copyState struct {
 	// (nest[0:level]); valid is false before the first update.
 	prefix []int
 	valid  bool
-	box    box
-	// class attribution: classes[0] is the fill, classes[1+j] belongs
-	// to incrementing loop j.
-	key func(class int) assign.StreamKey
+	// box is the current footprint and next the buffer the following
+	// update fills; dims[d] holds every access's extent along
+	// dimension d.
+	box, next box
+	dims      [][]extent
 }
+
+// extent is one access's index range along one dimension of a copy,
+// lowered when the copy is created: [lo, hi] shifted by
+// Σ coef·iters[depth] over fixed, the terms on the loops above the
+// copy level, with the sweep of the loops below it folded into lo and
+// hi.
+type extent struct {
+	lo, hi int
+	fixed  []term
+}
+
+// term is one index term on a fixed loop: coef times the iterator at
+// depth.
+type term struct{ depth, coef int }
 
 // site is the per-access-site table entry of a trace run.
 type site struct {
@@ -78,6 +95,8 @@ type site struct {
 
 // box is an inclusive integer hyper-rectangle.
 type box struct{ lo, hi []int }
+
+func newBox(rank int) box { return box{lo: make([]int, rank), hi: make([]int, rank)} }
 
 func (b box) volume() int64 {
 	v := int64(1)
@@ -127,22 +146,12 @@ func Trace(a *assign.Assignment, opts Options) (*Result, error) {
 	blockCopies := make([][]*copyState, len(p.Blocks))
 	chainCopies := make(map[*reuse.Chain][]*copyState)
 	for _, sel := range a.Selections() {
-		sel := sel
 		bi := sel.Chain.BlockIndex
 		parent := a.ArrayHome[sel.Chain.Array.Name]
 		if prev := chainCopies[sel.Chain]; len(prev) > 0 {
 			parent = prev[len(prev)-1].layer
 		}
-		cs := &copyState{
-			chain:  sel.Chain,
-			level:  sel.Level,
-			layer:  sel.Layer,
-			parent: parent,
-			prefix: make([]int, sel.Level),
-			key: func(class int) assign.StreamKey {
-				return assign.StreamKey{Chain: sel.Chain.ID, Level: sel.Level, Class: class}
-			},
-		}
+		cs := newCopy(sel.Chain, sel.Level, sel.Layer, parent)
 		blockCopies[bi] = append(blockCopies[bi], cs)
 		chainCopies[sel.Chain] = append(chainCopies[sel.Chain], cs)
 	}
@@ -173,18 +182,29 @@ func Trace(a *assign.Assignment, opts Options) (*Result, error) {
 		}
 	}
 
+	// iters is a strip's Iters with the leaf loop's own iterator set;
+	// the strip's Iters belong to the walk.
+	var iters []int
 	cur := 0
-	err := trace.Walk(p, trace.Options{MaxAccesses: opts.MaxAccesses}, func(ta *trace.Access) bool {
-		for cur < ta.Block {
+	err := trace.WalkStrips(p, trace.Options{MaxAccesses: opts.MaxAccesses}, func(st *trace.Strip) bool {
+		for cur < st.Block {
 			drain(cur)
 			cur++
 		}
-		s := &sites[ta.Position]
-		for _, cs := range s.copies {
-			cs.sync(a, ta.Iters, res)
+		iters = append(iters[:0], st.Iters...)
+		for it := 0; it < st.Trip; it++ {
+			if st.Leaf {
+				iters[len(iters)-1] = it
+			}
+			for j := range st.Sites {
+				s := &sites[st.Sites[j].Position]
+				for _, cs := range s.copies {
+					cs.sync(a, iters, res)
+				}
+				res.LayerAccesses[s.layer] += s.words
+				res.Energy += s.energy
+			}
 		}
-		res.LayerAccesses[s.layer] += s.words
-		res.Energy += s.energy
 		return true
 	})
 	if err != nil {
@@ -213,6 +233,46 @@ func Trace(a *assign.Assignment, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// newCopy creates a copy of the chain at the given level, lowering its
+// footprint: every index term is resolved to its loop of the chain's
+// nest once, here, instead of on each update.
+func newCopy(ch *reuse.Chain, level, layer, parent int) *copyState {
+	rank := ch.Array.Rank()
+	cs := &copyState{
+		chain:  ch,
+		level:  level,
+		layer:  layer,
+		parent: parent,
+		prefix: make([]int, level),
+		box:    newBox(rank),
+		next:   newBox(rank),
+		dims:   make([][]extent, rank),
+	}
+	for d := range cs.dims {
+		cs.dims[d] = make([]extent, len(ch.Accesses))
+		for k, ref := range ch.Accesses {
+			e := ref.Access.Index[d]
+			x := &cs.dims[d][k]
+			x.lo, x.hi = e.Const, e.Const
+			for _, t := range e.Terms {
+				j := slices.IndexFunc(ch.Nest, func(l *model.Loop) bool { return l.Var == t.Var })
+				switch {
+				case j < 0: // no loop of the nest: constant
+				case j < level:
+					x.fixed = append(x.fixed, term{depth: j, coef: t.Coef})
+				default:
+					if span := t.Coef * (ch.Nest[j].Trip - 1); span >= 0 {
+						x.hi += span
+					} else {
+						x.lo += span
+					}
+				}
+			}
+		}
+	}
+	return cs
+}
+
 // sync brings the copy up to date with the current iterator values
 // (iters[j] belongs to the chain's Nest[j]: every site of a chain sits
 // in exactly the chain's nest), counting any resulting transfer.
@@ -232,41 +292,56 @@ func (cs *copyState) sync(a *assign.Assignment, iters []int, res *Result) {
 	if changed == -1 {
 		return
 	}
-	newBox := cs.currentBox(iters)
+	cs.fill(iters)
 	var moved int64
 	var class int
 	if changed == -2 {
-		moved = newBox.volume()
+		moved = cs.next.volume()
 		class = 0
 	} else {
-		moved = newBox.volume() - newBox.intersectVolume(cs.box)
+		moved = cs.next.volume() - cs.next.intersectVolume(cs.box)
 		class = changed + 1
 	}
 	if a.Policy == reuse.Refetch {
-		moved = newBox.volume()
+		moved = cs.next.volume()
 	}
-	oldBox := cs.box
-	cs.box = newBox
+	cs.box, cs.next = cs.next, cs.box
 	cs.valid = true
-	if moved == 0 {
+	// Write copies drain the outgoing region; the volume equals the
+	// incoming one (the boxes are translates). The very first update
+	// has nothing to drain yet.
+	if moved == 0 || cs.chain.Kind == model.Write && changed == -2 {
 		return
-	}
-	if cs.chain.Kind == model.Write {
-		// Write copies drain the outgoing region; the volume equals
-		// the incoming one (the boxes are translates). The very first
-		// update has nothing to drain yet.
-		if changed == -2 {
-			return
-		}
-		_ = oldBox
 	}
 	cs.transfer(a, res, class, moved)
 }
 
-// transfer records one block transfer of the given element volume.
+// fill computes into next the bounding box of the chain's access group
+// for the current fixed prefix, sweeping the loops below the copy
+// level.
+func (cs *copyState) fill(iters []int) {
+	for d, exts := range cs.dims {
+		for k := range exts {
+			x := &exts[k]
+			off := 0
+			for _, t := range x.fixed {
+				off += t.coef * iters[t.depth]
+			}
+			if lo := x.lo + off; k == 0 || lo < cs.next.lo[d] {
+				cs.next.lo[d] = lo
+			}
+			if hi := x.hi + off; k == 0 || hi > cs.next.hi[d] {
+				cs.next.hi[d] = hi
+			}
+		}
+	}
+}
+
+// transfer records one block transfer of the given element volume;
+// class 0 is the fill, class 1+j belongs to incrementing loop j.
 func (cs *copyState) transfer(a *assign.Assignment, res *Result, class int, elems int64) {
 	bytes := elems * int64(cs.chain.Array.ElemSize)
-	key := cs.key(class)
+	key := assign.StreamKey{Chain: cs.chain.ID, Level: cs.level, Class: class}
 	res.TransferBytes[key] += bytes
 	res.TransferCount[key]++
 	src, dst := cs.parent, cs.layer
@@ -274,54 +349,4 @@ func (cs *copyState) transfer(a *assign.Assignment, res *Result, class int, elem
 		src, dst = cs.layer, cs.parent
 	}
 	res.Energy += a.Platform.TransferEnergy(src, dst, bytes)
-}
-
-// currentBox computes the bounding box of the chain's access group for
-// the current fixed prefix, sweeping the loops below the copy level.
-func (cs *copyState) currentBox(iters []int) box {
-	ch := cs.chain
-	rank := ch.Array.Rank()
-	b := box{lo: make([]int, rank), hi: make([]int, rank)}
-	for d := 0; d < rank; d++ {
-		first := true
-		for _, ref := range ch.Accesses {
-			e := ref.Access.Index[d]
-			lo, hi := e.Const, e.Const
-			for _, t := range e.Terms {
-				idx := nestIndex(ch, t.Var)
-				if idx >= 0 && idx < cs.level {
-					lo += t.Coef * iters[idx]
-					hi += t.Coef * iters[idx]
-					continue
-				}
-				trip := 1
-				if idx >= 0 {
-					trip = ch.Nest[idx].Trip
-				}
-				span := t.Coef * (trip - 1)
-				if span >= 0 {
-					hi += span
-				} else {
-					lo += span
-				}
-			}
-			if first || lo < b.lo[d] {
-				b.lo[d] = lo
-			}
-			if first || hi > b.hi[d] {
-				b.hi[d] = hi
-			}
-			first = false
-		}
-	}
-	return b
-}
-
-func nestIndex(ch *reuse.Chain, v string) int {
-	for i, l := range ch.Nest {
-		if l.Var == v {
-			return i
-		}
-	}
-	return -1
 }

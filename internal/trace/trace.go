@@ -21,13 +21,11 @@
 // so the consumer gets every site's linear index at iteration 0, its
 // step and the trip count, and expands iteration it of site s as
 // s.Linear + it*s.Step without touching a map, an expression or a
-// callback per access. Allocation is O(sites + loops) per walk,
+// callback per access. A consumer that needs the iterator values
+// (internal/sim) copies Strip.Iters and, when Strip.Leaf is set, puts
+// it in the copy's last slot. Allocation is O(sites + loops) per walk,
 // independent of the trace length: the strips and the iterator slice
 // are built with the lowering and reused on every entry.
-//
-// Walk is a per-access adapter over the same traversal for consumers
-// that need the iterator values (internal/sim): it sets the leaf
-// loop's iterator in Access.Iters and reports Linear + it*Step.
 //
 // The lowering resolves every index term to the innermost enclosing
 // loop of its name and drops terms naming no enclosing loop. That is
@@ -58,34 +56,9 @@ var ErrLimit = errors.New("access limit exceeded")
 type Options struct {
 	// MaxAccesses aborts the walk up front when the program would
 	// execute more dynamic accesses than this. 0 means
-	// DefaultMaxAccesses.
+	// DefaultMaxAccesses; a negative value is an error.
 	MaxAccesses int64
 }
-
-// Access is one dynamic array access of the trace. The value passed to
-// the yield callback is reused between calls — consumers must copy
-// whatever they keep (in particular Iters, the live iterator values).
-type Access struct {
-	// Site is the static access site executing.
-	Site *model.Access
-	// Block is the index of the enclosing top-level block.
-	Block int
-	// Position is the document-order ordinal of the site within the
-	// program (model.AccessRef.Position), stable across runs — the
-	// per-site key of site-indexed tables.
-	Position int
-	// Iters holds the live values of the site's enclosing loop
-	// iterators, outermost first (Iters[j] belongs to
-	// model.AccessRef.Nest[j]).
-	Iters []int
-
-	linear int64
-}
-
-// Linear returns the row-major linear element index of the access
-// within its array (outermost dimension first, matching
-// model.Array.Dims).
-func (a *Access) Linear() int64 { return a.linear }
 
 // Strip is one entry of a leaf loop: Trip iterations of its sites, in
 // document order within each iteration. A site outside any leaf loop is
@@ -99,12 +72,15 @@ type Strip struct {
 	Trip int
 	// Sites are the strip's access sites in document order.
 	Sites []StripSite
-
-	// iters are the live values of the sites' enclosing loop
-	// iterators, outermost first; for a leaf loop the last one is its
-	// own iterator, which the walk leaves to the consumer.
-	iters []int
-	leaf  bool
+	// Iters are the values of the sites' enclosing loop iterators,
+	// outermost first (Iters[j] belongs to model.AccessRef.Nest[j]).
+	// For a leaf loop the last slot is the loop's own iterator, whose
+	// value the walk leaves undefined: iteration it has it there.
+	// Iters is read-only.
+	Iters []int
+	// Leaf says the strip is an entry of a leaf loop, not a site
+	// outside any leaf loop.
+	Leaf bool
 }
 
 // StripSite is one access site of a strip. Iteration it of the strip
@@ -215,7 +191,7 @@ func hasSite(nodes []model.Node) bool {
 // scope; leaf says the last scope entry is the strip's own loop, whose
 // term becomes the step.
 func (lw *lowering) strip(nodes []model.Node, scope []string, trip int, leaf bool) *Strip {
-	s := &Strip{Trip: trip, Sites: make([]StripSite, 0, len(nodes)), leaf: leaf}
+	s := &Strip{Trip: trip, Sites: make([]StripSite, 0, len(nodes)), Leaf: leaf}
 	for _, n := range nodes {
 		acc, ok := n.(*model.Access)
 		if !ok {
@@ -329,7 +305,10 @@ func WalkStrips(p *model.Program, opts Options, yield func(*Strip) bool) error {
 		return fmt.Errorf("trace: nil program")
 	}
 	limit := opts.MaxAccesses
-	if limit <= 0 {
+	switch {
+	case limit < 0:
+		return fmt.Errorf("trace: negative access limit %d", limit)
+	case limit == 0:
 		limit = DefaultMaxAccesses
 	}
 	if total := p.TotalAccesses(); total > limit {
@@ -343,7 +322,7 @@ func WalkStrips(p *model.Program, opts Options, yield func(*Strip) bool) error {
 	}
 	w := &walker{iters: make([]int, lw.depth), yield: yield}
 	for i, s := range lw.strips {
-		s.iters = w.iters[:lw.depths[i]]
+		s.Iters = w.iters[:lw.depths[i]:lw.depths[i]]
 	}
 	for bi, body := range blocks {
 		w.block = bi
@@ -352,28 +331,4 @@ func WalkStrips(p *model.Program, opts Options, yield func(*Strip) bool) error {
 		}
 	}
 	return nil
-}
-
-// Walk replays the trace one access at a time: it calls yield once per
-// dynamic access, in the order and under the bound of WalkStrips, with
-// the access's live iterator values. Returning false stops the walk
-// early (Walk then returns nil).
-func Walk(p *model.Program, opts Options, yield func(*Access) bool) error {
-	var acc Access
-	return WalkStrips(p, opts, func(s *Strip) bool {
-		acc.Block, acc.Iters = s.Block, s.iters
-		for it := 0; it < s.Trip; it++ {
-			if s.leaf {
-				s.iters[len(s.iters)-1] = it
-			}
-			for i := range s.Sites {
-				ss := &s.Sites[i]
-				acc.Site, acc.Position, acc.linear = ss.Site, ss.Position, ss.Linear+int64(it)*ss.Step
-				if !yield(&acc) {
-					return false
-				}
-			}
-		}
-		return true
-	})
 }

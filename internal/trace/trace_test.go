@@ -44,34 +44,31 @@ func nest(t *testing.T) *model.Program {
 	return p
 }
 
-// TestWalkOrder: the walk yields every dynamic access in execution
-// order with the right site, block, position and evaluated coordinates.
+// TestWalkOrder: the expanded strips yield every dynamic access in
+// execution order with the right site, block, position and evaluated
+// coordinates.
 func TestWalkOrder(t *testing.T) {
 	p := nest(t)
-	type event struct {
+	type access struct {
 		array  string
 		block  int
 		pos    int
 		linear int64
 	}
-	var got []event
-	err := Walk(p, Options{}, func(a *Access) bool {
-		got = append(got, event{a.Site.Array.Name, a.Block, a.Position, a.Linear()})
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+	var got []access
+	for _, e := range stripEvents(t, p) {
+		got = append(got, access{e.site.Array.Name, e.block, e.pos, e.linear})
 	}
-	var want []event
+	var want []access
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 2; j++ {
 			want = append(want,
-				event{"A", 0, 0, int64(i*2 + j)},
-				event{"B", 0, 1, int64(j)})
+				access{"A", 0, 0, int64(i*2 + j)},
+				access{"B", 0, 1, int64(j)})
 		}
 	}
 	for k := 0; k < 4; k++ {
-		want = append(want, event{"C", 1, 2, int64(k)})
+		want = append(want, access{"C", 1, 2, int64(k)})
 	}
 	if len(got) != len(want) {
 		t.Fatalf("walk yielded %d accesses, want %d", len(got), len(want))
@@ -90,15 +87,15 @@ func TestWalkOrder(t *testing.T) {
 func TestWalkEarlyStop(t *testing.T) {
 	p := nest(t)
 	n := 0
-	err := Walk(p, Options{}, func(a *Access) bool {
+	err := WalkStrips(p, Options{}, func(s *Strip) bool {
 		n++
-		return n < 5
+		return n < 2
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 5 {
-		t.Fatalf("walk yielded %d accesses after early stop, want 5", n)
+	if n != 2 {
+		t.Fatalf("walk yielded %d strips after early stop, want 2", n)
 	}
 }
 
@@ -107,7 +104,7 @@ func TestWalkEarlyStop(t *testing.T) {
 func TestWalkLimit(t *testing.T) {
 	p := nest(t)
 	n := 0
-	err := Walk(p, Options{MaxAccesses: 3}, func(a *Access) bool {
+	err := WalkStrips(p, Options{MaxAccesses: 3}, func(s *Strip) bool {
 		n++
 		return true
 	})
@@ -118,13 +115,29 @@ func TestWalkLimit(t *testing.T) {
 		t.Fatalf("limit error does not wrap ErrLimit: %v", err)
 	}
 	if n != 0 {
-		t.Fatalf("limited walk yielded %d accesses before erroring", n)
+		t.Fatalf("limited walk yielded %d strips before erroring", n)
+	}
+}
+
+// TestWalkNegativeLimit: a negative MaxAccesses is an error, not the
+// default bound, and yields nothing.
+func TestWalkNegativeLimit(t *testing.T) {
+	n := 0
+	err := WalkStrips(nest(t), Options{MaxAccesses: -1}, func(s *Strip) bool {
+		n++
+		return true
+	})
+	if err == nil || errors.Is(err, ErrLimit) {
+		t.Fatalf("negative limit: err = %v, want a non-ErrLimit error", err)
+	}
+	if n != 0 {
+		t.Fatalf("walk with a negative limit yielded %d strips", n)
 	}
 }
 
 // TestWalkNilProgram: a nil program is an error, not a panic.
 func TestWalkNilProgram(t *testing.T) {
-	if err := Walk(nil, Options{}, func(a *Access) bool { return true }); err == nil {
+	if err := WalkStrips(nil, Options{}, func(s *Strip) bool { return true }); err == nil {
 		t.Fatal("nil program walked")
 	}
 }
@@ -147,17 +160,16 @@ func (a *refAccess) linear() int64 {
 	return idx
 }
 
-// referenceWalk is the map-keyed walk the lowered Walk replaced, kept
-// as its oracle: iterator values live in a map keyed by loop variable,
-// positions come from a map keyed by site, and every index expression
-// is evaluated per access.
-func referenceWalk(p *model.Program, yield func(*refAccess) bool) {
+// referenceWalk is the map-keyed walk the strip lowering replaced,
+// kept as its oracle: iterator values live in a map keyed by loop
+// variable, positions come from a map keyed by site, and every index
+// expression is evaluated per access.
+func referenceWalk(p *model.Program, yield func(*refAccess)) {
 	pos := make(map[*model.Access]int)
 	for _, ref := range p.Accesses() {
 		pos[ref.Access] = ref.Position
 	}
 	acc := &refAccess{Env: make(map[string]int)}
-	stopped := false
 	var walk func(nodes []model.Node)
 	walk = func(nodes []model.Node) {
 		for _, n := range nodes {
@@ -166,27 +178,18 @@ func referenceWalk(p *model.Program, yield func(*refAccess) bool) {
 				for i := 0; i < n.Trip; i++ {
 					acc.Env[n.Var] = i
 					walk(n.Body)
-					if stopped {
-						return
-					}
 				}
 				delete(acc.Env, n.Var)
 			case *model.Access:
 				acc.Site = n
 				acc.Position = pos[n]
-				if !yield(acc) {
-					stopped = true
-					return
-				}
+				yield(acc)
 			}
 		}
 	}
 	for bi, b := range p.Blocks {
 		acc.Block = bi
 		walk(b.Body)
-		if stopped {
-			break
-		}
 	}
 }
 
@@ -200,81 +203,20 @@ type event struct {
 	iters  string
 }
 
-func walkEvents(t *testing.T, p *model.Program, stopAfter int) []event {
-	t.Helper()
-	var got []event
-	err := Walk(p, Options{MaxAccesses: 1 << 40}, func(a *Access) bool {
-		got = append(got, event{a.Site, a.Block, a.Position, a.Linear(), fmt.Sprint(a.Iters)})
-		return len(got) != stopAfter
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
-func referenceEvents(p *model.Program, stopAfter int) []event {
+func referenceEvents(p *model.Program) []event {
 	nests := make(map[int][]*model.Loop)
 	for _, ref := range p.Accesses() {
 		nests[ref.Position] = ref.Nest
 	}
 	var want []event
-	referenceWalk(p, func(a *refAccess) bool {
+	referenceWalk(p, func(a *refAccess) {
 		iters := make([]int, len(nests[a.Position]))
 		for j, l := range nests[a.Position] {
 			iters[j] = a.Env[l.Var]
 		}
 		want = append(want, event{a.Site, a.Block, a.Position, a.linear(), fmt.Sprint(iters)})
-		return len(want) != stopAfter
 	})
 	return want
-}
-
-// checkAgainstReference asserts event-by-event equality of Walk and
-// referenceWalk, stopping both after stopAfter events (0 = never).
-func checkAgainstReference(t *testing.T, name string, p *model.Program, stopAfter int) {
-	t.Helper()
-	got, want := walkEvents(t, p, stopAfter), referenceEvents(p, stopAfter)
-	if len(got) != len(want) {
-		t.Fatalf("%s: walk yielded %d accesses, reference %d", name, len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: access %d = %+v, reference %+v", name, i, got[i], want[i])
-		}
-	}
-}
-
-// TestWalkMatchesReference: the lowered walk reproduces the map-keyed
-// reference on every generated scenario and on the nine applications
-// at test scale.
-func TestWalkMatchesReference(t *testing.T) {
-	for seed := int64(0); seed < 220; seed++ {
-		checkAgainstReference(t, fmt.Sprintf("progen seed %d", seed), progen.Generate(seed).Program, 0)
-	}
-	for _, app := range apps.All() {
-		checkAgainstReference(t, app.Name, app.Build(apps.Test), 0)
-	}
-}
-
-// TestWalkEarlyStopMatchesReference: stopping after k accesses yields
-// exactly the reference's first k events, at every k of a small trace
-// (including mid-nest and block boundaries) and at a few k of larger
-// ones.
-func TestWalkEarlyStopMatchesReference(t *testing.T) {
-	p := nest(t)
-	for k := 1; k <= int(p.TotalAccesses()); k++ {
-		checkAgainstReference(t, fmt.Sprintf("nest stop %d", k), p, k)
-	}
-	for seed := int64(0); seed < 20; seed++ {
-		p := progen.Generate(seed).Program
-		total := int(p.TotalAccesses())
-		for _, k := range []int{1, total / 3, total / 2, total - 1} {
-			if k >= 1 {
-				checkAgainstReference(t, fmt.Sprintf("progen seed %d stop %d", seed, k), p, k)
-			}
-		}
-	}
 }
 
 // stripEvents expands WalkStrips into per-access events: iteration it
@@ -284,12 +226,12 @@ func stripEvents(t *testing.T, p *model.Program) []event {
 	t.Helper()
 	var got []event
 	err := WalkStrips(p, Options{MaxAccesses: 1 << 40}, func(s *Strip) bool {
-		if !s.leaf && (s.Trip != 1 || len(s.Sites) != 1) {
+		if !s.Leaf && (s.Trip != 1 || len(s.Sites) != 1) {
 			t.Fatalf("lone-site strip with trip %d and %d sites", s.Trip, len(s.Sites))
 		}
-		iters := append([]int(nil), s.iters...)
+		iters := append([]int(nil), s.Iters...)
 		for it := 0; it < s.Trip; it++ {
-			if s.leaf {
+			if s.Leaf {
 				iters[len(iters)-1] = it
 			}
 			for _, ss := range s.Sites {
@@ -308,7 +250,7 @@ func stripEvents(t *testing.T, p *model.Program) []event {
 // referenceWalk event by event.
 func checkStripsAgainstReference(t *testing.T, name string, p *model.Program) {
 	t.Helper()
-	got, want := stripEvents(t, p), referenceEvents(p, 0)
+	got, want := stripEvents(t, p), referenceEvents(p)
 	if len(got) != len(want) {
 		t.Fatalf("%s: strips expand to %d accesses, reference %d", name, len(got), len(want))
 	}
@@ -381,7 +323,7 @@ func TestStripShapes(t *testing.T) {
 		for _, ss := range s.Sites {
 			steps = append(steps, ss.Step)
 		}
-		got = append(got, shape{s.Block, s.Trip, s.leaf, fmt.Sprint(steps)})
+		got = append(got, shape{s.Block, s.Trip, s.Leaf, fmt.Sprint(steps)})
 		return true
 	})
 	if err != nil {
@@ -396,7 +338,6 @@ func TestStripShapes(t *testing.T) {
 		t.Fatalf("strips %v, want %v", got, want)
 	}
 	checkStripsAgainstReference(t, "strip cases", p)
-	checkAgainstReference(t, "strip cases", p, 0)
 }
 
 // TestStripsMatchReference: expanding the strips reproduces the

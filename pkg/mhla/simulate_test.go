@@ -88,6 +88,25 @@ func TestSimulateTraceLimit(t *testing.T) {
 	}
 }
 
+// TestSimulateTraceNegativeLimit: a negative trace budget is an error,
+// not the simulator's default bound.
+func TestSimulateTraceNegativeLimit(t *testing.T) {
+	an, err := mhla.Analyze(reuseProgram())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := mhla.Search(context.Background(), an, mhla.TwoLevel(mhla.DefaultL1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mhla.SimulateTrace(sr.Assignment, 0); err != nil {
+		t.Fatalf("default budget: %v", err)
+	}
+	if _, err := mhla.SimulateTrace(sr.Assignment, -1); err == nil {
+		t.Fatal("SimulateTrace accepted a negative access budget")
+	}
+}
+
 func TestSimulatePrefetcherParse(t *testing.T) {
 	for _, s := range []string{"none", "nextline", "stride"} {
 		if _, err := mhla.ParseCachePrefetcher(s); err != nil {

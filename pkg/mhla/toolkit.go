@@ -34,7 +34,7 @@ type TraceResult = sim.Result
 
 // SimulateTrace validates an assignment with the element-level trace
 // simulator, meant for down-scaled programs; maxAccesses bounds the
-// trace (0 = simulator default).
+// trace (0 = simulator default; negative is an error).
 func SimulateTrace(a *Assignment, maxAccesses int64) (*TraceResult, error) {
 	return sim.Trace(a, sim.Options{MaxAccesses: maxAccesses})
 }
