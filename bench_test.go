@@ -254,7 +254,8 @@ func BenchmarkAblationSearch(b *testing.B) {
 // at 1, 2, 4 and 8 workers on the heaviest scenario of the scaled-up
 // progen family (seed 7: a ~7M-leaf decision space). Results are
 // byte-identical across worker counts by construction; the benchmark
-// verifies that on every iteration and reports the states explored.
+// verifies that on every iteration and reports the states explored and
+// the depth-first nodes walked.
 // Wall-clock speedup over workers=1 requires actual cores — on a
 // single-CPU host the worker counts time-slice and tie. Allocations
 // are reported because the incremental apply/undo engine's headline
@@ -289,11 +290,12 @@ func BenchmarkParallelBnB(b *testing.B) {
 			}
 			if w == 1 {
 				ref = res
-			} else if ref != nil && (res.States != ref.States ||
+			} else if ref != nil && (res.States != ref.States || res.Nodes != ref.Nodes ||
 				res.Cost.Cycles != ref.Cost.Cycles || res.Cost.Energy != ref.Cost.Energy) {
 				b.Fatalf("workers=%d result diverged from workers=1", w)
 			}
 			b.ReportMetric(float64(res.States), "bnb_states")
+			b.ReportMetric(float64(res.Nodes), "bnb_nodes")
 			b.ReportMetric(float64(sc.Space), "space_leaves")
 		})
 	}
@@ -304,6 +306,12 @@ func BenchmarkParallelBnB(b *testing.B) {
 // to it is a change to what the search explores.
 const sweepJobsPoolStates = 169_453
 
+// sweepJobsPoolNodes is the depth-first node count of one pass of
+// BenchmarkSweepJobsPool: the explored tree and the bound fix it, so a
+// change to it with sweepJobsPoolStates unchanged is a change to how
+// tightly the search bounds subtrees.
+const sweepJobsPoolNodes = 1_063_621
+
 // BenchmarkSweepJobsPool runs branch-and-bound L1 sweeps (default
 // ladder, MaxStates 10M) over the program pool of cmd/mhla-bench's
 // sweep-jobs workload: the first 16 scenarios of its generator config
@@ -311,8 +319,9 @@ const sweepJobsPoolStates = 169_453
 // because cmd/mhla-bench is its own module. One op is one pass over
 // the pool, at one worker and at the default worker count; states/op
 // is the state count summed over every point of every sweep and is
-// checked against sweepJobsPoolStates. Measured numbers are recorded
-// in BENCH_INCREMENTAL_BNB.json.
+// checked against sweepJobsPoolStates, nodes/op the depth-first node
+// count summed the same way and checked against sweepJobsPoolNodes.
+// Measured numbers are recorded in BENCH_INCREMENTAL_BNB.json.
 func BenchmarkSweepJobsPool(b *testing.B) {
 	gen := progen.Config{MaxArrays: 5, MaxBlocks: 3, MaxNests: 3, MaxDepth: 4, MaxAccesses: 4, MaxSpace: 2e7}
 	var pool []*mhla.Workspace
@@ -334,9 +343,9 @@ func BenchmarkSweepJobsPool(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			var states int
+			var states, nodes int
 			for i := 0; i < b.N; i++ {
-				states = 0
+				states, nodes = 0, 0
 				for _, ws := range pool {
 					sw, err := mhla.SweepL1(context.Background(), nil, nil, mhla.WithWorkspace(ws),
 						mhla.WithEngine(mhla.BnB), mhla.WithMaxStates(10_000_000), mhla.WithWorkers(w))
@@ -345,13 +354,18 @@ func BenchmarkSweepJobsPool(b *testing.B) {
 					}
 					for _, pt := range sw.Points {
 						states += pt.Result.SearchStates
+						nodes += pt.Result.SearchNodes
 					}
 				}
 			}
 			if states != sweepJobsPoolStates {
 				b.Fatalf("explored %d states per pass, want %d", states, sweepJobsPoolStates)
 			}
+			if nodes != sweepJobsPoolNodes {
+				b.Fatalf("walked %d nodes per pass, want %d", nodes, sweepJobsPoolNodes)
+			}
 			b.ReportMetric(float64(states), "states/op")
+			b.ReportMetric(float64(nodes), "nodes/op")
 		})
 	}
 }

@@ -160,11 +160,23 @@ type space struct {
 	cat             *chainCatalog
 	optRemap        [][]int
 
-	// suffix[i] is an optimistic lower bound on the total
-	// contribution of chains i.. (undecided decisions).
-	suffix []contrib
-	base   contrib
-	start  *Assignment
+	// suffix[i] is the home-free lower bound on the total contribution
+	// of chains i..: each chain's cheapest option under any home an
+	// array can take. It bounds every node while array homes are still
+	// open, in the task DFS and in root expansion. Once every home is
+	// decided, a task's searchState bounds the chains with its own
+	// home-aware suffix instead (fillSuffix), summed from
+	// minChainHome[ci][home], the chain's cheapest option valid under
+	// that home. The tighter bound prunes only internal nodes: a leaf
+	// is still evaluated exactly when its score is within the task's
+	// limit. Root expansion keeps the home-free suffix on purpose: its
+	// pruning decides the task split, and since each task prunes
+	// against its own incumbent, another split would change the
+	// explored leaves and state counts.
+	suffix       []contrib
+	minChainHome [][]contrib
+	base         contrib
+	start        *Assignment
 
 	// Seeded incumbent (branch and bound only; nil until installSeed
 	// accepts one). The seed score is folded from the same
@@ -248,34 +260,36 @@ func newSpace(ctx context.Context, ws *workspace.Workspace, plat *platform.Platf
 	s.nblocks = ws.NBlocks
 	s.buildTables()
 
-	// Per-chain optimistic contributions (min over homes and options),
-	// used as lower bounds for undecided chains. Reads the precomputed
-	// contribution tables.
-	minChain := make([]contrib, len(s.chains))
-	for i := range s.chains {
-		best := contrib{cycles: 1 << 62, energy: 1e300}
-		homes := []int{s.bg}
-		homes = append(homes, plat.OnChipLayers()...)
+	// Per-chain optimistic contributions, read from the precomputed
+	// contribution tables: minChainHome[ci][home] is the componentwise
+	// minimum over the options valid under that home, and the home-free
+	// minimum over every home an array can take is folded into suffix.
+	homes := append([]int{s.bg}, plat.OnChipLayers()...)
+	nlayers := len(plat.Layers)
+	s.minChainHome = make([][]contrib, len(s.chains))
+	s.suffix = make([]contrib, len(s.chains)+1)
+	for i := len(s.chains) - 1; i >= 0; i-- {
+		byHome := make([]contrib, nlayers)
 		nopts := len(s.chainOpts[i])
-		for _, home := range homes {
+		for home := range byHome {
+			best := contrib{cycles: 1 << 62, energy: 1e300}
 			for oi, op := range s.chainOpts[i] {
 				if len(op.layers) > 0 && op.layers[0] >= home {
 					continue
 				}
 				c := s.chainContribTab[i][home*nopts+oi]
-				if c.cycles < best.cycles {
-					best.cycles = c.cycles
-				}
-				if c.energy < best.energy {
-					best.energy = c.energy
-				}
+				best.cycles = min(best.cycles, c.cycles)
+				best.energy = min(best.energy, c.energy)
 			}
+			byHome[home] = best
 		}
-		minChain[i] = best
-	}
-	s.suffix = make([]contrib, len(s.chains)+1)
-	for i := len(s.chains) - 1; i >= 0; i-- {
-		s.suffix[i] = s.suffix[i+1].plus(minChain[i])
+		s.minChainHome[i] = byHome
+		free := contrib{cycles: 1 << 62, energy: 1e300}
+		for _, home := range homes {
+			free.cycles = min(free.cycles, byHome[home].cycles)
+			free.energy = min(free.energy, byHome[home].energy)
+		}
+		s.suffix[i] = s.suffix[i+1].plus(free)
 	}
 
 	s.base = contrib{cycles: ws.TotalCompute}
@@ -297,9 +311,9 @@ func (s *space) optionCount(depth int) int {
 	return len(s.chainOpts[depth-len(s.arrays)])
 }
 
-// suffixAt returns the optimistic bound on everything undecided at
-// the given depth. While array homes are still open all chains are
-// undecided.
+// suffixAt returns the home-free optimistic bound on everything
+// undecided at the given depth. While array homes are still open all
+// chains are undecided.
 func (s *space) suffixAt(depth int) contrib {
 	if depth <= len(s.arrays) {
 		return s.suffix[0]
@@ -456,12 +470,28 @@ func (s *space) expandRoots() []rootNode {
 }
 
 // taskResult is the deterministic outcome of one subtree search.
+// nodes counts the DFS nodes the task walked: every node entered plus
+// every child its bound skipped.
 type taskResult struct {
 	best     *Assignment
 	score    float64
 	states   int
+	nodes    int
 	complete bool
 	found    bool
+}
+
+// taskState returns a fresh searchState positioned at a subtree root:
+// the root's prefix applied and, when the root lies below the array
+// levels, its home-aware suffix filled.
+func (s *space) taskState(root rootNode) *searchState {
+	st := newSearchState(s)
+	st.applyPrefix(root.decisions)
+	st.suffix = make([]contrib, len(s.chains)+1)
+	if len(root.decisions) > len(s.arrays) {
+		st.fillSuffix()
+	}
+	return st
 }
 
 // searchTask runs the depth-first search below one subtree root. The
@@ -471,8 +501,10 @@ type taskResult struct {
 // contribAt reads only the contribution tables and the array homes
 // already decided, so a child whose bound cannot beat the incumbent is
 // skipped without touching the occupancy trackers, and only surviving
-// children are applied and checked for feasibility. A skipped child
-// still counts as a visited node for cancellation polling and
+// children are applied and checked for feasibility. Below the array
+// levels the bound is home-aware: the state refills its suffix for the
+// decided homes each time the DFS enters depth len(arrays). A skipped
+// child still counts as a visited node for cancellation polling and
 // progress. The root, whose bound no parent checked, is checked once
 // on entry. Leaves keep the strict improvement rule. The DFS mutates
 // one preallocated searchState with apply/undo; its steady state
@@ -482,19 +514,17 @@ func (s *space) searchTask(root rootNode) taskResult {
 	r := taskResult{score: s.seedScore, complete: true}
 	budget := s.opts.MaxStates
 	levels := s.levels()
-	localNodes := 0
 	// visit counts one DFS node and reports whether the periodic
 	// poll found the search cancelled.
 	visit := func() bool {
-		localNodes++
-		if localNodes&1023 == 0 {
+		r.nodes++
+		if r.nodes&1023 == 0 {
 			s.tick()
 			return s.cancelled.Load()
 		}
 		return false
 	}
-	st := newSearchState(s)
-	st.applyPrefix(root.decisions)
+	st := s.taskState(root)
 	var dfs func(depth int, acc contrib)
 	dfs = func(depth int, acc contrib) {
 		if s.cancelled.Load() || visit() {
@@ -507,7 +537,7 @@ func (s *space) searchTask(root rootNode) taskResult {
 		if depth == levels {
 			// Under branch and bound the parent has already checked
 			// this exact leaf score against the incumbent.
-			score := s.boundAt(depth, acc)
+			score := st.boundAt(depth, acc)
 			r.states++
 			s.leaves.Add(1)
 			if score < r.score || (!r.found && score <= r.score) {
@@ -516,6 +546,9 @@ func (s *space) searchTask(root rootNode) taskResult {
 			}
 			return
 		}
+		if depth == len(s.arrays) {
+			st.fillSuffix()
+		}
 		// The incumbent changes only at leaves, so the threshold is
 		// refreshed only after a child returns.
 		limit := pruneLimit(r.score)
@@ -523,7 +556,7 @@ func (s *space) searchTask(root rootNode) taskResult {
 			child := acc.plus(st.contribAt(depth, oi))
 			// Once the budget is spent a feasible child is still
 			// entered, to mark the task incomplete.
-			if s.prune && r.states <= budget && s.boundAt(depth+1, child) > limit {
+			if s.prune && r.states <= budget && st.boundAt(depth+1, child) > limit {
 				if visit() {
 					return
 				}
@@ -538,7 +571,7 @@ func (s *space) searchTask(root rootNode) taskResult {
 		}
 	}
 	depth := len(root.decisions)
-	if !s.prune || !s.pruneSubtree(s.boundAt(depth, root.acc), r.score) {
+	if !s.prune || !s.pruneSubtree(st.boundAt(depth, root.acc), r.score) {
 		dfs(depth, root.acc)
 	}
 	return r
@@ -651,10 +684,11 @@ func (s *space) merge(results []taskResult) *Result {
 	// leaf of the sequential DFS order — wins at any worker count.
 	var best *Assignment
 	bestScore := math.Inf(1)
-	states := 0
+	states, nodes := 0, 0
 	complete := true
 	for i := range results {
 		states += results[i].states
+		nodes += results[i].nodes
 		if !results[i].complete {
 			complete = false
 		}
@@ -680,6 +714,7 @@ func (s *space) merge(results []taskResult) *Result {
 		Assignment: best,
 		Cost:       best.Evaluate(EvalOptions{}),
 		States:     states,
+		Nodes:      nodes,
 		Complete:   complete,
 		Engine:     s.engine,
 	}

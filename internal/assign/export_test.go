@@ -53,3 +53,11 @@ func SearchTasksAgainstReference(ctx context.Context, ws *workspace.Workspace, p
 	}
 	return got, want, s.merge(refResults)
 }
+
+// CheckBound walks the exhaustive decision tree of the search space
+// and checks branch and bound's node bound against every subtree's
+// exhaustive minimum (bound_oracle_test.go). It returns the number of
+// internal nodes checked and the first violation.
+func CheckBound(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options) (int, error) {
+	return newSpace(ctx, ws, plat, opts, false).boundOracle()
+}

@@ -263,6 +263,11 @@ type Result struct {
 	// States counts evaluated candidate states (moves for greedy,
 	// leaves for the exact engines).
 	States int
+	// Nodes counts the depth-first nodes the exact engines walked:
+	// every node entered plus every child a bound skipped (0 for the
+	// other engines). Like States it is a pure function of the search,
+	// identical at every worker count.
+	Nodes int
 	// Complete reports whether the engine finished its full search
 	// budget: within MaxStates for the exact engines, the full
 	// iteration budget for the stochastic engine (false when a

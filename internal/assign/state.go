@@ -95,6 +95,10 @@ type searchState struct {
 	// chainSel is the selected option index per chain, -1 while
 	// undecided.
 	chainSel []int
+	// suffix is the home-aware bound of a subtree task: suffix[i]
+	// bounds chains i.. under the array homes applied when fillSuffix
+	// last ran. Only task states (space.taskState) carry it.
+	suffix []contrib
 }
 
 // newSearchState returns the root state: every array homed on the
@@ -198,6 +202,28 @@ func (st *searchState) contribAt(depth, oi int) contrib {
 	ci := depth - len(s.arrays)
 	home := st.homes[s.chainArrayIdx[ci]]
 	return s.chainContribTab[ci][home*len(s.chainOpts[ci])+oi]
+}
+
+// fillSuffix recomputes the home-aware suffix for the array homes
+// currently applied: each chain's cheapest option valid under its
+// array's home, summed from the last chain back.
+func (st *searchState) fillSuffix() {
+	s := st.sp
+	for ci := len(s.chains) - 1; ci >= 0; ci-- {
+		st.suffix[ci] = st.suffix[ci+1].plus(s.minChainHome[ci][st.homes[s.chainArrayIdx[ci]]])
+	}
+}
+
+// boundAt is the optimistic score of a node at the given depth whose
+// decided prefix contributes acc: the home-aware suffix below the
+// array levels, the home-free one at and above them. At a leaf both
+// suffixes are zero and the bound is the exact leaf score.
+func (st *searchState) boundAt(depth int, acc contrib) float64 {
+	s := st.sp
+	if d := depth - len(s.arrays); d > 0 {
+		return s.opts.Objective.contribScore(acc.plus(st.suffix[d]))
+	}
+	return s.boundAt(depth, acc)
 }
 
 // applyPrefix replays a decision prefix produced by root expansion.

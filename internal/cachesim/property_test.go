@@ -3,6 +3,7 @@ package cachesim
 import (
 	"bytes"
 	"context"
+	"runtime/debug"
 	"testing"
 
 	"mhla/internal/apps"
@@ -94,11 +95,15 @@ func TestLRUInclusionMonotone(t *testing.T) {
 // program site, per loop, per cache level and per prefetch window,
 // never per access, strip or prefetch, so the same program structure
 // allocates the same at test scale and at paper scale, with no cache
-// and with a cache with and without a prefetcher.
+// and with a cache with and without a prefetcher. Each count is of a
+// single replay, so the collector is off while they are taken: an
+// allocation the runtime makes during a GC cycle in the longer replay
+// would otherwise count as the program's.
 func TestReplayAllocsIndependentOfTraceLength(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, name := range []string{"durbin", "qsdpcm"} {
 		app, err := apps.ByName(name)
 		if err != nil {

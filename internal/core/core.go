@@ -68,6 +68,9 @@ type Result struct {
 
 	// SearchStates counts states evaluated by the assignment search.
 	SearchStates int
+	// SearchNodes counts the depth-first nodes an exact search walked
+	// (assign.Result.Nodes; 0 for the other engines).
+	SearchNodes int
 	// Engine is the engine that produced the assignment — the
 	// configured engine for plain searches, the winning member for
 	// the portfolio.
@@ -150,6 +153,7 @@ func Begin(ctx context.Context, ws *workspace.Workspace, cfg Config) (*Pending, 
 		Original:     sr.Baseline,
 		MHLA:         sr.Cost,
 		SearchStates: sr.States,
+		SearchNodes:  sr.Nodes,
 		Engine:       sr.Engine,
 		Portfolio:    sr.Portfolio,
 	}}, nil

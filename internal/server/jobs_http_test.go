@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mhla/internal/progen"
 	"mhla/pkg/mhla"
 )
 
@@ -526,7 +527,10 @@ func TestJobEventsStream(t *testing.T) {
 // TestJobProgressPhaseEntry: the snapshot that opens the assign phase,
 // before any engine reports, is published as {"phase":"assign"}, so a
 // BnB sweep job never claims the greedy engine or a best score of 0;
-// every engine snapshot names bnb.
+// every engine snapshot names bnb. Engines report every 8,192
+// depth-first nodes, so the sweep posts an inline program from the
+// sweep-jobs benchmark's generator config whose branch and bound walks
+// enough nodes to report.
 func TestJobProgressPhaseEntry(t *testing.T) {
 	var mu sync.Mutex
 	var seen []mhla.Progress
@@ -535,7 +539,12 @@ func TestJobProgressPhaseEntry(t *testing.T) {
 		seen = append(seen, p)
 		mu.Unlock()
 	}})
-	env := submitJob(t, ts.URL, "sweep", `{"app":"durbin","scale":"test","engine":"bnb"}`, "alice", 5)
+	gen := progen.Config{MaxArrays: 5, MaxBlocks: 3, MaxNests: 3, MaxDepth: 4, MaxAccesses: 4, MaxSpace: 2e7}
+	progJSON, err := mhla.EncodeProgram(gen.Generate(13).Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := submitJob(t, ts.URL, "sweep", fmt.Sprintf(`{"program":%s,"engine":"bnb"}`, progJSON), "alice", 5)
 	waitJobState(t, ts.URL, env.ID, "done")
 	mu.Lock()
 	defer mu.Unlock()
