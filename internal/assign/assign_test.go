@@ -412,7 +412,7 @@ func TestStreamsME(t *testing.T) {
 func TestChainOptionsMonotone(t *testing.T) {
 	an := analyze(t, reuseProgram())
 	plat := testPlat()
-	opts := chainOptionsFor(plat, an.Chains[0])
+	opts := chainOptions(plat, an.Chains[0])
 	// Depth 2, one on-chip layer: empty + levels 0,1,2 => 4 options.
 	if len(opts) != 4 {
 		t.Fatalf("options = %d, want 4", len(opts))

@@ -142,14 +142,10 @@ type space struct {
 	chainOpts [][]option
 
 	// Precomputed per-decision tables (see buildTables in state.go):
-	// cost contributions, lifetime objects and option indices, so the
-	// DFS inner loop is table lookups against a mutable searchState
-	// instead of Assignment clones and profile rebuilds. cat is the
-	// workspace's shared platform-shape option catalog (catalog.go);
-	// optRemap[ci][fi] maps a catalog option index to this point's
-	// capacity-filtered index in chainOpts[ci] (-1 when infeasible
-	// here), so seed mapping reads the shared catalog index instead of
-	// building a per-point map.
+	// cost contributions and lifetime objects, so the DFS inner loop
+	// is table lookups against a mutable searchState instead of
+	// Assignment clones and profile rebuilds. chainObjs[ci][oi] are
+	// the space consumers option chainOpts[ci][oi] places.
 	nblocks         int
 	arrayObjs       []lifetime.Object
 	arrayUsed       []bool
@@ -157,8 +153,6 @@ type space struct {
 	chainContribTab [][]contrib
 	chainObjs       [][][]objDesc
 	chainArrayIdx   []int
-	cat             *chainCatalog
-	optRemap        [][]int
 
 	// suffix[i] is the home-free lower bound on the total contribution
 	// of chains i..: each chain's cheapest option under any home an
@@ -227,34 +221,23 @@ func newSpace(ctx context.Context, ws *workspace.Workspace, plat *platform.Platf
 		}
 		s.arrayOpts[i] = homes
 	}
-	// Per-point chain options are the shared shape catalog filtered by
-	// this platform's capacities: the feasible subsequence of the
-	// catalog's pre-order enumeration is the capacity-skipping
-	// per-platform enumeration exactly (order included), so the decision space — and every
-	// downstream tie-break — is unchanged. The inner option slices and
-	// object descriptors are shared read-only with the catalog.
-	s.cat = catalogFor(ws, plat)
 	s.chains = ws.Chains
 	s.chainOpts = make([][]option, len(s.chains))
 	s.chainObjs = make([][][]objDesc, len(s.chains))
-	s.optRemap = make([][]int, len(s.chains))
-	for i, ch := range s.chains {
-		full := s.cat.full[i]
-		remap := make([]int, len(full))
-		opts := make([]option, 0, len(full))
-		objs := make([][]objDesc, 0, len(full))
-		for fi, op := range full {
-			if !optionFeasible(plat, ch, op) {
-				remap[fi] = -1
-				continue
+	for ci, ch := range s.chains {
+		s.chainOpts[ci] = chainOptions(plat, ch)
+		objs := make([][]objDesc, len(s.chainOpts[ci]))
+		for oi, op := range s.chainOpts[ci] {
+			for k, lv := range op.levels {
+				// During a search no time-extension Extras exist, so a
+				// copy occupies exactly its candidate bytes in its
+				// chain's block: the workspace object
+				// Assignment.Objects reads for the materialized
+				// assignment.
+				objs[oi] = append(objs[oi], objDesc{layer: op.layers[k], obj: ws.CandObjs[ci][lv]})
 			}
-			remap[fi] = len(opts)
-			opts = append(opts, op)
-			objs = append(objs, s.cat.objs[i][fi])
 		}
-		s.chainOpts[i] = opts
-		s.chainObjs[i] = objs
-		s.optRemap[i] = remap
+		s.chainObjs[ci] = objs
 	}
 
 	s.nblocks = ws.NBlocks
@@ -364,6 +347,19 @@ func (s *space) installSeed(a *Assignment) {
 	}
 	s.seed, s.seedScore = st.materialize(), score
 	s.publishBest(score)
+}
+
+// lookupOption returns the index in chainOpts[ci] of the chain
+// selection (levels, layers); ok is false when this search did not
+// enumerate it, as when a copy of a warm start from another platform
+// exceeds its layer's capacity here.
+func (s *space) lookupOption(ci int, levels, layers []int) (oi int, ok bool) {
+	for oi, op := range s.chainOpts[ci] {
+		if slices.Equal(op.levels, levels) && slices.Equal(op.layers, layers) {
+			return oi, true
+		}
+	}
+	return 0, false
 }
 
 // replay maps an assignment's decisions (array homes, chain
@@ -481,21 +477,10 @@ type taskResult struct {
 	found    bool
 }
 
-// taskState returns a fresh searchState positioned at a subtree root:
-// the root's prefix applied and, when the root lies below the array
-// levels, its home-aware suffix filled.
-func (s *space) taskState(root rootNode) *searchState {
-	st := newSearchState(s)
-	st.applyPrefix(root.decisions)
-	st.suffix = make([]contrib, len(s.chains)+1)
-	if len(root.decisions) > len(s.arrays) {
-		st.fillSuffix()
-	}
-	return st
-}
-
-// searchTask runs the depth-first search below one subtree root. The
-// task prunes against the greedy seed and its own incumbent only —
+// searchTask runs the depth-first search below one subtree root on a
+// worker's searchState, which must stand at the root of the tree; the
+// search leaves it there again. The task prunes against the greedy
+// seed and its own incumbent only —
 // both independent of scheduling — so its result is a pure function
 // of the root. Branch and bound bounds each child before applying it:
 // contribAt reads only the contribution tables and the array homes
@@ -507,10 +492,10 @@ func (s *space) taskState(root rootNode) *searchState {
 // child still counts as a visited node for cancellation polling and
 // progress. The root, whose bound no parent checked, is checked once
 // on entry. Leaves keep the strict improvement rule. The DFS mutates
-// one preallocated searchState with apply/undo; its steady state
+// the worker's searchState with apply/undo; its steady state
 // allocates nothing — a full Assignment is materialized only when a
 // leaf improves the task incumbent.
-func (s *space) searchTask(root rootNode) taskResult {
+func (s *space) searchTask(st *searchState, root rootNode) taskResult {
 	r := taskResult{score: s.seedScore, complete: true}
 	budget := s.opts.MaxStates
 	levels := s.levels()
@@ -524,7 +509,8 @@ func (s *space) searchTask(root rootNode) taskResult {
 		}
 		return false
 	}
-	st := s.taskState(root)
+	st.enterRoot(root)
+	defer st.rewindPrefix(root.decisions)
 	var dfs func(depth int, acc contrib)
 	dfs = func(depth int, acc contrib) {
 		if s.cancelled.Load() || visit() {
@@ -639,7 +625,8 @@ func exactSearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Pl
 	}
 
 	// Workers pull tasks in index order (one worker runs them
-	// sequentially); the merge below reads results in task order.
+	// sequentially), each through its own searchState; the merge below
+	// reads results in task order.
 	results := make([]taskResult, len(tasks))
 	var nextTask atomic.Int64
 	var wg sync.WaitGroup
@@ -647,12 +634,13 @@ func exactSearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Pl
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			st := newSearchState(s)
 			for {
 				i := int(nextTask.Add(1)) - 1
 				if i >= len(tasks) || s.cancelled.Load() {
 					return
 				}
-				results[i] = s.searchTask(tasks[i])
+				results[i] = s.searchTask(st, tasks[i])
 			}
 		}()
 	}

@@ -9,8 +9,9 @@ import (
 // then once more task by task from the roots of its root expansion, so
 // that task states positioned by applyPrefix are checked too (the
 // exhaustive engine's expansion when the space does not prune covers
-// every feasible node). Each walk starts from taskState and refills
-// its suffix on entering depth len(arrays), as searchTask does. At every
+// every feasible node). The walks share one searchState: each enters
+// its root with enterRoot, refills the suffix on entering depth
+// len(arrays) and rewinds to the tree root, as searchTask does. At every
 // node it checks the bound searchTask reads, searchState.boundAt,
 // against the exhaustive minimum of the node's subtree: the bound must
 // not exceed it by more than pruneLimit's slack, or branch and bound
@@ -19,8 +20,9 @@ import (
 // It returns the number of nodes checked and the first violation.
 func (s *space) boundOracle() (nodes int, err error) {
 	levels := s.levels()
+	st := newSearchState(s)
 	for _, root := range append([]rootNode{{acc: s.base}}, s.expandRoots()...) {
-		st := s.taskState(root)
+		st.enterRoot(root)
 		var walk func(depth int, acc contrib) float64
 		walk = func(depth int, acc contrib) float64 {
 			if depth == levels {
@@ -49,6 +51,7 @@ func (s *space) boundOracle() (nodes int, err error) {
 			return best
 		}
 		walk(len(root.decisions), root.acc)
+		st.rewindPrefix(root.decisions)
 	}
 	return nodes, err
 }

@@ -34,8 +34,9 @@ type TaskOutcome struct {
 }
 
 // SearchTasksAgainstReference builds and seeds the search space
-// exactSearch builds, runs every subtree task through searchTask and
-// through referenceSearchTask (bnb_reference_test.go), and returns
+// exactSearch builds, runs every subtree task through searchTask, all
+// on one reused searchState as an exactSearch worker does, and through
+// referenceSearchTask (bnb_reference_test.go), and returns
 // both outcome lists in task order plus the Result the reference
 // outcomes merge to. opts.MaxStates is used as given.
 func SearchTasksAgainstReference(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options, prune bool) (got, want []TaskOutcome, ref *Result) {
@@ -45,8 +46,9 @@ func SearchTasksAgainstReference(ctx context.Context, ws *workspace.Workspace, p
 	}
 	tasks := s.expandRoots()
 	refResults := make([]taskResult, len(tasks))
+	st := newSearchState(s)
 	for i, root := range tasks {
-		g, w := s.searchTask(root), s.referenceSearchTask(root)
+		g, w := s.searchTask(st, root), s.referenceSearchTask(root)
 		refResults[i] = w
 		got = append(got, TaskOutcome{g.best, g.score, g.states, g.complete, g.found})
 		want = append(want, TaskOutcome{w.best, w.score, w.states, w.complete, w.found})

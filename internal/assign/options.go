@@ -154,12 +154,20 @@ type Options struct {
 	// granularities at higher space cost).
 	AbsoluteGain bool
 	// MaxStates caps the states (complete assignments) evaluated by
-	// BranchBound/Exhaustive. The cap applies to each independent
-	// subtree task of the parallel search, and a result whose total
-	// state count exceeds it is conservatively flagged incomplete, so
-	// any search reported Complete stayed within the cap and any
-	// search that would finish under the cap is never truncated —
-	// regardless of the worker count. 0 means DefaultMaxStates.
+	// BranchBound/Exhaustive. The cap counts evaluated leaves per
+	// independent subtree task of the parallel search, and a result
+	// whose total state count exceeds it is conservatively flagged
+	// incomplete, so any search reported Complete stayed within the
+	// cap and any search that would finish under the cap is never
+	// truncated — regardless of the worker count. 0 means
+	// DefaultMaxStates.
+	//
+	// The cap does not bound the internal nodes a pruning search
+	// walks: a branch-and-bound task whose bound prunes most leaves
+	// can walk many nodes per evaluated state, so a small cap is no
+	// time limit (with MaxStates 100, BranchBound on test-scale qsdpcm
+	// at a 1024-byte L1 did not finish within 5 s). Bound time with
+	// a context deadline.
 	MaxStates int
 	// Workers caps the goroutines the exact engines (BranchBound,
 	// Exhaustive) fan their independent subtree searches over. 0 means

@@ -36,15 +36,8 @@ func SpaceSize(an *reuse.Analysis, plat *platform.Platform) int64 {
 		}
 		mul(homes)
 	}
-	nlayers, onChip := len(plat.Layers), plat.OnChipLayers()
 	for _, ch := range an.Chains {
-		n := int64(0)
-		for _, op := range chainOptionsAll(nlayers, onChip, ch) {
-			if optionFeasible(plat, ch, op) {
-				n++
-			}
-		}
-		mul(n)
+		mul(int64(len(chainOptions(plat, ch))))
 	}
 	return size
 }

@@ -1,9 +1,6 @@
 package assign
 
 import (
-	"strconv"
-	"strings"
-
 	"mhla/internal/lifetime"
 )
 
@@ -22,28 +19,13 @@ type objDesc struct {
 	obj   lifetime.Object
 }
 
-// optionKey encodes a chain selection (levels, layers) as a compact
-// string key, so the enumerated options of a chain can be indexed by a
-// map.
-func optionKey(levels, layers []int) string {
-	var b strings.Builder
-	for i := range levels {
-		b.WriteString(strconv.Itoa(levels[i]))
-		b.WriteByte('@')
-		b.WriteString(strconv.Itoa(layers[i]))
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
 // buildTables precomputes the per-decision cost tables the incremental
 // search reads in its hot loop. The program-side halves — each
 // array's lifetime object and used flag, each candidate's lifetime
 // object, the chain-to-array index — come ready-made from the
-// workspace, and the option enumeration with its lifetime-object
-// descriptors and key index comes from the shared platform-shape
-// catalog (catalog.go, filtered by capacity in newSpace); only the
-// genuinely capacity/cost-dependent tables are built per search:
+// workspace; the option enumeration and its lifetime-object
+// descriptors are built in newSpace, and buildTables adds the
+// capacity/cost-dependent tables:
 //
 //   - arrayContribTab[ai][hi]: the exact cost contribution of homing
 //     array ai at arrayOpts[ai][hi] (aligned with arrayOpts);
@@ -79,10 +61,12 @@ func (s *space) buildTables() {
 }
 
 // searchState is the mutable position of one DFS worker in the
-// decision tree. It is built once per subtree task (and once for root
-// expansion), then mutated in place: apply takes one decision, undo
-// reverts it. All slices are preallocated; the apply/undo hot path
-// performs no heap allocation.
+// decision tree. Each exact-search worker builds one and runs every
+// subtree task it claims through it (root expansion and seed replay
+// build their own), mutating it in place: apply takes one decision,
+// undo reverts it, and a task rewinds its root prefix before the next
+// task applies its own. All slices are preallocated; the apply/undo
+// hot path performs no heap allocation.
 type searchState struct {
 	sp *space
 	// occ holds the incremental occupancy profile of every bounded
@@ -97,7 +81,8 @@ type searchState struct {
 	chainSel []int
 	// suffix is the home-aware bound of a subtree task: suffix[i]
 	// bounds chains i.. under the array homes applied when fillSuffix
-	// last ran. Only task states (space.taskState) carry it.
+	// last ran. A task refills it before reading it, so what an
+	// earlier task left there is never seen.
 	suffix []contrib
 }
 
@@ -110,6 +95,7 @@ func newSearchState(s *space) *searchState {
 		occ:      newOccupancy(s.plat, s.nblocks, !s.opts.NoInPlace),
 		homes:    make([]int, len(s.arrays)),
 		chainSel: make([]int, len(s.chains)),
+		suffix:   make([]contrib, len(s.chains)+1),
 	}
 	for ai := range s.arrays {
 		st.homes[ai] = s.bg
@@ -241,6 +227,17 @@ func (st *searchState) applyPrefix(decisions []int) {
 func (st *searchState) rewindPrefix(decisions []int) {
 	for depth := len(decisions) - 1; depth >= 0; depth-- {
 		st.undo(depth, decisions[depth])
+	}
+}
+
+// enterRoot positions a root-state searchState at a subtree root: the
+// root's prefix applied and, when the root lies below the array
+// levels, its home-aware suffix filled. rewindPrefix(root.decisions)
+// returns the state to the root of the tree.
+func (st *searchState) enterRoot(root rootNode) {
+	st.applyPrefix(root.decisions)
+	if len(root.decisions) > len(st.sp.arrays) {
+		st.fillSuffix()
 	}
 }
 

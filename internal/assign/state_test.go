@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mhla/internal/model"
@@ -216,24 +217,48 @@ func TestSearchStateContribMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// TestOptionKeyRoundTrip: the shared catalog index plus the per-point
-// capacity remap (the seed-mapping path) must identify every
-// enumerated option of every point uniquely.
-func TestOptionKeyRoundTrip(t *testing.T) {
+// TestLookupOption: every enumerated option must resolve to its own
+// index, and over a platform with halved on-chip capacities a
+// selection resolves exactly when all of its copies still fit, to the
+// same selection; one that no longer fits reports ok=false, which is
+// how replay rejects a warm start from a larger L1.
+func TestLookupOption(t *testing.T) {
+	filtered := 0
 	for seed := int64(0); seed < 25; seed++ {
 		s := stateSpace(t, seed)
-		for ci := range s.chains {
-			seen := make(map[int]bool, len(s.chainOpts[ci]))
+		small := *s.plat
+		small.Layers = append(small.Layers[:0:0], s.plat.Layers...)
+		for _, ly := range small.OnChipLayers() {
+			small.Layers[ly].Capacity = max(1, small.Layers[ly].Capacity/2)
+		}
+		ss := newSpace(context.Background(), s.ws, &small, s.opts, false)
+		for ci, ch := range s.chains {
 			for oi, op := range s.chainOpts[ci] {
 				got, ok := s.lookupOption(ci, op.levels, op.layers)
 				if !ok || got != oi {
 					t.Fatalf("seed %d chain %d: option %d maps to %d (ok=%v)", seed, ci, oi, got, ok)
 				}
-				if seen[got] {
-					t.Fatalf("seed %d chain %d: option index %d resolved twice", seed, ci, got)
+				fits := true
+				for k, lv := range op.levels {
+					fits = fits && ch.Candidate(lv).Bytes <= small.Layers[op.layers[k]].Capacity
 				}
-				seen[got] = true
+				got, ok = ss.lookupOption(ci, op.levels, op.layers)
+				if ok != fits {
+					t.Fatalf("seed %d chain %d: option %v/%v resolves at halved capacity: %v, fits: %v",
+						seed, ci, op.levels, op.layers, ok, fits)
+				}
+				if !ok {
+					filtered++
+					continue
+				}
+				if g := ss.chainOpts[ci][got]; !slices.Equal(g.levels, op.levels) || !slices.Equal(g.layers, op.layers) {
+					t.Fatalf("seed %d chain %d: option %v/%v resolves to %v/%v at halved capacity",
+						seed, ci, op.levels, op.layers, g.levels, g.layers)
+				}
 			}
 		}
+	}
+	if filtered == 0 {
+		t.Fatal("halving the capacities filtered out no option")
 	}
 }

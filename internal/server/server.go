@@ -527,8 +527,8 @@ func (s *Server) resolveProgram(ref programRef) (resolvedProgram, *apiError) {
 		if err != nil {
 			return resolvedProgram{}, badRequest("bad_request", "unknown scale %q (want paper or test)", ref.Scale)
 		}
-		// Memo first: warm app-mode requests skip the program rebuild as
-		// well as the re-encode + hash.
+		// Check the memo first: warm app-mode requests skip the program
+		// rebuild as well as the re-encode + hash.
 		key = ref.App + "/" + scale.String()
 		s.catMu.Lock()
 		rp, ok := s.catalog[key]

@@ -16,7 +16,6 @@ package workspace
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"mhla/internal/lifetime"
 	"mhla/internal/model"
@@ -24,7 +23,10 @@ import (
 )
 
 // Workspace is the compiled, platform-independent view of one
-// program. All fields are read-only after construction.
+// program. All fields are read-only after construction and it holds
+// no lock: everything a search derives from a platform (option
+// enumerations, cost tables) lives in that search, so concurrent
+// readers share nothing mutable.
 type Workspace struct {
 	// Program is the compiled program.
 	Program *model.Program
@@ -72,35 +74,6 @@ type Workspace struct {
 	// TotalCompute is their sum.
 	BlockCompute []int64
 	TotalCompute int64
-
-	// memo caches derived tables keyed by an opaque string (e.g. the
-	// exact engines' per-platform-shape option catalogs, shared by
-	// every point of an L1 sweep). It is the one mutable corner of a
-	// Workspace; Memo serializes access, so the workspace stays safe
-	// to share across goroutines and cached values must themselves be
-	// immutable once returned.
-	memoMu sync.Mutex
-	memo   map[string]any
-}
-
-// Memo returns the value cached under key, building it with build on
-// the first call. The build function runs under the workspace's memo
-// lock — at most once per key — so it must not call Memo itself and
-// should stay cheap relative to the work it saves (catalog
-// enumeration, not searches). The returned value is shared by every
-// caller and must be treated as immutable.
-func (ws *Workspace) Memo(key string, build func() any) any {
-	ws.memoMu.Lock()
-	defer ws.memoMu.Unlock()
-	if v, ok := ws.memo[key]; ok {
-		return v
-	}
-	if ws.memo == nil {
-		ws.memo = make(map[string]any)
-	}
-	v := build()
-	ws.memo[key] = v
-	return v
 }
 
 // Compile runs the data-reuse analysis (which validates the program)

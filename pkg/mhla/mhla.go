@@ -185,9 +185,13 @@ func WithAbsoluteGain() Option {
 
 // WithMaxStates caps the states the exact engines explore before
 // giving up on optimality (default 500000, assign.DefaultMaxStates).
-// The cap applies per subtree task of the parallel search; results
-// whose total exceeds it are flagged incomplete. Negative values are
-// rejected with a typed *OptionError.
+// The cap counts evaluated leaves per subtree task of the parallel
+// search; results whose total exceeds it are flagged incomplete. It
+// does not bound the internal nodes a pruning search walks, so a
+// small cap is no time limit (with a cap of 100, BnB on test-scale
+// qsdpcm at a 1024-byte L1 did not finish within 5 s); bound time
+// with the context. Negative values are rejected with a typed
+// *OptionError.
 func WithMaxStates(n int) Option {
 	return func(c *config) { c.Search.MaxStates = n }
 }
