@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mhla/internal/lifetime"
 	"mhla/internal/model"
 	"mhla/internal/platform"
 	"mhla/internal/reuse"
@@ -141,18 +140,13 @@ type space struct {
 	chains    []*reuse.Chain
 	chainOpts [][]option
 
-	// Precomputed per-decision tables (see buildTables in state.go):
-	// cost contributions and lifetime objects, so the DFS inner loop
-	// is table lookups against a mutable searchState instead of
-	// Assignment clones and profile rebuilds. chainObjs[ci][oi] are
-	// the space consumers option chainOpts[ci][oi] places.
-	nblocks         int
-	arrayObjs       []lifetime.Object
-	arrayUsed       []bool
+	// Precomputed per-decision cost contributions (see buildTables in
+	// state.go), so the DFS inner loop is table lookups against a
+	// mutable searchState instead of Assignment clones and profile
+	// rebuilds. The lifetime objects it places come ready-made from
+	// the workspace.
 	arrayContribTab [][]contrib
 	chainContribTab [][]contrib
-	chainObjs       [][][]objDesc
-	chainArrayIdx   []int
 
 	// suffix[i] is the home-free lower bound on the total contribution
 	// of chains i..: each chain's cheapest option under any home an
@@ -172,11 +166,11 @@ type space struct {
 	base         contrib
 	start        *Assignment
 
-	// Seeded incumbent (branch and bound only; nil until installSeed
-	// accepts one). The seed score is folded from the same
-	// per-decision contributions, in the same order, as the DFS
-	// accumulates leaf scores, so the two are bit-comparable.
-	seed      *Assignment
+	// Seeded incumbent (branch and bound only): its decision vector,
+	// nil until installSeed accepts one. The seed score is folded from
+	// the same per-decision contributions, in the same order, as the
+	// DFS accumulates leaf scores, so the two are bit-comparable.
+	seed      []int
 	seedScore float64
 
 	// Shared worker state. bestBits carries the global incumbent
@@ -213,34 +207,13 @@ func newSpace(ctx context.Context, ws *workspace.Workspace, plat *platform.Platf
 	s.arrays = ws.Arrays
 	s.arrayOpts = make([][]int, len(s.arrays))
 	for i, arr := range s.arrays {
-		homes := []int{s.bg}
-		for _, ly := range plat.OnChipLayers() {
-			if arr.Bytes() <= plat.Layers[ly].Capacity {
-				homes = append(homes, ly)
-			}
-		}
-		s.arrayOpts[i] = homes
+		s.arrayOpts[i] = arrayHomes(plat, arr)
 	}
 	s.chains = ws.Chains
 	s.chainOpts = make([][]option, len(s.chains))
-	s.chainObjs = make([][][]objDesc, len(s.chains))
 	for ci, ch := range s.chains {
 		s.chainOpts[ci] = chainOptions(plat, ch)
-		objs := make([][]objDesc, len(s.chainOpts[ci]))
-		for oi, op := range s.chainOpts[ci] {
-			for k, lv := range op.levels {
-				// During a search no time-extension Extras exist, so a
-				// copy occupies exactly its candidate bytes in its
-				// chain's block: the workspace object
-				// Assignment.Objects reads for the materialized
-				// assignment.
-				objs[oi] = append(objs[oi], objDesc{layer: op.layers[k], obj: ws.CandObjs[ci][lv]})
-			}
-		}
-		s.chainObjs[ci] = objs
 	}
-
-	s.nblocks = ws.NBlocks
 	s.buildTables()
 
 	// Per-chain optimistic contributions, read from the precomputed
@@ -333,9 +306,8 @@ func (s *space) seedIncumbent() {
 // one. The search still returns the DFS-first leaf attaining the
 // global minimum, which keeps a warm-started complete search
 // byte-identical to a greedy-seeded one in everything but the explored
-// state count. The seed is re-materialized from the replayed state, so
-// the MaxStates fallback returns an assignment priced under this
-// platform.
+// state count. The seed is kept as its replayed decision vector, so the
+// MaxStates fallback builds an assignment priced under this platform.
 func (s *space) installSeed(a *Assignment) {
 	st, decisions, ok := s.replay(a)
 	if !ok {
@@ -345,7 +317,7 @@ func (s *space) installSeed(a *Assignment) {
 	if s.seed != nil && score >= s.seedScore {
 		return
 	}
-	s.seed, s.seedScore = st.materialize(), score
+	s.seed, s.seedScore = decisions, score
 	s.publishBest(score)
 }
 
@@ -395,6 +367,22 @@ func (s *space) replay(a *Assignment) (st *searchState, decisions []int, ok bool
 		decisions = append(decisions, oi)
 	}
 	return st, decisions, true
+}
+
+// assignment builds the Assignment of a complete decision vector, the
+// inverse of replay. The engines keep every solution as a vector and
+// call it once per search, for the solution they return.
+func (s *space) assignment(decisions []int) *Assignment {
+	a := s.start.Clone()
+	for ai, arr := range s.arrays {
+		a.SetHome(arr.Name, s.arrayOpts[ai][decisions[ai]])
+	}
+	for ci, ch := range s.chains {
+		if op := &s.chainOpts[ci][decisions[len(s.arrays)+ci]]; len(op.levels) > 0 {
+			a.Chains[ch.ID] = &ChainAssign{Chain: ch, Levels: slices.Clone(op.levels), Layers: slices.Clone(op.layers)}
+		}
+	}
+	return a
 }
 
 // pruneSubtree reports whether the subtree with the given optimistic
@@ -465,11 +453,12 @@ func (s *space) expandRoots() []rootNode {
 	return frontier
 }
 
-// taskResult is the deterministic outcome of one subtree search.
+// taskResult is the deterministic outcome of one subtree search: best
+// is the decision vector of its incumbent leaf, valid when found.
 // nodes counts the DFS nodes the task walked: every node entered plus
 // every child its bound skipped.
 type taskResult struct {
-	best     *Assignment
+	best     []int
 	score    float64
 	states   int
 	nodes    int
@@ -492,9 +481,10 @@ type taskResult struct {
 // child still counts as a visited node for cancellation polling and
 // progress. The root, whose bound no parent checked, is checked once
 // on entry. Leaves keep the strict improvement rule. The DFS mutates
-// the worker's searchState with apply/undo; its steady state
-// allocates nothing — a full Assignment is materialized only when a
-// leaf improves the task incumbent.
+// the worker's searchState with apply/undo and allocates nothing past
+// the task's one decision buffer: an improved leaf copies the position
+// into it, and the search builds an Assignment only once, from the
+// winning vector, when it returns.
 func (s *space) searchTask(st *searchState, root rootNode) taskResult {
 	r := taskResult{score: s.seedScore, complete: true}
 	budget := s.opts.MaxStates
@@ -527,7 +517,7 @@ func (s *space) searchTask(st *searchState, root rootNode) taskResult {
 			r.states++
 			s.leaves.Add(1)
 			if score < r.score || (!r.found && score <= r.score) {
-				r.best, r.score, r.found = st.materialize(), score, true
+				r.best, r.score, r.found = st.decisions(r.best), score, true
 				s.publishBest(score)
 			}
 			return
@@ -670,7 +660,8 @@ func (s *space) merge(results []taskResult) *Result {
 	// Deterministic merge: strict improvement only, so among equal
 	// scores the earliest task — holding the lexicographically first
 	// leaf of the sequential DFS order — wins at any worker count.
-	var best *Assignment
+	var winner []int
+	found := false
 	bestScore := math.Inf(1)
 	states, nodes := 0, 0
 	complete := true
@@ -681,21 +672,23 @@ func (s *space) merge(results []taskResult) *Result {
 			complete = false
 		}
 		if results[i].found && results[i].score < bestScore {
-			best, bestScore = results[i].best, results[i].score
+			winner, bestScore, found = results[i].best, results[i].score, true
 		}
 	}
 	if states > s.opts.MaxStates {
 		complete = false
 	}
-	if best == nil {
+	var best *Assignment
+	if found {
+		best = s.assignment(winner)
+	} else {
 		// Pathological cap: every task's budget ran out before a leaf
 		// was reached. Fall back to the greedy seed, else to the
 		// out-of-the-box baseline.
 		complete = false
+		best = s.start
 		if s.seed != nil {
-			best = s.seed
-		} else {
-			best = s.start
+			best = s.assignment(s.seed)
 		}
 	}
 	return &Result{

@@ -40,7 +40,7 @@ func (s *space) referenceSearchTask(root rootNode) taskResult {
 				r.states++
 				s.leaves.Add(1)
 				if score < r.score || (!r.found && score <= r.score) {
-					r.best, r.score, r.found = st.materialize(), score, true
+					r.best, r.score, r.found = st.decisions(r.best), score, true
 					s.publishBest(score)
 				}
 				return

@@ -1,9 +1,24 @@
 package assign
 
 import (
+	"mhla/internal/model"
 	"mhla/internal/platform"
 	"mhla/internal/reuse"
 )
+
+// arrayHomes lists the home layers an exact search decides between
+// for an array: the background layer, then every on-chip layer the
+// whole array fits, in platform order. The order is the search's
+// option order.
+func arrayHomes(plat *platform.Platform, arr *model.Array) []int {
+	homes := []int{plat.Background()}
+	for _, ly := range plat.OnChipLayers() {
+		if arr.Bytes() <= plat.Layers[ly].Capacity {
+			homes = append(homes, ly)
+		}
+	}
+	return homes
+}
 
 // chainOptions enumerates the chain's selections an exact search
 // decides between: every monotone selection of its copy candidates on

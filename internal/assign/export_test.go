@@ -14,17 +14,21 @@ func OracleGreedy(ctx context.Context, ws *workspace.Workspace, plat *platform.P
 }
 
 // GreedySeed installs branch and bound's greedy seed on a fresh search
-// space, as exactSearch does, and returns the materialized seed — the
-// MaxStates fallback result — with its folded score; the seed is nil
-// when it did not install.
+// space, as exactSearch does, and returns the assignment built from the
+// seed's decision vector — the MaxStates fallback result — with its
+// folded score; the seed is nil when it did not install.
 func GreedySeed(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options) (*Assignment, float64) {
 	s := newSpace(ctx, ws, plat, opts, true)
 	s.seedIncumbent()
-	return s.seed, s.seedScore
+	if s.seed == nil {
+		return nil, s.seedScore
+	}
+	return s.assignment(s.seed), s.seedScore
 }
 
 // TaskOutcome is the deterministic outcome of one subtree task of an
-// exact search.
+// exact search; Best is built from the task's decision vector and is
+// nil when the task found no leaf.
 type TaskOutcome struct {
 	Best     *Assignment
 	Score    float64
@@ -47,11 +51,18 @@ func SearchTasksAgainstReference(ctx context.Context, ws *workspace.Workspace, p
 	tasks := s.expandRoots()
 	refResults := make([]taskResult, len(tasks))
 	st := newSearchState(s)
+	outcome := func(r taskResult) TaskOutcome {
+		o := TaskOutcome{Score: r.score, States: r.states, Complete: r.complete, Found: r.found}
+		if r.found {
+			o.Best = s.assignment(r.best)
+		}
+		return o
+	}
 	for i, root := range tasks {
 		g, w := s.searchTask(st, root), s.referenceSearchTask(root)
 		refResults[i] = w
-		got = append(got, TaskOutcome{g.best, g.score, g.states, g.complete, g.found})
-		want = append(want, TaskOutcome{w.best, w.score, w.states, w.complete, w.found})
+		got = append(got, outcome(g))
+		want = append(want, outcome(w))
 	}
 	return got, want, s.merge(refResults)
 }

@@ -315,8 +315,8 @@ func (g *greedy) undo(mv greedyMove) {
 }
 
 // score returns the objective score of the current position,
-// bit-identical to Objective.Score of Evaluate on the materialized
-// assignment. It adds in Evaluate's exact order and with its
+// bit-identical to Objective.Score of Evaluate on the assignment built
+// from it. It adds in Evaluate's exact order and with its
 // expressions — CPU accesses over the chains in analysis order, block
 // transfers over the selected chains in chain-ID order, then levels,
 // then classes, initial fills over Program.Arrays — because the float
@@ -394,7 +394,7 @@ func (g *greedy) appendKey(dst []byte, mv greedyMove) []byte {
 	return utf8.AppendRune(dst, rune('0'+mv.layer))
 }
 
-// assignment materializes the current position.
+// assignment builds the Assignment of the current position.
 func (g *greedy) assignment() *Assignment {
 	a := NewInWorkspace(g.ws, g.plat, g.opts.Policy)
 	a.InPlace = !g.opts.NoInPlace

@@ -155,11 +155,9 @@ func lnsSearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Plat
 		}
 	}
 
-	// Materialize the global best on a fresh state (the walk's current
+	// Build the global best from its vector (the walk's current
 	// position may sit elsewhere after diversification kicks).
-	final := newSearchState(s)
-	final.applyPrefix(best)
-	a := final.materialize()
+	a := s.assignment(best)
 	return &Result{
 		Assignment: a,
 		Cost:       a.Evaluate(EvalOptions{}),
@@ -223,7 +221,7 @@ func (st *searchState) swapDecisions(cur, positions, next []int) bool {
 			if oi < 0 {
 				continue
 			}
-			if op := &s.chainOpts[ci][oi]; len(op.layers) > 0 && op.layers[0] >= st.homes[s.chainArrayIdx[ci]] {
+			if op := &s.chainOpts[ci][oi]; len(op.layers) > 0 && op.layers[0] >= st.homes[s.ws.ChainArrayIdx[ci]] {
 				ok = false
 				break
 			}

@@ -28,13 +28,7 @@ func SpaceSize(an *reuse.Analysis, plat *platform.Platform) int64 {
 		size *= n
 	}
 	for _, arr := range an.Program.Arrays {
-		homes := int64(1) // background
-		for _, ly := range plat.OnChipLayers() {
-			if arr.Bytes() <= plat.Layers[ly].Capacity {
-				homes++
-			}
-		}
-		mul(homes)
+		mul(int64(len(arrayHomes(plat, arr))))
 	}
 	for _, ch := range an.Chains {
 		mul(int64(len(chainOptions(plat, ch))))

@@ -1,30 +1,20 @@
 package assign
 
-import (
-	"mhla/internal/lifetime"
-)
+import "slices"
 
 // This file holds the mutable, allocation-free inner-loop state of the
 // exact search engines (bnb.go): searchState applies one decision at a
 // time against incremental per-layer occupancy trackers and undoes it
-// on backtrack, so the steady-state DFS allocates nothing. A full
-// Assignment is materialized only at improved leaves.
-
-// objDesc is one precomputed space consumer of a chain decision: the
-// layer it occupies plus the ready-made lifetime object (ID string,
-// bytes, span), so placing it in the hot loop is a table lookup with
-// no formatting or slice building.
-type objDesc struct {
-	layer int
-	obj   lifetime.Object
-}
+// on backtrack, so the steady-state DFS allocates nothing. A solution
+// is a decision vector (one option index per level), read off the
+// state with decisions; a search builds an Assignment only once, from
+// the vector it returns (space.assignment).
 
 // buildTables precomputes the per-decision cost tables the incremental
 // search reads in its hot loop. The program-side halves — each
 // array's lifetime object and used flag, each candidate's lifetime
-// object, the chain-to-array index — come ready-made from the
-// workspace; the option enumeration and its lifetime-object
-// descriptors are built in newSpace, and buildTables adds the
+// object, the chain-to-array index — are read from the workspace; the
+// option enumeration is built in newSpace, and buildTables adds the
 // capacity/cost-dependent tables:
 //
 //   - arrayContribTab[ai][hi]: the exact cost contribution of homing
@@ -34,9 +24,6 @@ type objDesc struct {
 //     depends only on that pair, so per-child cost accumulation
 //     becomes one lookup plus add.
 func (s *space) buildTables() {
-	s.arrayObjs = s.ws.ArrayObjs
-	s.arrayUsed = s.ws.ArrayUsed
-	s.chainArrayIdx = s.ws.ChainArrayIdx
 	s.arrayContribTab = make([][]contrib, len(s.arrays))
 	for i, arr := range s.arrays {
 		tab := make([]contrib, len(s.arrayOpts[i]))
@@ -92,15 +79,15 @@ type searchState struct {
 func newSearchState(s *space) *searchState {
 	st := &searchState{
 		sp:       s,
-		occ:      newOccupancy(s.plat, s.nblocks, !s.opts.NoInPlace),
+		occ:      newOccupancy(s.plat, s.ws.NBlocks, !s.opts.NoInPlace),
 		homes:    make([]int, len(s.arrays)),
 		chainSel: make([]int, len(s.chains)),
 		suffix:   make([]contrib, len(s.chains)+1),
 	}
 	for ai := range s.arrays {
 		st.homes[ai] = s.bg
-		if s.arrayUsed[ai] {
-			st.occ.Place(s.bg, s.arrayObjs[ai])
+		if s.ws.ArrayUsed[ai] {
+			st.occ.Place(s.bg, s.ws.ArrayObjs[ai])
 		}
 	}
 	for ci := range s.chains {
@@ -126,6 +113,9 @@ func (st *searchState) moveArray(ai, from, to int) {
 // Feasibility mirrors the clone-per-node engine exactly: trivial
 // decisions (background home, empty selection) are taken without a
 // capacity check, and non-trivial ones check every bounded layer.
+// During a search no time-extension Extras exist, so a copy occupies
+// exactly its candidate bytes in its chain's block: the workspace's
+// candidate object, the one Assignment.Objects reads.
 func (st *searchState) apply(depth, oi int) bool {
 	s := st.sp
 	if depth < len(s.arrays) {
@@ -142,15 +132,15 @@ func (st *searchState) apply(depth, oi int) bool {
 	}
 	ci := depth - len(s.arrays)
 	op := &s.chainOpts[ci][oi]
-	if len(op.layers) > 0 && op.layers[0] >= st.homes[s.chainArrayIdx[ci]] {
+	if len(op.layers) > 0 && op.layers[0] >= st.homes[s.ws.ChainArrayIdx[ci]] {
 		return false
 	}
 	st.chainSel[ci] = oi
 	if len(op.levels) == 0 {
 		return true
 	}
-	for _, od := range s.chainObjs[ci][oi] {
-		st.occ.Place(od.layer, od.obj)
+	for k, lv := range op.levels {
+		st.occ.Place(op.layers[k], s.ws.CandObjs[ci][lv])
 	}
 	if !st.occ.Fits() {
 		st.undo(depth, oi)
@@ -171,8 +161,9 @@ func (st *searchState) undo(depth, oi int) {
 	}
 	ci := depth - len(s.arrays)
 	st.chainSel[ci] = -1
-	for _, od := range s.chainObjs[ci][oi] {
-		st.occ.Unplace(od.layer, od.obj)
+	op := &s.chainOpts[ci][oi]
+	for k, lv := range op.levels {
+		st.occ.Unplace(op.layers[k], s.ws.CandObjs[ci][lv])
 	}
 }
 
@@ -186,7 +177,7 @@ func (st *searchState) contribAt(depth, oi int) contrib {
 		return s.arrayContribTab[depth][oi]
 	}
 	ci := depth - len(s.arrays)
-	home := st.homes[s.chainArrayIdx[ci]]
+	home := st.homes[s.ws.ChainArrayIdx[ci]]
 	return s.chainContribTab[ci][home*len(s.chainOpts[ci])+oi]
 }
 
@@ -196,7 +187,7 @@ func (st *searchState) contribAt(depth, oi int) contrib {
 func (st *searchState) fillSuffix() {
 	s := st.sp
 	for ci := len(s.chains) - 1; ci >= 0; ci-- {
-		st.suffix[ci] = st.suffix[ci+1].plus(s.minChainHome[ci][st.homes[s.chainArrayIdx[ci]]])
+		st.suffix[ci] = st.suffix[ci+1].plus(s.minChainHome[ci][st.homes[s.ws.ChainArrayIdx[ci]]])
 	}
 }
 
@@ -241,32 +232,14 @@ func (st *searchState) enterRoot(root rootNode) {
 	}
 }
 
-// materialize builds a full Assignment from the current decisions —
-// identical to the one the clone-per-node engine carried at the same
-// tree position. Called only at improved leaves and in tests; the hot
-// loop never materializes.
-func (st *searchState) materialize() *Assignment {
+// decisions copies the current position, one option index per level,
+// into dst (reusing its backing array) and returns it. At a leaf it is
+// the complete decision vector space.assignment builds from.
+func (st *searchState) decisions(dst []int) []int {
 	s := st.sp
-	a := s.start.Clone()
-	for ai, arr := range s.arrays {
-		if st.homes[ai] != s.bg {
-			a.SetHome(arr.Name, st.homes[ai])
-		}
+	dst = slices.Grow(dst[:0], len(st.homes)+len(st.chainSel))
+	for ai, home := range st.homes {
+		dst = append(dst, slices.Index(s.arrayOpts[ai], home))
 	}
-	for ci, ch := range s.chains {
-		oi := st.chainSel[ci]
-		if oi < 0 {
-			continue
-		}
-		op := &s.chainOpts[ci][oi]
-		if len(op.levels) == 0 {
-			continue
-		}
-		a.Chains[ch.ID] = &ChainAssign{
-			Chain:  ch,
-			Levels: append([]int(nil), op.levels...),
-			Layers: append([]int(nil), op.layers...),
-		}
-	}
-	return a
+	return append(dst, st.chainSel...)
 }

@@ -2,8 +2,8 @@ package assign
 
 // Internal tests of the incremental search state: the invariant is
 // that at ANY position of the decision tree, each bounded layer's
-// tracker peak equals the batch PeakUsage of the materialized
-// assignment — i.e. the mutable apply/undo state is observationally
+// tracker peak equals the batch PeakUsage of the assignment built from
+// the position — i.e. the mutable apply/undo state is observationally
 // identical to the Assignment the clone-per-node engine would carry.
 // (The end-to-end guarantee — identical Results across engines and
 // worker counts over 220 progen scenarios — is enforced by the
@@ -98,12 +98,23 @@ func stateSpace(t *testing.T, seed int64) *space {
 	return newSpace(context.Background(), workspace.FromAnalysis(an), plat, opts, false)
 }
 
+// positionAssignment builds the assignment of the state's current
+// position. An undecided chain (selection -1) places nothing, exactly
+// like its empty selection, option 0, which it is built as.
+func positionAssignment(st *searchState) *Assignment {
+	d := st.decisions(nil)
+	for i := range d {
+		d[i] = max(d[i], 0)
+	}
+	return st.sp.assignment(d)
+}
+
 // checkStateMatchesBatch compares every bounded layer's incremental
-// peak against the from-scratch estimate on the materialized
-// assignment.
+// peak against the from-scratch estimate on the assignment built from
+// the state's position.
 func checkStateMatchesBatch(t *testing.T, seed int64, st *searchState) {
 	t.Helper()
-	a := st.materialize()
+	a := positionAssignment(st)
 	for li, tr := range st.occ.trackers {
 		if tr == nil {
 			continue
@@ -172,7 +183,7 @@ func TestSearchStateMatchesBatchEstimate(t *testing.T) {
 
 // TestSearchStateContribMatchesEvaluate asserts that a complete
 // random feasible path's accumulated table contributions score the
-// leaf exactly like evaluating the materialized assignment — the
+// leaf exactly like evaluating the assignment built from it — the
 // agreement the bound pruning and the greedy-seed comparison rely on.
 func TestSearchStateContribMatchesEvaluate(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
@@ -198,9 +209,9 @@ func TestSearchStateContribMatchesEvaluate(t *testing.T) {
 				t.Fatalf("seed %d: no feasible decision at depth %d (option 0 should always apply)", seed, depth)
 			}
 		}
-		a := st.materialize()
+		a := st.sp.assignment(st.decisions(nil))
 		if err := a.Validate(); err != nil {
-			t.Fatalf("seed %d: materialized assignment invalid: %v\n%s", seed, err, a)
+			t.Fatalf("seed %d: leaf assignment invalid: %v\n%s", seed, err, a)
 		}
 		cost := a.Evaluate(EvalOptions{})
 		if acc.cycles != cost.Cycles {

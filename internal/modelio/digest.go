@@ -11,24 +11,6 @@ import (
 	"mhla/internal/model"
 )
 
-// Canonical renders the canonical byte encoding of a program: the
-// interchange JSON of EncodeProgram, which is deterministic (arrays,
-// blocks and loop bodies keep their model order; map iteration never
-// leaks in). Two programs have the same canonical encoding exactly
-// when they describe the same model — name, arrays (order, element
-// sizes, dimensions, input/output flags) and block structure — no
-// matter how their original JSON was formatted or key-ordered. The
-// serving layer keys its compiled-workspace cache on this encoding of
-// the decoded (validated) request program, so whitespace, field order
-// and other surface variation of the wire form never splits the cache.
-func Canonical(p *model.Program) ([]byte, error) {
-	data, err := EncodeProgram(p)
-	if err != nil {
-		return nil, fmt.Errorf("modelio: canonicalize: %w", err)
-	}
-	return data, nil
-}
-
 // canonBufs recycles ProgramDigest's encoding buffers.
 var canonBufs = sync.Pool{New: func() any { return new([]byte) }}
 

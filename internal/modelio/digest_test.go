@@ -43,7 +43,7 @@ func TestProgramDigestStable(t *testing.T) {
 // decoded program.
 func TestProgramDigestIgnoresWireFormatting(t *testing.T) {
 	p := progen.Generate(3).Program
-	canonical, err := Canonical(p)
+	canonical, err := EncodeProgram(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestProgramDigestAllocsIndependentOfSize(t *testing.T) {
 			}
 		})
 	}
-	smallData, err := Canonical(small)
+	smallData, err := EncodeProgram(small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	largeData, err := Canonical(large)
+	largeData, err := EncodeProgram(large)
 	if err != nil {
 		t.Fatal(err)
 	}

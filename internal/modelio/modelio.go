@@ -29,8 +29,8 @@
 // Platforms marshal directly (all platform fields are exported); the
 // helpers here add validation on decode. Both decoders read the common
 // case in one pass with a strict scanner and leave everything else to
-// encoding/json (see scanner); Canonical and ProgramDigest write the
-// program encoding directly from the model.
+// encoding/json (see scanner); EncodeProgram and ProgramDigest write
+// the program encoding directly from the model.
 package modelio
 
 import (
@@ -89,8 +89,17 @@ type termJSON struct {
 	Coef int    `json:"coef"`
 }
 
-// EncodeProgram renders a program as indented JSON, the canonical
-// encoding (see Canonical).
+// EncodeProgram renders a program as indented JSON, its canonical
+// byte encoding. The encoding is deterministic (arrays, blocks and
+// loop bodies keep their model order; map iteration never leaks in),
+// so two programs have the same canonical encoding exactly when they
+// describe the same model — name, arrays (order, element sizes,
+// dimensions, input/output flags) and block structure — no matter how
+// their original JSON was formatted or key-ordered. The serving layer
+// keys its compiled-workspace cache on this encoding of the decoded
+// (validated) request program (see ProgramDigest), so whitespace,
+// field order and other surface variation of the wire form never
+// splits the cache.
 func EncodeProgram(p *model.Program) ([]byte, error) {
 	return appendProgram(nil, p)
 }

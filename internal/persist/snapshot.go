@@ -12,7 +12,7 @@ import (
 const snapshotHeader = "mhla-snapshot v1"
 
 // SnapshotRecord is one workspace-cache key: the canonical program
-// bytes (modelio.Canonical — the deterministic interchange encoding)
+// bytes (modelio.EncodeProgram — the deterministic interchange encoding)
 // plus their hex SHA-256 digest, which is the cache key itself
 // (modelio.ProgramDigest). DecodeSnapshot verifies Digest ==
 // DigestBytes(Program) for every record it returns, so a rewarm can
