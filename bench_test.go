@@ -262,8 +262,8 @@ func BenchmarkAblationSearch(b *testing.B) {
 // property is a steady-state DFS that allocates nothing (all per-op
 // allocations are one-time setup: decision tables, the greedy seed
 // and one searchState per subtree task). Measured numbers are
-// recorded in BENCH_PARALLEL_BNB.json (clone-per-node engine) and
-// BENCH_INCREMENTAL_BNB.json (incremental engine, before/after).
+// recorded in BENCH_INCREMENTAL_BNB.json (incremental engine,
+// before/after).
 func BenchmarkParallelBnB(b *testing.B) {
 	cfg := progen.Config{MaxArrays: 4, MaxBlocks: 3, MaxNests: 3, MaxAccesses: 4, MaxSpace: 40_000_000}
 	sc := cfg.Generate(7)

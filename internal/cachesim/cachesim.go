@@ -42,6 +42,28 @@
 // configured line size, elements row-major. An access is attributed to
 // the line containing its first byte.
 //
+// # Steady strips
+//
+// Most leaf-loop iterations touch the lines the previous iteration
+// touched. After replaying an iteration, the simulator checks whether
+// it was a fixed point: nothing in flight at any level when it started,
+// every access a level-0 hit, and no prefetch issued. Such an iteration
+// fills, evicts and delivers nothing. Re-hitting the same lines leaves
+// each set's recency order as it was, and the dirty bits are already
+// set. Deeper levels are not probed, and every prefetch proposal is
+// filtered again as resident or buffered. So each following iteration
+// that touches the same level-0 lines (and, with a stride prefetcher,
+// proposes the same lines) repeats it exactly. The simulator adds those
+// iterations' counts and cycles in one step, in O(sites). With no cache
+// levels every iteration is a fixed point.
+//
+// The energy is the one float sum, and it must stay bit-identical to
+// adding each charge in turn. While the running sum stays inside one
+// binade (a fixed ulp u), each += c adds exactly RoundToEven(c/u)·u,
+// unless c/u is an exact half-ulp tie. So k repeated iterations add k
+// times the same multiple of u. A skip stops at the binade's end, and a
+// tie makes the next iteration replay access by access.
+//
 // The simulator is deterministic by construction: the trace order is
 // fixed and all state updates are sequential, so concurrent
 // simulations sharing one workspace are byte-identical.
@@ -50,6 +72,7 @@ package cachesim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"mhla/internal/model"
 	"mhla/internal/platform"
@@ -361,6 +384,12 @@ type simState struct {
 	memory   int64
 	cycles   int64
 	energy   float64
+
+	// stepped counts the accesses replayed one at a time, the rest
+	// having been skipped in steady strips; charges is skip's scratch
+	// of one strip's per-site energies.
+	stepped int64
+	charges []float64
 }
 
 func newSimState(ws *workspace.Workspace, plat *platform.Platform, cfg Config) *simState {
@@ -412,6 +441,7 @@ func newSimState(ws *workspace.Workspace, plat *platform.Platform, cfg Config) *
 	nlev := len(cfg.Levels)
 	probes := make([]charge, len(refs)*nlev)
 	st.sites = make([]siteInfo, len(refs))
+	st.charges = make([]float64, len(refs))
 	for _, ref := range refs {
 		arr, write := ref.Access.Array, ref.Access.Kind == model.Write
 		s := &st.sites[ref.Position]
@@ -599,6 +629,160 @@ func (st *simState) flush() {
 	}
 }
 
+// iterate replays iteration it of strip s access by access and, when
+// that iteration left the replay at a fixed point, skips the steady
+// iterations after it. It returns the iterations consumed (>= 1). An
+// iteration that starts with nothing in flight, hits level 0 on every
+// access and issues nothing there also ends with nothing in flight:
+// no deeper level is probed, so none issues either.
+func (st *simState) iterate(s *trace.Strip, it, trip int64) int64 {
+	steady := it+1 < trip && st.idle() // a skip needs iterations left and nothing in flight
+	var hits, issued int64
+	if len(st.levels) > 0 {
+		hits, issued = st.levels[0].stats.Hits, st.levels[0].stats.PrefetchIssued
+	}
+	for j := range s.Sites {
+		ss := &s.Sites[j]
+		st.access(ss.Position, ss.Linear+it*ss.Step)
+	}
+	st.stepped += int64(len(s.Sites))
+	if !steady {
+		return 1
+	}
+	if len(st.levels) > 0 {
+		l0 := &st.levels[0].stats
+		if l0.Hits-hits != int64(len(s.Sites)) || l0.PrefetchIssued != issued {
+			return 1
+		}
+	}
+	return 1 + st.skip(s, it, trip-it-1)
+}
+
+// idle reports whether no level has a prefetch in flight.
+func (st *simState) idle() bool {
+	for _, lv := range st.levels {
+		if lv.inflight.n > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// skip jumps over up to left iterations after iteration it of strip s,
+// which replayed at a fixed point (see Steady strips in the package
+// doc), and returns how many it skipped. It stops where a site's
+// level-0 line or stride proposal moves, and where the energy sum
+// could not take another round exactly (repeatAdd). A stride site
+// needs no confidence built up inside the strip entry: the skip also
+// stops before any proposal addr+q·d leaves the site's own line (the
+// first that does puts addr+(q-1)·d within d of the line's edge), and
+// that line is resident, so every proposal is filtered whether the two
+// deltas agree or not.
+func (st *simState) skip(s *trace.Strip, it, left int64) int64 {
+	var l0 *level
+	if len(st.levels) > 0 {
+		l0 = st.levels[0]
+	}
+	k := left
+	charges := st.charges[:len(s.Sites)]
+	var cycles int64
+	for j := range s.Sites {
+		ss := &s.Sites[j]
+		si := &st.sites[ss.Position]
+		c := si.mem
+		if l0 != nil {
+			c = si.probe[0]
+			addr, d := si.base+(ss.Linear+it*ss.Step)*si.elem, ss.Step*si.elem
+			k = min(k, lineRun(addr, d, l0.lineShift))
+			if l0.stride != nil && d != 0 {
+				for q := int64(1); q <= int64(l0.cfg.PrefetchDegree); q++ {
+					k = min(k, lineRun(addr+q*d, d, l0.lineShift))
+				}
+			}
+			if k == 0 {
+				return 0
+			}
+		}
+		charges[j] = c.energy
+		cycles += c.cycles
+	}
+	if st.energy, k = repeatAdd(st.energy, charges, k); k == 0 {
+		return 0
+	}
+	n := k * int64(len(s.Sites))
+	st.accesses += n
+	st.cycles += k * cycles
+	if l0 == nil {
+		st.memory += n
+		return k
+	}
+	l0.stats.Accesses += n
+	l0.stats.Hits += n
+	if l0.stride != nil {
+		for j := range s.Sites {
+			ss := &s.Sites[j]
+			si := &st.sites[ss.Position]
+			e := &l0.stride[ss.Position]
+			e.last, e.stride = si.base+(ss.Linear+(it+k)*ss.Step)*si.elem, ss.Step*si.elem
+		}
+	}
+	return k
+}
+
+// lineRun is how many further steps of d bytes from addr stay in addr's
+// line of 1<<shift bytes.
+func lineRun(addr, d int64, shift uint) int64 {
+	switch {
+	case (addr+d)>>shift != addr>>shift:
+		return 0 // the common failure, decided without a division
+	case d > 0:
+		return ((addr>>shift+1)<<shift - 1 - addr) / d
+	case d < 0:
+		return (addr - addr>>shift<<shift) / -d
+	}
+	return math.MaxInt64
+}
+
+// repeatAdd returns x after n rounds of "for _, c := range cs { x += c }"
+// and the rounds n <= k it took, bit-identical to running them. While
+// the running sum stays inside one binade of ulp u, each x += c adds
+// exactly RoundToEven(c/u)·u, so a round adds a fixed R·u and n rounds
+// add n·R·u. It stops before the round that would leave the binade, and
+// takes no round at all when some charge is an exact half-ulp tie
+// (whose rounding depends on the sum's last bit) or when x or a charge
+// is negative or not finite.
+func repeatAdd(x float64, cs []float64, k int64) (float64, int64) {
+	const mant = 1 << 53 // a binade of ulp u ends at mant·u
+	if !(x >= 0 && x <= math.MaxFloat64) {
+		return x, 0
+	}
+	_, e := math.Frexp(x)
+	if x < 0x1p-1021 {
+		e = -1021 // zero, the subnormals and the first normal binade share u = 2^-1074
+	}
+	u := math.Ldexp(1, e-53)
+	hi := u * mant
+	var r int64
+	for _, c := range cs {
+		if !(c >= 0 && c < hi) {
+			return x, 0
+		}
+		q := c / u
+		if q-math.Floor(q) == 0.5 {
+			return x, 0
+		}
+		if r += int64(math.RoundToEven(q)); r >= mant {
+			return x, 0
+		}
+	}
+	if r == 0 {
+		return x, k
+	}
+	xu := int64(x / u)
+	k = min(k, (mant-1-xu)/r)
+	return float64(xu+k*r) * u, k
+}
+
 // Simulate replays the program's access trace through the configured
 // hierarchy. It reuses the compiled workspace's tables (array order,
 // compute totals) and honors ctx: cancellation aborts the replay
@@ -612,33 +796,10 @@ func Simulate(ctx context.Context, ws *workspace.Workspace, plat *platform.Platf
 		return nil, err
 	}
 	cfg = cfg.normalized()
-	st := newSimState(ws, plat, cfg)
-
-	const checkEvery = 1 << 16 // ctx poll interval in accesses
-	var ctxErr error
-	poll := int64(0) // access count at which ctx is polled next
-	err := trace.WalkStrips(ws.Program, trace.Options{MaxAccesses: cfg.MaxAccesses}, func(s *trace.Strip) bool {
-		for it := int64(0); it < int64(s.Trip); it++ {
-			if st.accesses >= poll {
-				if ctxErr = ctx.Err(); ctxErr != nil {
-					return false
-				}
-				poll = st.accesses + checkEvery
-			}
-			for j := range s.Sites {
-				ss := &s.Sites[j]
-				st.access(ss.Position, ss.Linear+it*ss.Step)
-			}
-		}
-		return true
-	})
+	st, err := replay(ctx, ws, plat, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("cachesim: %w", err)
+		return nil, err
 	}
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-	st.flush()
 
 	res := &Result{
 		Program:        ws.Program.Name,
@@ -658,4 +819,33 @@ func Simulate(ctx context.Context, ws *workspace.Workspace, plat *platform.Platf
 		})
 	}
 	return res, nil
+}
+
+// replay runs the trace of a validated, normalized configuration
+// through a fresh simState and flushes it.
+func replay(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, cfg Config) (*simState, error) {
+	st := newSimState(ws, plat, cfg)
+	const checkEvery = 1 << 16 // ctx poll interval in accesses
+	var ctxErr error
+	poll := int64(0) // access count at which ctx is polled next
+	err := trace.WalkStrips(ws.Program, trace.Options{MaxAccesses: cfg.MaxAccesses}, func(s *trace.Strip) bool {
+		for it, trip := int64(0), int64(s.Trip); it < trip; {
+			if st.accesses >= poll {
+				if ctxErr = ctx.Err(); ctxErr != nil {
+					return false
+				}
+				poll = st.accesses + checkEvery
+			}
+			it += st.iterate(s, it, trip)
+		}
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cachesim: %w", err)
+	}
+	if ctxErr != nil {
+		return nil, ctxErr
+	}
+	st.flush()
+	return st, nil
 }

@@ -1,0 +1,332 @@
+package cachesim
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"mhla/internal/apps"
+	"mhla/internal/energy"
+	"mhla/internal/model"
+	"mhla/internal/platform"
+	"mhla/internal/trace"
+	"mhla/internal/workspace"
+)
+
+// referenceSimulate is Simulate before steady strips: every access of
+// every strip iteration replayed one at a time. The steady-strip skip
+// must reproduce it bit for bit.
+func referenceSimulate(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, cfg Config) (*Result, error) {
+	if ws == nil {
+		return nil, fmt.Errorf("cachesim: nil workspace")
+	}
+	if err := cfg.Validate(plat); err != nil {
+		return nil, err
+	}
+	cfg = cfg.normalized()
+	st := newSimState(ws, plat, cfg)
+
+	const checkEvery = 1 << 16 // ctx poll interval in accesses
+	var ctxErr error
+	poll := int64(0) // access count at which ctx is polled next
+	err := trace.WalkStrips(ws.Program, trace.Options{MaxAccesses: cfg.MaxAccesses}, func(s *trace.Strip) bool {
+		for it := int64(0); it < int64(s.Trip); it++ {
+			if st.accesses >= poll {
+				if ctxErr = ctx.Err(); ctxErr != nil {
+					return false
+				}
+				poll = st.accesses + checkEvery
+			}
+			for j := range s.Sites {
+				ss := &s.Sites[j]
+				st.access(ss.Position, ss.Linear+it*ss.Step)
+			}
+		}
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cachesim: %w", err)
+	}
+	if ctxErr != nil {
+		return nil, ctxErr
+	}
+	st.flush()
+
+	res := &Result{
+		Program:        ws.Program.Name,
+		Platform:       plat.Name,
+		Config:         cfg,
+		Accesses:       st.accesses,
+		MemoryAccesses: st.memory,
+		ComputeCycles:  ws.TotalCompute,
+		Cycles:         ws.TotalCompute + st.cycles,
+		Energy:         st.energy,
+	}
+	for _, lv := range st.levels {
+		res.Levels = append(res.Levels, LevelResult{
+			Layer:       plat.Layers[lv.layer].Name,
+			LevelConfig: lv.cfg,
+			LevelStats:  lv.stats,
+		})
+	}
+	return res, nil
+}
+
+// poolApps are the applications of the /v1/simulate benchmark pool.
+var poolApps = []string{"qsdpcm", "wavelet", "durbin", "voice", "dab"}
+
+// matchReference requires Simulate and referenceSimulate to render the
+// same Result.JSON bytes.
+func matchReference(t *testing.T, name string, ws *workspace.Workspace, plat *platform.Platform, cfg Config) {
+	t.Helper()
+	var body [2][]byte
+	for i, run := range []func(context.Context, *workspace.Workspace, *platform.Platform, Config) (*Result, error){Simulate, referenceSimulate} {
+		res, err := run(context.Background(), ws, plat, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if body[i], err = res.JSON(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(body[0], body[1]) {
+		t.Errorf("%s: steady-strip replay differs from the per-access reference:\n got %s\nwant %s", name, body[0], body[1])
+	}
+}
+
+// seededConfig draws a cache hierarchy for plat from rng: 1-8 ways,
+// 1-128 byte lines, and at every level but the first (whose prefetcher
+// is kind) a random prefetcher with 1-8 entries, degree 1-3 and latency
+// 0-8.
+func seededConfig(rng *rand.Rand, plat *platform.Platform, kind PrefetcherKind) Config {
+	cfg := ConfigFor(plat, 1+rng.Intn(8), 1<<rng.Intn(8))
+	for i := range cfg.Levels {
+		lv := &cfg.Levels[i]
+		lv.Prefetcher = kind
+		if i > 0 {
+			lv.Prefetcher = PrefetcherKind(rng.Intn(3))
+		}
+		if lv.Prefetcher != PrefetchNone {
+			lv.PrefetchEntries, lv.PrefetchDegree, lv.PrefetchLatency = 1+rng.Intn(8), 1+rng.Intn(3), rng.Intn(9)
+		}
+	}
+	return cfg
+}
+
+// reverseProgram walks arrays backwards and by strides against 1- and
+// 2-byte elements: negative steps, several sites per line and sites
+// stepping a whole line or more per iteration.
+func reverseProgram(t *testing.T) *workspace.Workspace {
+	t.Helper()
+	a := &model.Array{Name: "A", Dims: []int{256}, ElemSize: 1, Input: true}
+	b := &model.Array{Name: "B", Dims: []int{16, 64}, ElemSize: 2, Output: true}
+	back := func(c, coef int) model.Expr { return model.Expr{Const: c, Terms: []model.Term{{Var: "i", Coef: coef}}} }
+	p := &model.Program{
+		Name:   "reverse",
+		Arrays: []*model.Array{a, b},
+		Blocks: []*model.Block{{Name: "b0", Body: []model.Node{
+			&model.Loop{Var: "r", Trip: 4, Body: []model.Node{
+				&model.Loop{Var: "i", Trip: 64, Body: []model.Node{
+					&model.Access{Array: a, Kind: model.Read, Index: []model.Expr{back(255, -1)}},
+					&model.Access{Array: a, Kind: model.Read, Index: []model.Expr{back(252, -3)}},
+					&model.Access{Array: b, Kind: model.Write, Index: []model.Expr{model.Idx("r"), back(63, -1)}},
+					&model.Access{Array: b, Kind: model.Read, Index: []model.Expr{model.IdxC(2, "r"), model.ConstExpr(5)}},
+				}},
+				&model.Loop{Var: "i", Trip: 16, Body: []model.Node{
+					&model.Access{Array: b, Kind: model.Read, Index: []model.Expr{back(15, -1), model.Idx("r")}},
+				}},
+			}},
+		}}},
+	}
+	ws, err := workspace.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws
+}
+
+// TestSteadySkipMatchesReference requires the steady-strip replay to
+// render the same Result.JSON bytes as the per-access reference: on the
+// /v1/simulate pool at paper scale on the two- and three-level figure
+// platforms through the five golden variants, on 220 progen scenarios
+// through the no-cache anchor and a seeded geometry under each level-0
+// prefetcher, and on a program of negative and line-sized steps through
+// every line size.
+func TestSteadySkipMatchesReference(t *testing.T) {
+	for _, name := range poolApps {
+		app, err := apps.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := workspace.Compile(app.Build(apps.Paper))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, plat := range []*platform.Platform{energy.TwoLevel(app.L1), energy.ThreeLevel(app.L1, 4*app.L1)} {
+			for _, variant := range goldenVariants {
+				matchReference(t, fmt.Sprintf("%s/%s/%s", name, plat.Name, variant), ws, plat, goldenConfig(variant, plat))
+			}
+		}
+	}
+	for seed := int64(0); seed < 220; seed++ {
+		sc := diffConfig.Generate(seed)
+		ws, err := workspace.Compile(sc.Program)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		matchReference(t, fmt.Sprintf("seed %d anchor", seed), ws, sc.Platform, Config{})
+		rng := rand.New(rand.NewSource(seed))
+		for _, kind := range []PrefetcherKind{PrefetchNone, PrefetchNextLine, PrefetchStride} {
+			cfg := seededConfig(rng, sc.Platform, kind)
+			matchReference(t, fmt.Sprintf("seed %d %s %+v", seed, kind, cfg.Levels), ws, sc.Platform, cfg)
+		}
+	}
+	ws, plat := reverseProgram(t), threePlat()
+	for line := 1; line <= 128; line *= 2 {
+		for _, kind := range []PrefetcherKind{PrefetchNone, PrefetchNextLine, PrefetchStride} {
+			cfg := ConfigFor(plat, 2, line)
+			for i := range cfg.Levels {
+				cfg.Levels[i].Prefetcher, cfg.Levels[i].PrefetchDegree, cfg.Levels[i].PrefetchLatency = kind, 3, 1
+			}
+			matchReference(t, fmt.Sprintf("reverse %d B %s", line, kind), ws, plat, cfg)
+		}
+	}
+}
+
+// TestRepeatAdd requires repeatAdd to equal the naive loop bit for bit
+// for every round count it reports, and to take the rounds that stay
+// inside the sum's binade.
+func TestRepeatAdd(t *testing.T) {
+	naive := func(x float64, cs []float64, n int64) float64 {
+		for ; n > 0; n-- {
+			for _, c := range cs {
+				x += c
+			}
+		}
+		return x
+	}
+	check := func(x float64, cs []float64, k int64) int64 {
+		t.Helper()
+		got, n := repeatAdd(x, cs, k)
+		if n < 0 || n > k {
+			t.Fatalf("repeatAdd(%v, %v, %d) took %d rounds", x, cs, k, n)
+		}
+		if want := naive(x, cs, n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("repeatAdd(%v, %v, %d) = %v after %d rounds, naive %v", x, cs, k, got, n, want)
+		}
+		return n
+	}
+
+	pow2 := math.Ldexp(1, 20)
+	below := math.Nextafter(pow2, 0) // the largest double under 2^20
+	ulpBelow := pow2 - below         // its ulp, 2^-33
+	sub := math.SmallestNonzeroFloat64
+	cases := []struct {
+		x    float64
+		cs   []float64
+		k    int64
+		want int64 // rounds it must take (-1: any)
+	}{
+		{0, []float64{0}, 1e6, 1e6},
+		{0, []float64{0, 0, 0}, 1e6, 1e6},
+		{0, []float64{1}, 1e6, 0},     // 1 leaves the binade of 0
+		{0, []float64{sub}, 1e6, 1e6}, // subnormal steps from zero
+		{0, []float64{3 * sub, sub}, 1e6, 1e6},
+		{sub, []float64{0x1p-1030}, 1e6, -1}, // leaves the subnormal range
+		{0x1p-1040, []float64{sub, 7 * sub}, 1e6, 1e6},
+		{below, []float64{0}, 1e6, 1e6},
+		{below, []float64{ulpBelow}, 1e6, 0}, // reaches 2^20
+		{below - 8*ulpBelow, []float64{ulpBelow}, 1e6, 8},
+		{below, []float64{ulpBelow / 2}, 1e6, 0}, // exact half-ulp tie
+		{below, []float64{ulpBelow / 4}, 1e6, 1e6},
+		{below - ulpBelow, []float64{ulpBelow / 2}, 1e6, 0}, // tie on an even last bit
+		{below, []float64{1.5 * ulpBelow}, 1e6, 0},
+		{below - 10*ulpBelow, []float64{0.75 * ulpBelow, 0.25 * ulpBelow}, 1e6, 10}, // rounds of 1 + 0 ulp
+		{1, []float64{3}, 1e6, 0},                                                   // a charge larger than the sum
+		{1, []float64{0.25, 0.125}, 1e6, 2},
+		{1000, []float64{0.1, 2.5, 0.35}, 1e6, -1},
+		{3e10, []float64{1.7, 4.2, 0.001}, 1e6, 1e6},
+		{math.MaxFloat64, []float64{1}, 1e6, 1e6},
+		{math.MaxFloat64, []float64{math.MaxFloat64}, 1e6, 0},
+		{math.Inf(1), []float64{1}, 1e6, 0},
+		{-1, []float64{1}, 1e6, 0},
+		{1, []float64{-0.5}, 1e6, 0},
+		{1, []float64{math.NaN()}, 1e6, 0},
+		{1, nil, 1e6, 1e6},
+	}
+	for _, c := range cases {
+		if n := check(c.x, c.cs, c.k); c.want >= 0 && n != c.want {
+			t.Errorf("repeatAdd(%v, %v, %d) took %d rounds, want %d", c.x, c.cs, c.k, n, c.want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		x := math.Ldexp(rng.Float64(), rng.Intn(80)-40)
+		if rng.Intn(8) == 0 {
+			x = 0
+		}
+		cs := make([]float64, 1+rng.Intn(5))
+		for j := range cs {
+			switch rng.Intn(4) {
+			case 0: // a multiple of a quarter ulp of x, ties included
+				_, e := math.Frexp(x)
+				cs[j] = float64(rng.Intn(16)) * math.Ldexp(1, e-55)
+			case 1:
+				cs[j] = 0
+			default:
+				cs[j] = math.Ldexp(rng.Float64(), rng.Intn(80)-60)
+			}
+		}
+		k := int64(1 + rng.Intn(1000))
+		if rng.Intn(20) == 0 {
+			k = 1e6
+		}
+		check(x, cs, k)
+	}
+}
+
+// steppedPool is the number of accesses the /v1/simulate pool (the five
+// applications at paper scale on their figure platforms) replays one
+// at a time per variant, out of 3,456,575 accesses; the rest are
+// skipped in steady strips.
+var steppedPool = map[string]int64{
+	"anchor":   464174,
+	"lru":      1032513,
+	"nextline": 1293275,
+	"stride":   1314136,
+	"window":   2812339,
+}
+
+// TestSteadyStripsSkip pins how many accesses of the pool the replay
+// steps one at a time, so a change that silently stops skipping (or
+// skips less) fails here even though every result stays the same.
+func TestSteadyStripsSkip(t *testing.T) {
+	got := map[string]int64{}
+	for _, name := range poolApps {
+		app, err := apps.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := workspace.Compile(app.Build(apps.Paper))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plat := energy.TwoLevel(app.L1)
+		for _, variant := range goldenVariants {
+			st, err := replay(context.Background(), ws, plat, goldenConfig(variant, plat).normalized())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[variant] += st.stepped
+		}
+	}
+	for _, variant := range goldenVariants {
+		if got[variant] != steppedPool[variant] {
+			t.Errorf("%s: %d accesses stepped one at a time, want %d", variant, got[variant], steppedPool[variant])
+		}
+	}
+}
