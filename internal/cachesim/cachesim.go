@@ -57,6 +57,20 @@
 // iterations' counts and cycles in one step, in O(sites). With no cache
 // levels every iteration is a fixed point.
 //
+// # Steady periods
+//
+// The same fixed point is checked one loop level higher, on a period
+// loop: a loop whose body holds only strips (trace.Period). When one
+// whole iteration of it started with nothing in flight, hit level 0 on
+// every access and issued nothing, the following iterations that touch
+// the same level-0 lines, each access moved by its site's Shift, and
+// make the same stride proposals repeat it exactly. The simulator adds
+// them in O(accesses of one iteration) and sets Period.Skip so the walk
+// leaves them out. A stride level needs no warm-up: a skipped
+// iteration's proposals land in lines the reference iteration touched
+// or proposed, and a lone site's stride entry takes the delta the
+// skipped iterations leave, Shift·elem.
+//
 // The energy is the one float sum, and it must stay bit-identical to
 // adding each charge in turn. While the running sum stays inside one
 // binade (a fixed ulp u), each += c adds exactly RoundToEven(c/u)·u,
@@ -343,18 +357,22 @@ func (r *inflightRing) find(line int64) *inflightLine {
 
 // level is the live state of one cache level during a run.
 type level struct {
-	cfg         LevelConfig
-	layer       int // backing platform layer
-	parentLayer int // next level's layer, or the background layer
-	lineShift   uint
-	cache       *cache
-	pfb         *prefetchBuffer
-	inflight    inflightRing
-	stride      []strideEntry // stride predictor state, indexed by site position
-	stats       LevelStats
+	cfg       LevelConfig
+	layer     int // backing platform layer
+	lineShift uint
+	cache     *cache
+	pfb       *prefetchBuffer
+	inflight  inflightRing
+	stride    []strideEntry // stride predictor state, indexed by site position
+	stats     LevelStats
+	// fill and writeback price one line moving from and to the parent
+	// layer (the next level's, or the background layer); arrival[src] is the energy of a prefetched line arriving
+	// from platform layer src, set for every layer deeper than this one.
+	fill, writeback charge
+	arrival         []float64
 }
 
-// charge is one priced word-weighted CPU access.
+// charge is one priced word-weighted CPU access, or one line transfer.
 type charge struct {
 	cycles int64
 	energy float64
@@ -386,10 +404,22 @@ type simState struct {
 	energy   float64
 
 	// stepped counts the accesses replayed one at a time, the rest
-	// having been skipped in steady strips; charges is skip's scratch
-	// of one strip's per-site energies.
-	stepped int64
-	charges []float64
+	// having been skipped in steady strips or periods, and periods the
+	// period iterations skipped. charges is the skips' scratch of the
+	// per-site energies of one strip or one period body.
+	stepped, periods int64
+	charges          []repeated
+	// period is the replay state when the current period iteration's
+	// first strip began.
+	period mark
+}
+
+// mark is the replay state a fixed-point check compares against:
+// whether nothing was in flight at any level, and level 0's Hits and
+// PrefetchIssued.
+type mark struct {
+	idle         bool
+	hits, issued int64
 }
 
 func newSimState(ws *workspace.Workspace, plat *platform.Platform, cfg Config) *simState {
@@ -404,17 +434,23 @@ func newSimState(ws *workspace.Workspace, plat *platform.Platform, cfg Config) *
 			parent = i + 1
 		}
 		l := &level{
-			cfg:         lv,
-			layer:       i,
-			parentLayer: parent,
-			lineShift:   uint(log2(int64(lv.LineBytes))),
-			cache:       newCache(lv.Sets, lv.Ways),
+			cfg:       lv,
+			layer:     i,
+			lineShift: uint(log2(int64(lv.LineBytes))),
+			cache:     newCache(lv.Sets, lv.Ways),
 		}
+		bytes := int64(lv.LineBytes)
+		l.fill = charge{plat.TransferCycles(parent, i, bytes), plat.TransferEnergy(parent, i, bytes)}
+		l.writeback = charge{plat.TransferCycles(i, parent, bytes), plat.TransferEnergy(i, parent, bytes)}
 		if lv.Prefetcher != PrefetchNone {
 			l.pfb = newPrefetchBuffer(lv.PrefetchEntries)
 			l.inflight.slots = make([]inflightLine, lv.PrefetchEntries)
 			if lv.Prefetcher == PrefetchStride {
 				l.stride = make([]strideEntry, len(refs))
+			}
+			l.arrival = make([]float64, len(plat.Layers))
+			for src := i + 1; src < len(plat.Layers); src++ {
+				l.arrival[src] = plat.TransferEnergy(src, i, bytes)
 			}
 		}
 		st.levels = append(st.levels, l)
@@ -441,7 +477,7 @@ func newSimState(ws *workspace.Workspace, plat *platform.Platform, cfg Config) *
 	nlev := len(cfg.Levels)
 	probes := make([]charge, len(refs)*nlev)
 	st.sites = make([]siteInfo, len(refs))
-	st.charges = make([]float64, len(refs))
+	st.charges = make([]repeated, len(refs))
 	for _, ref := range refs {
 		arr, write := ref.Access.Array, ref.Access.Kind == model.Write
 		s := &st.sites[ref.Position]
@@ -521,10 +557,8 @@ func (st *simState) access(pos int, lin int64) {
 	// holds the line — a prefetch-buffer consume installed its own).
 	for i := served - 1; i >= 0; i-- {
 		lv := st.levels[i]
-		line := addr >> lv.lineShift
-		st.cycles += st.plat.TransferCycles(lv.parentLayer, lv.layer, int64(lv.cfg.LineBytes))
-		st.energy += st.plat.TransferEnergy(lv.parentLayer, lv.layer, int64(lv.cfg.LineBytes))
-		st.install(i, line, write && i == 0)
+		st.pay(lv.fill)
+		st.install(i, addr>>lv.lineShift, write && i == 0)
 	}
 
 	// Prefetchers observe every probed level.
@@ -556,8 +590,7 @@ func (st *simState) install(i int, line int64, dirty bool) {
 func (st *simState) writeback(i int, line int64) {
 	lv := st.levels[i]
 	lv.stats.Writebacks++
-	st.cycles += st.plat.TransferCycles(lv.layer, lv.parentLayer, int64(lv.cfg.LineBytes))
-	st.energy += st.plat.TransferEnergy(lv.layer, lv.parentLayer, int64(lv.cfg.LineBytes))
+	st.pay(lv.writeback)
 	if i+1 < len(st.levels) {
 		next := st.levels[i+1]
 		next.cache.markDirty((line << lv.lineShift) >> next.lineShift)
@@ -602,8 +635,7 @@ func (st *simState) deliver(i int, now int64) {
 		if lv.cache.contains(fl.line) || lv.pfb.contains(fl.line) {
 			continue // redundant by arrival time
 		}
-		src := st.sourceLayer(i, fl.line)
-		st.energy += st.plat.TransferEnergy(src, lv.layer, int64(lv.cfg.LineBytes))
+		st.energy += lv.arrival[st.sourceLayer(i, fl.line)]
 		lv.pfb.push(fl.line)
 	}
 }
@@ -636,36 +668,47 @@ func (st *simState) flush() {
 // access and issues nothing there also ends with nothing in flight:
 // no deeper level is probed, so none issues either.
 func (st *simState) iterate(s *trace.Strip, it, trip int64) int64 {
-	steady := it+1 < trip && st.idle() // a skip needs iterations left and nothing in flight
-	var hits, issued int64
-	if len(st.levels) > 0 {
-		hits, issued = st.levels[0].stats.Hits, st.levels[0].stats.PrefetchIssued
+	var m mark
+	if it+1 < trip { // a skip needs iterations left
+		m = st.mark()
 	}
 	for j := range s.Sites {
 		ss := &s.Sites[j]
 		st.access(ss.Position, ss.Linear+it*ss.Step)
 	}
 	st.stepped += int64(len(s.Sites))
-	if !steady {
+	if !st.steadySince(m, int64(len(s.Sites))) {
 		return 1
-	}
-	if len(st.levels) > 0 {
-		l0 := &st.levels[0].stats
-		if l0.Hits-hits != int64(len(s.Sites)) || l0.PrefetchIssued != issued {
-			return 1
-		}
 	}
 	return 1 + st.skip(s, it, trip-it-1)
 }
 
-// idle reports whether no level has a prefetch in flight.
-func (st *simState) idle() bool {
+// mark takes the replay state a fixed-point check starts from.
+func (st *simState) mark() mark {
+	m := mark{idle: true}
 	for _, lv := range st.levels {
 		if lv.inflight.n > 0 {
-			return false
+			m.idle = false
 		}
 	}
-	return true
+	if len(st.levels) > 0 {
+		m.hits, m.issued = st.levels[0].stats.Hits, st.levels[0].stats.PrefetchIssued
+	}
+	return m
+}
+
+// steadySince reports whether the n accesses replayed since m were a
+// fixed point: nothing was in flight at m, level 0 hit every access and
+// issued nothing.
+func (st *simState) steadySince(m mark, n int64) bool {
+	if !m.idle {
+		return false
+	}
+	if len(st.levels) == 0 {
+		return true
+	}
+	l0 := &st.levels[0].stats
+	return l0.Hits-m.hits == n && l0.PrefetchIssued == m.issued
 }
 
 // skip jumps over up to left iterations after iteration it of strip s,
@@ -703,7 +746,7 @@ func (st *simState) skip(s *trace.Strip, it, left int64) int64 {
 				return 0
 			}
 		}
-		charges[j] = c.energy
+		charges[j] = repeated{c.energy, 1}
 		cycles += c.cycles
 	}
 	if st.energy, k = repeatAdd(st.energy, charges, k); k == 0 {
@@ -729,6 +772,113 @@ func (st *simState) skip(s *trace.Strip, it, left int64) int64 {
 	return k
 }
 
+// skipPeriod jumps over up to the iterations left after the current
+// iteration of period p, when that iteration replayed at a fixed point
+// (see Steady periods in the package doc), and returns how many it
+// skipped. It stops where an access's level-0 line or a stride proposal
+// moves (shiftRun), and where the energy sum could not take another
+// round exactly (repeatAdd). A skipped iteration's first access of a
+// lone site meets the site's delta from the iteration before, which the
+// reference iteration met only if it was not its loop entry's first, so
+// a lone site's stride entry takes that delta, Shift·elem, here; in a
+// leaf strip the last delta is Step·elem whatever came before.
+func (st *simState) skipPeriod(p *trace.Period) int64 {
+	left := int64(p.Trip - p.Iter - 1)
+	if left <= 0 {
+		return 0
+	}
+	var n int64 // accesses per iteration
+	for _, s := range p.Strips {
+		n += int64(s.Trip) * int64(len(s.Sites))
+	}
+	if !st.steadySince(st.period, n) {
+		return 0
+	}
+	var l0 *level
+	if len(st.levels) > 0 {
+		l0 = st.levels[0]
+	}
+	k := left
+	charges := st.charges[:0]
+	var cycles int64
+	for _, s := range p.Strips {
+		trip := int64(s.Trip)
+		for j := range s.Sites {
+			ss := &s.Sites[j]
+			si := &st.sites[ss.Position]
+			c := si.mem
+			if l0 != nil {
+				c = si.probe[0]
+				if k = l0.shiftRun(k, si, ss, trip); k == 0 {
+					return 0
+				}
+			}
+			charges = append(charges, repeated{c.energy, trip})
+			cycles += trip * c.cycles
+		}
+	}
+	if st.energy, k = repeatAdd(st.energy, charges, k); k == 0 {
+		return 0
+	}
+	st.periods += k
+	n *= k
+	st.accesses += n
+	st.cycles += k * cycles
+	if l0 == nil {
+		st.memory += n
+		return k
+	}
+	l0.stats.Accesses += n
+	l0.stats.Hits += n
+	if l0.stride != nil {
+		for _, s := range p.Strips {
+			for j := range s.Sites {
+				ss := &s.Sites[j]
+				e, delta := &l0.stride[ss.Position], ss.Shift*st.sites[ss.Position].elem
+				e.last += k * delta
+				if s.Trip == 1 {
+					e.stride = delta
+				}
+			}
+		}
+	}
+	return k
+}
+
+// shiftRun returns k bounded by how many further period iterations keep
+// every access of site ss in its strip entry of trip iterations, and at
+// a stride level every proposal addr+q·d, in its level-0 line: each
+// moves by Shift·elem per period iteration. d is the access's delta
+// from the site's access before: Step·elem inside the entry, and from
+// the previous period iteration's last access at the entry's first.
+// Every proposal a skipped iteration makes then lands in a line the
+// reference iteration touched or proposed: the proposal lines stay put,
+// the deltas repeat from the second iteration of the entry, and where
+// the reference iteration's first two deltas were not yet confident, a
+// confident proposal steps by the same d as the accesses and stays in
+// the chain of their lines.
+func (lv *level) shiftRun(k int64, si *siteInfo, ss *trace.StripSite, trip int64) int64 {
+	delta := ss.Shift * si.elem
+	if delta == 0 {
+		return k
+	}
+	addr, step := si.base+ss.Linear*si.elem, ss.Step*si.elem
+	d := delta - (trip-1)*step
+	for t := int64(0); t < trip && k > 0; t++ {
+		k = min(k, lineRun(addr, delta, lv.lineShift))
+		if lv.stride != nil && d != 0 {
+			for q := int64(1); q <= int64(lv.cfg.PrefetchDegree); q++ {
+				k = min(k, lineRun(addr+q*d, delta, lv.lineShift))
+			}
+		}
+		if step == 0 {
+			break // every later access repeats this one and proposes nothing
+		}
+		addr, d = addr+step, step
+	}
+	return k
+}
+
 // lineRun is how many further steps of d bytes from addr stay in addr's
 // line of 1<<shift bytes.
 func lineRun(addr, d int64, shift uint) int64 {
@@ -743,15 +893,22 @@ func lineRun(addr, d int64, shift uint) int64 {
 	return math.MaxInt64
 }
 
-// repeatAdd returns x after n rounds of "for _, c := range cs { x += c }"
-// and the rounds n <= k it took, bit-identical to running them. While
-// the running sum stays inside one binade of ulp u, each x += c adds
-// exactly RoundToEven(c/u)·u, so a round adds a fixed R·u and n rounds
-// add n·R·u. It stops before the round that would leave the binade, and
-// takes no round at all when some charge is an exact half-ulp tie
-// (whose rounding depends on the sum's last bit) or when x or a charge
-// is negative or not finite.
-func repeatAdd(x float64, cs []float64, k int64) (float64, int64) {
+// repeated is a charge c added n times in each round of repeatAdd.
+type repeated struct {
+	c float64
+	n int64
+}
+
+// repeatAdd returns x after n rounds of adding every charge of cs its
+// count of times, in any order, and the rounds n <= k it took,
+// bit-identical to running them. While the running sum stays inside one
+// binade of ulp u, each x += c adds exactly RoundToEven(c/u)·u whatever
+// the order, so a round adds a fixed R·u and n rounds add n·R·u. It
+// stops before the round that would leave the binade, and takes no
+// round at all when some charge is an exact half-ulp tie (whose
+// rounding depends on the sum's last bit) or when x or a charge is
+// negative or not finite.
+func repeatAdd(x float64, cs []repeated, k int64) (float64, int64) {
 	const mant = 1 << 53 // a binade of ulp u ends at mant·u
 	if !(x >= 0 && x <= math.MaxFloat64) {
 		return x, 0
@@ -764,15 +921,18 @@ func repeatAdd(x float64, cs []float64, k int64) (float64, int64) {
 	hi := u * mant
 	var r int64
 	for _, c := range cs {
-		if !(c >= 0 && c < hi) {
+		if !(c.c >= 0 && c.c < hi) {
 			return x, 0
 		}
-		q := c / u
+		q := c.c / u
 		if q-math.Floor(q) == 0.5 {
 			return x, 0
 		}
-		if r += int64(math.RoundToEven(q)); r >= mant {
-			return x, 0
+		if rq := int64(math.RoundToEven(q)); rq > 0 {
+			if c.n > (mant-1-r)/rq {
+				return x, 0 // the round alone would leave the binade
+			}
+			r += c.n * rq
 		}
 	}
 	if r == 0 {
@@ -829,6 +989,10 @@ func replay(ctx context.Context, ws *workspace.Workspace, plat *platform.Platfor
 	var ctxErr error
 	poll := int64(0) // access count at which ctx is polled next
 	err := trace.WalkStrips(ws.Program, trace.Options{MaxAccesses: cfg.MaxAccesses}, func(s *trace.Strip) bool {
+		p := s.Period
+		if p != nil && s == p.Strips[0] {
+			st.period = st.mark()
+		}
 		for it, trip := int64(0), int64(s.Trip); it < trip; {
 			if st.accesses >= poll {
 				if ctxErr = ctx.Err(); ctxErr != nil {
@@ -837,6 +1001,9 @@ func replay(ctx context.Context, ws *workspace.Workspace, plat *platform.Platfor
 				poll = st.accesses + checkEvery
 			}
 			it += st.iterate(s, it, trip)
+		}
+		if p != nil && s == p.Strips[len(p.Strips)-1] {
+			p.Skip = int(st.skipPeriod(p))
 		}
 		return true
 	})

@@ -148,13 +148,88 @@ func reverseProgram(t *testing.T) *workspace.Workspace {
 	return ws
 }
 
-// TestSteadySkipMatchesReference requires the steady-strip replay to
-// render the same Result.JSON bytes as the per-access reference: on the
-// /v1/simulate pool at paper scale on the two- and three-level figure
-// platforms through the five golden variants, on 220 progen scenarios
-// through the no-cache anchor and a seeded geometry under each level-0
-// prefetcher, and on a program of negative and line-sized steps through
-// every line size.
+// periodProgram builds period loops of every shape: wavelet-style row
+// and column passes (a leaf strip of taps and two lone stores per
+// iteration, the row pass re-entered by an outer loop) over 1-, 2- and
+// 4-byte elements, and a period whose body reads backwards (negative
+// shifts and steps), reads one element every iteration (zero shift),
+// writes a row apart every iteration (shifts of 80 bytes, larger than
+// most lines) and holds a one-iteration leaf strip.
+func periodProgram(t *testing.T) *workspace.Workspace {
+	t.Helper()
+	img := &model.Array{Name: "img", Dims: []int{12, 40}, ElemSize: 2, Input: true}
+	lo := &model.Array{Name: "lo", Dims: []int{12, 32}, ElemSize: 2, Output: true}
+	col := &model.Array{Name: "col", Dims: []int{24, 24}, ElemSize: 1, Input: true}
+	hi := &model.Array{Name: "hi", Dims: []int{16, 24}, ElemSize: 4, Output: true}
+	rev := &model.Array{Name: "rev", Dims: []int{20, 3}, ElemSize: 2, Input: true}
+	z := &model.Array{Name: "z", Dims: []int{4}, ElemSize: 4, Input: true}
+	big := &model.Array{Name: "big", Dims: []int{20, 40}, ElemSize: 2, Output: true}
+	one := &model.Array{Name: "one", Dims: []int{48}, ElemSize: 1, Input: true}
+	ix := func(c int, terms ...model.Term) model.Expr { return model.Affine(c, terms...) }
+	tm := func(v string, coef int) model.Term { return model.Term{Var: v, Coef: coef} }
+	p := &model.Program{
+		Name:   "periods",
+		Arrays: []*model.Array{img, lo, col, hi, rev, z, big, one},
+		Blocks: []*model.Block{
+			{Name: "rows", Body: []model.Node{
+				&model.Loop{Var: "r", Trip: 2, Body: []model.Node{
+					&model.Loop{Var: "y", Trip: 12, Body: []model.Node{
+						&model.Loop{Var: "x", Trip: 16, Body: []model.Node{
+							&model.Loop{Var: "k", Trip: 9, Body: []model.Node{
+								&model.Access{Array: img, Kind: model.Read, Index: []model.Expr{model.Idx("y"), ix(0, tm("x", 2), tm("k", 1))}},
+							}},
+							&model.Access{Array: lo, Kind: model.Write, Index: []model.Expr{model.Idx("y"), model.Idx("x")}},
+							&model.Access{Array: lo, Kind: model.Write, Index: []model.Expr{model.Idx("y"), ix(16, tm("x", 1))}},
+						}},
+					}},
+				}},
+			}},
+			{Name: "cols", Body: []model.Node{
+				&model.Loop{Var: "y", Trip: 8, Body: []model.Node{
+					&model.Loop{Var: "x", Trip: 24, Body: []model.Node{
+						&model.Loop{Var: "k", Trip: 9, Body: []model.Node{
+							&model.Access{Array: col, Kind: model.Read, Index: []model.Expr{ix(0, tm("y", 2), tm("k", 1)), model.Idx("x")}},
+						}},
+						&model.Access{Array: hi, Kind: model.Write, Index: []model.Expr{model.Idx("y"), model.Idx("x")}},
+						&model.Access{Array: hi, Kind: model.Write, Index: []model.Expr{ix(8, tm("y", 1)), model.Idx("x")}},
+					}},
+				}},
+			}},
+			{Name: "shifts", Body: []model.Node{
+				&model.Loop{Var: "r", Trip: 3, Body: []model.Node{
+					&model.Loop{Var: "x", Trip: 20, Body: []model.Node{
+						&model.Loop{Var: "k", Trip: 3, Body: []model.Node{
+							&model.Access{Array: rev, Kind: model.Read, Index: []model.Expr{ix(19, tm("x", -1)), ix(2, tm("k", -1))}},
+						}},
+						&model.Access{Array: z, Kind: model.Read, Index: []model.Expr{model.ConstExpr(2)}},
+						&model.Access{Array: big, Kind: model.Write, Index: []model.Expr{model.Idx("x"), model.Idx("r")}},
+					}},
+					&model.Loop{Var: "x", Trip: 48, Body: []model.Node{
+						&model.Loop{Var: "k", Trip: 1, Body: []model.Node{
+							&model.Access{Array: one, Kind: model.Read, Index: []model.Expr{ix(47, tm("x", -1))}},
+						}},
+						&model.Access{Array: one, Kind: model.Read, Index: []model.Expr{model.Idx("x")}},
+					}},
+				}},
+			}},
+		},
+	}
+	ws, err := workspace.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws
+}
+
+// TestSteadySkipMatchesReference requires the steady-strip and
+// steady-period replay to render the same Result.JSON bytes as the
+// per-access reference: on the /v1/simulate pool at paper scale on the
+// two- and three-level figure platforms through the five golden
+// variants, on 220 progen scenarios through the no-cache anchor and a
+// seeded geometry under each level-0 prefetcher, on a program of
+// negative and line-sized steps through every line size, and on the
+// period program through every line size, prefetcher, degree 1-3 and
+// arrival latencies 0 and 4.
 func TestSteadySkipMatchesReference(t *testing.T) {
 	for _, name := range poolApps {
 		app, err := apps.ByName(name)
@@ -194,21 +269,88 @@ func TestSteadySkipMatchesReference(t *testing.T) {
 			matchReference(t, fmt.Sprintf("reverse %d B %s", line, kind), ws, plat, cfg)
 		}
 	}
+	ws = periodProgram(t)
+	matchReference(t, "periods anchor", ws, plat, Config{})
+	for line := 1; line <= 128; line *= 2 {
+		for _, kind := range []PrefetcherKind{PrefetchNone, PrefetchNextLine, PrefetchStride} {
+			for degree := 1; degree <= 3; degree++ {
+				for _, latency := range []int{0, 4} {
+					if kind == PrefetchNone && (degree > 1 || latency > 0) {
+						continue
+					}
+					cfg := ConfigFor(plat, 2, line)
+					for i := range cfg.Levels {
+						cfg.Levels[i].Prefetcher, cfg.Levels[i].PrefetchDegree, cfg.Levels[i].PrefetchLatency = kind, degree, latency
+					}
+					matchReference(t, fmt.Sprintf("periods %d B %s degree %d latency %d", line, kind, degree, latency), ws, plat, cfg)
+				}
+			}
+		}
+	}
+}
+
+// TestPeriodSkipStrideEntry requires a skip from a period loop entry's
+// first iteration to leave a lone site's stride entry as the skipped
+// iterations would: the reference iteration's delta came from before
+// the entry (here, nothing: the site was never seen), each skipped one
+// is Shift·elem. The period "for x { for k < 1 { read A[x] } }" runs
+// over 1-byte elements after a read of A[0] put line 0 in the cache, so
+// iteration 0 hits and skips to the end of the line. The next
+// iteration is confident and prefetches line 1; a skip that kept the
+// entry's stride at 0 would not.
+func TestPeriodSkipStrideEntry(t *testing.T) {
+	a := &model.Array{Name: "A", Dims: []int{64}, ElemSize: 1, Input: true}
+	p := &model.Program{
+		Name:   "stride-entry",
+		Arrays: []*model.Array{a},
+		Blocks: []*model.Block{{Name: "b0", Body: []model.Node{
+			&model.Access{Array: a, Kind: model.Read, Index: []model.Expr{model.ConstExpr(0)}},
+			&model.Loop{Var: "x", Trip: 64, Body: []model.Node{
+				&model.Loop{Var: "k", Trip: 1, Body: []model.Node{
+					&model.Access{Array: a, Kind: model.Read, Index: []model.Expr{model.Idx("x")}},
+				}},
+			}},
+		}}},
+	}
+	ws, err := workspace.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat := threePlat()
+	for degree := 1; degree <= 3; degree++ {
+		for _, latency := range []int{0, 2} {
+			cfg := ConfigFor(plat, 2, 32)
+			cfg.Levels[0].Prefetcher, cfg.Levels[0].PrefetchDegree, cfg.Levels[0].PrefetchLatency = PrefetchStride, degree, latency
+			name := fmt.Sprintf("degree %d latency %d", degree, latency)
+			matchReference(t, name, ws, plat, cfg)
+			st, err := replay(context.Background(), ws, plat, cfg.normalized())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.periods == 0 {
+				t.Errorf("%s: no period iteration skipped", name)
+			}
+		}
+	}
 }
 
 // TestRepeatAdd requires repeatAdd to equal the naive loop bit for bit
 // for every round count it reports, and to take the rounds that stay
-// inside the sum's binade.
+// inside the sum's binade: with each charge once per round, and with
+// charges repeated within a round, as a period body's strips repeat
+// their sites' charges.
 func TestRepeatAdd(t *testing.T) {
-	naive := func(x float64, cs []float64, n int64) float64 {
+	naive := func(x float64, cs []repeated, n int64) float64 {
 		for ; n > 0; n-- {
 			for _, c := range cs {
-				x += c
+				for i := int64(0); i < c.n; i++ {
+					x += c.c
+				}
 			}
 		}
 		return x
 	}
-	check := func(x float64, cs []float64, k int64) int64 {
+	checkRepeated := func(x float64, cs []repeated, k int64) int64 {
 		t.Helper()
 		got, n := repeatAdd(x, cs, k)
 		if n < 0 || n > k {
@@ -218,6 +360,14 @@ func TestRepeatAdd(t *testing.T) {
 			t.Fatalf("repeatAdd(%v, %v, %d) = %v after %d rounds, naive %v", x, cs, k, got, n, want)
 		}
 		return n
+	}
+	check := func(x float64, cs []float64, k int64) int64 {
+		t.Helper()
+		once := make([]repeated, len(cs))
+		for i, c := range cs {
+			once[i] = repeated{c, 1}
+		}
+		return checkRepeated(x, once, k)
 	}
 
 	pow2 := math.Ldexp(1, 20)
@@ -287,25 +437,76 @@ func TestRepeatAdd(t *testing.T) {
 		}
 		check(x, cs, k)
 	}
+
+	repCases := []struct {
+		x    float64
+		cs   []repeated
+		k    int64
+		want int64
+	}{
+		{0, []repeated{{0, 1 << 40}}, 1e6, 1e6},
+		{0, []repeated{{sub, 9}, {3 * sub, 0}}, 1e6, 1e6},
+		{below - 64*ulpBelow, []repeated{{ulpBelow, 8}}, 1e6, 8}, // 8 ulps a round: 8 rounds reach the binade's last value
+		{below - 7*ulpBelow, []repeated{{ulpBelow, 8}}, 1e6, 0},  // one round would leave the binade
+		{below - 30*ulpBelow, []repeated{{0.75 * ulpBelow, 3}, {0.25 * ulpBelow, 5}}, 1e6, 10},
+		{below, []repeated{{ulpBelow / 2, 4}}, 1e6, 0},       // a tie, however often it repeats
+		{1, []repeated{{math.Ldexp(1, -52), 1 << 62}}, 1, 0}, // a count whose product overflows
+		{1, []repeated{{0.25, 2}, {0.125, 0}}, 1e6, 1},
+	}
+	for _, c := range repCases {
+		if c.cs[0].n > 1<<20 {
+			// Too many additions to run naively: only the count is checked.
+			if _, n := repeatAdd(c.x, c.cs, c.k); n != c.want {
+				t.Errorf("repeatAdd(%v, %v, %d) took %d rounds, want %d", c.x, c.cs, c.k, n, c.want)
+			}
+			continue
+		}
+		if n := checkRepeated(c.x, c.cs, c.k); n != c.want {
+			t.Errorf("repeatAdd(%v, %v, %d) took %d rounds, want %d", c.x, c.cs, c.k, n, c.want)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		x := math.Ldexp(rng.Float64(), rng.Intn(80)-40)
+		_, e := math.Frexp(x)
+		cs := make([]repeated, 1+rng.Intn(4))
+		for j := range cs {
+			cs[j] = repeated{float64(rng.Intn(16)) * math.Ldexp(1, e-55), int64(rng.Intn(12))}
+			if rng.Intn(2) == 0 {
+				cs[j].c = math.Ldexp(rng.Float64(), rng.Intn(60)-50)
+			}
+		}
+		checkRepeated(x, cs, int64(1+rng.Intn(200)))
+	}
 }
 
 // steppedPool is the number of accesses the /v1/simulate pool (the five
 // applications at paper scale on their figure platforms) replays one
 // at a time per variant, out of 3,456,575 accesses; the rest are
-// skipped in steady strips.
-var steppedPool = map[string]int64{
-	"anchor":   464174,
-	"lru":      1032513,
-	"nextline": 1293275,
-	"stride":   1314136,
-	"window":   2812339,
-}
+// skipped in steady strips and periods. periodsPool is the number of
+// period iterations skipped.
+var (
+	steppedPool = map[string]int64{
+		"anchor":   31110,
+		"lru":      641277,
+		"nextline": 932636,
+		"stride":   985136,
+		"window":   2812339,
+	}
+	periodsPool = map[string]int64{
+		"anchor":   154812,
+		"lru":      50535,
+		"nextline": 46285,
+		"stride":   40680,
+		"window":   0,
+	}
+)
 
 // TestSteadyStripsSkip pins how many accesses of the pool the replay
-// steps one at a time, so a change that silently stops skipping (or
-// skips less) fails here even though every result stays the same.
+// steps one at a time and how many period iterations it skips, so a
+// change that silently stops skipping (or skips less) fails here even
+// though every result stays the same.
 func TestSteadyStripsSkip(t *testing.T) {
-	got := map[string]int64{}
+	stepped, periods := map[string]int64{}, map[string]int64{}
 	for _, name := range poolApps {
 		app, err := apps.ByName(name)
 		if err != nil {
@@ -321,12 +522,16 @@ func TestSteadyStripsSkip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got[variant] += st.stepped
+			stepped[variant] += st.stepped
+			periods[variant] += st.periods
 		}
 	}
 	for _, variant := range goldenVariants {
-		if got[variant] != steppedPool[variant] {
-			t.Errorf("%s: %d accesses stepped one at a time, want %d", variant, got[variant], steppedPool[variant])
+		if stepped[variant] != steppedPool[variant] {
+			t.Errorf("%s: %d accesses stepped one at a time, want %d", variant, stepped[variant], steppedPool[variant])
+		}
+		if periods[variant] != periodsPool[variant] {
+			t.Errorf("%s: %d period iterations skipped, want %d", variant, periods[variant], periodsPool[variant])
 		}
 	}
 }

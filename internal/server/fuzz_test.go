@@ -57,6 +57,7 @@ func FuzzSimulateDecode(f *testing.F) {
 	f.Add(byte(0), []byte(`{"app":"durbin","scale":"test","levels":[{},{},{},{},{},{},{},{}]}`))
 	f.Add(byte(0), []byte(`{"app":"durbin","scale":"test","max_accesses":9223372036854775807}`))
 	f.Add(byte(0), []byte(`{"app":"durbin","levels":[{"sets":1048576,"ways":64,"line_bytes":4096}`))
+	f.Add(byte(0), []byte(`{"app":"durbin","scale":"test","levels":[{"sets":1048576,"ways":64,"line_bytes":32}]}`))
 	f.Add(byte(0), []byte(`{"levels":[{"sets":4,"ways":1,"line_bytes":32}]}`))
 	f.Add(byte(0), []byte(`{"app":"durbin","scale":"test"}{"app":"durbin"}`))
 	f.Add(byte(0), []byte(`null`))

@@ -14,6 +14,7 @@ const (
 	maxSimLevels    = 4
 	maxSimSets      = 1 << 20
 	maxSimWays      = 64
+	maxSimSlots     = 1 << 20 // sets x ways of one level: 8 MiB of line slots
 	maxSimLineBytes = 4096
 	maxSimEntries   = 1024
 	maxSimDegree    = 8
@@ -64,10 +65,11 @@ func (req *simulateRequest) cacheConfig(plat *mhla.Platform) (mhla.CacheConfig, 
 		return cfg, badRequest("bad_request", "%d cache levels exceed the limit of %d", len(*req.Levels), maxSimLevels)
 	}
 	for i, lv := range *req.Levels {
-		if lv.Sets > maxSimSets || lv.Ways > maxSimWays || lv.LineBytes > maxSimLineBytes {
+		if lv.Sets > maxSimSets || lv.Ways > maxSimWays || lv.LineBytes > maxSimLineBytes ||
+			int64(lv.Sets)*int64(lv.Ways) > maxSimSlots {
 			return cfg, badRequest("invalid_option",
-				"level %d geometry exceeds the limits (sets <= %d, ways <= %d, line_bytes <= %d)",
-				i, maxSimSets, maxSimWays, maxSimLineBytes)
+				"level %d geometry exceeds the limits (sets <= %d, ways <= %d, sets x ways <= %d, line_bytes <= %d)",
+				i, maxSimSets, maxSimWays, maxSimSlots, maxSimLineBytes)
 		}
 		if lv.PrefetchEntries > maxSimEntries || lv.PrefetchDegree > maxSimDegree || lv.PrefetchLatency > maxSimLatency {
 			return cfg, badRequest("invalid_option",

@@ -159,6 +159,8 @@ func TestSimulateErrors(t *testing.T) {
 			http.StatusBadRequest, "bad_request", "cache levels exceed"},
 		{"oversized sets", fmt.Sprintf(`{"app":"durbin","scale":"test","levels":[{"sets":%d,"ways":1,"line_bytes":32}]}`, maxSimSets*2),
 			http.StatusBadRequest, "invalid_option", "geometry exceeds"},
+		{"oversized sets x ways", `{"app":"durbin","scale":"test","levels":[{"sets":1048576,"ways":64,"line_bytes":32}]}`,
+			http.StatusBadRequest, "invalid_option", "sets x ways"},
 		{"oversized max_accesses", fmt.Sprintf(`{"app":"durbin","scale":"test","max_accesses":%d}`, maxSimAccesses+1),
 			http.StatusBadRequest, "invalid_option", "max_accesses"},
 		{"trace over budget", `{"app":"durbin","scale":"test","max_accesses":5}`,
@@ -184,6 +186,22 @@ func TestSimulateErrors(t *testing.T) {
 	code, body := get(t, ts.URL+"/v1/simulate")
 	if code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/simulate: status %d, want 405: %s", code, body)
+	}
+}
+
+// TestSimulateSlotsBoundedAtIntake: a level whose sets and ways each
+// pass their own limit but whose product would allocate more line slots
+// than one level may is rejected by the intake mapping itself, before
+// any cache state exists.
+func TestSimulateSlotsBoundedAtIntake(t *testing.T) {
+	levels := []simLevelJSON{{Sets: maxSimSets, Ways: maxSimWays, LineBytes: 32}}
+	req := &simulateRequest{Levels: &levels}
+	if _, apiErr := req.cacheConfig(nil); apiErr == nil || apiErr.code != "invalid_option" {
+		t.Fatalf("sets %d x ways %d: error %+v, want invalid_option", maxSimSets, maxSimWays, apiErr)
+	}
+	levels[0].Ways = maxSimSlots / maxSimSets
+	if _, apiErr := req.cacheConfig(nil); apiErr != nil {
+		t.Fatalf("sets x ways at the bound: %+v", apiErr)
 	}
 }
 

@@ -24,8 +24,23 @@
 // callback per access. A consumer that needs the iterator values
 // (internal/sim) copies Strip.Iters and, when Strip.Leaf is set, puts
 // it in the copy's last slot. Allocation is O(sites + loops) per walk,
-// independent of the trace length: the strips and the iterator slice
-// are built with the lowering and reused on every entry.
+// independent of the trace length: the strips, the periods and the
+// iterator slice are built with the lowering and reused on every entry.
+//
+// A period loop is a loop whose lowered body holds only strips: leaf
+// loops and lone sites, as in "for y { for x { read; write } }" the y
+// loop. Each strip of its body carries the same Strip.Period (nil for
+// every other strip, including the strips of a loop that also nests a
+// loop): the trip count, the current iteration Iter, the body's strips
+// in order, and Skip. Each site of the body carries Shift, its linear
+// index coefficient on the period iterator, so iteration Iter+j of the
+// period runs every access of iteration Iter moved by j*Shift elements.
+// A consumer that can account for whole iterations at once sets Skip
+// while it handles the body's last strip; the walker then advances the
+// period iterator by 1+Skip instead of 1, never yielding the skipped
+// iterations. A Skip past the last iteration ends the loop, and the
+// walker zeroes Skip before each iteration. A consumer that never sets
+// it sees the plain walk.
 //
 // The lowering resolves every index term to the innermost enclosing
 // loop of its name and drops terms naming no enclosing loop. That is
@@ -81,6 +96,25 @@ type Strip struct {
 	// Leaf says the strip is an entry of a leaf loop, not a site
 	// outside any leaf loop.
 	Leaf bool
+	// Period is the period loop whose body holds the strip, or nil when
+	// its enclosing loop also nests a loop or there is none.
+	Period *Period
+}
+
+// Period is one period loop: a loop whose body holds only strips. The
+// walk owns it; the consumer may write Skip only.
+type Period struct {
+	// Trip is the iteration count.
+	Trip int
+	// Iter is the current iteration, the value of the loop's iterator.
+	Iter int
+	// Strips are the body's strips in document order.
+	Strips []*Strip
+	// Skip is how many iterations after Iter the walk leaves out. The
+	// walker zeroes it before each iteration and reads it once the
+	// body's last strip returns; a value past the last iteration ends
+	// the loop, and a negative one counts as 0.
+	Skip int
 }
 
 // StripSite is one access site of a strip. Iteration it of the strip
@@ -98,6 +132,10 @@ type StripSite struct {
 	// coefficient of the leaf loop's iterator, 0 when the site has no
 	// term on it or sits outside any leaf loop.
 	Step int64
+	// Shift is the change of the linear index per iteration of the
+	// strip's Period: the merged coefficient of the period iterator, 0
+	// when the site has no term on it or the strip has no Period.
+	Shift int64
 
 	// base + Σ coef·iters[depth] over outer is Linear: every
 	// dimension's affine index scaled by the extent of the dimensions
@@ -114,11 +152,13 @@ type term struct {
 }
 
 // node is one lowered body node: a loop holding further loops
-// (strip == nil), or a strip.
+// (strip == nil), or a strip. A loop whose body holds only strips is a
+// period loop.
 type node struct {
-	trip  int
-	body  []node
-	strip *Strip
+	trip   int
+	body   []node
+	strip  *Strip
+	period *Period
 }
 
 // lowering is the state of one program's lowering: the next site's
@@ -135,7 +175,8 @@ type lowering struct {
 // outermost first. A loop containing no access site is dropped (it
 // yields nothing), so every loop sits above some site and the deepest
 // site bounds the iterator slice. A loop whose lowered body holds only
-// sites becomes one strip.
+// sites becomes one strip; one whose lowered body holds only strips is
+// a period loop.
 func (lw *lowering) body(nodes []model.Node, scope []string) []node {
 	var out []node
 	for _, n := range nodes {
@@ -145,7 +186,7 @@ func (lw *lowering) body(nodes []model.Node, scope []string) []node {
 			if isLeaf(n.Body) {
 				out = append(out, node{strip: lw.strip(n.Body, inner, n.Trip, true)})
 			} else if body := lw.body(n.Body, inner); len(body) > 0 {
-				out = append(out, node{trip: n.Trip, body: body})
+				out = append(out, node{trip: n.Trip, body: body, period: period(body, n.Trip, len(scope))})
 			}
 		case *model.Access:
 			out = append(out, node{strip: lw.strip([]model.Node{n}, scope, 1, false)})
@@ -223,6 +264,30 @@ func (lw *lowering) strip(nodes []model.Node, scope []string, trip int, leaf boo
 	return s
 }
 
+// period makes the strips of a lowered loop body, whose iterator sits
+// at depth, one Period, or returns nil when the body nests a loop.
+func period(body []node, trip, depth int) *Period {
+	for _, n := range body {
+		if n.strip == nil {
+			return nil
+		}
+	}
+	p := &Period{Trip: trip, Strips: make([]*Strip, len(body))}
+	for i, n := range body {
+		s := n.strip
+		p.Strips[i], s.Period = s, p
+		for j := range s.Sites {
+			ss := &s.Sites[j]
+			for _, t := range ss.outer {
+				if t.depth == depth {
+					ss.Shift = t.coef
+				}
+			}
+		}
+	}
+	return p
+}
+
 func (s *StripSite) addTerm(depth int, coef int64) {
 	for i := range s.outer {
 		if s.outer[i].depth == depth {
@@ -282,10 +347,17 @@ func (w *walker) run(nodes []node, depth int) bool {
 			}
 			continue
 		}
+		p := n.period
 		for it := 0; it < n.trip; it++ {
 			w.iters[depth] = it
+			if p != nil {
+				p.Iter, p.Skip = it, 0
+			}
 			if !w.run(n.body, depth+1) {
 				return false
+			}
+			if p != nil && p.Skip > 0 {
+				it += min(p.Skip, n.trip-1-it)
 			}
 		}
 	}
@@ -295,7 +367,8 @@ func (w *walker) run(nodes []node, depth int) bool {
 // WalkStrips replays the program's dynamic access trace in execution
 // order as strips: blocks in sequence, loops iterated 0..Trip-1, body
 // nodes in document order, one yield per entry of a leaf loop and per
-// execution of a site outside any leaf loop. Returning false stops the
+// execution of a site outside any leaf loop, the iterations of a period
+// loop the consumer skips (Period.Skip) left out. Returning false stops the
 // walk early (WalkStrips then returns nil — an early stop is the
 // consumer's choice, not a failure). The walk is bounded up front: a
 // program whose total dynamic access count exceeds the configured
