@@ -777,11 +777,11 @@ func (st *simState) skip(s *trace.Strip, it, left int64) int64 {
 // (see Steady periods in the package doc), and returns how many it
 // skipped. It stops where an access's level-0 line or a stride proposal
 // moves (shiftRun), and where the energy sum could not take another
-// round exactly (repeatAdd). A skipped iteration's first access of a
-// lone site meets the site's delta from the iteration before, which the
-// reference iteration met only if it was not its loop entry's first, so
-// a lone site's stride entry takes that delta, Shift·elem, here; in a
-// leaf strip the last delta is Step·elem whatever came before.
+// round exactly (repeatAdd). Each site's stride entry then moves its
+// last address by k·Shift·elem. A lone site's stride becomes
+// Shift·elem, the delta every skipped iteration leaves; the reference
+// iteration left another one if it was its loop entry's first. A leaf
+// strip's site leaves Step·elem either way.
 func (st *simState) skipPeriod(p *trace.Period) int64 {
 	left := int64(p.Trip - p.Iter - 1)
 	if left <= 0 {
@@ -845,18 +845,17 @@ func (st *simState) skipPeriod(p *trace.Period) int64 {
 	return k
 }
 
-// shiftRun returns k bounded by how many further period iterations keep
-// every access of site ss in its strip entry of trip iterations, and at
-// a stride level every proposal addr+q·d, in its level-0 line: each
-// moves by Shift·elem per period iteration. d is the access's delta
-// from the site's access before: Step·elem inside the entry, and from
-// the previous period iteration's last access at the entry's first.
-// Every proposal a skipped iteration makes then lands in a line the
-// reference iteration touched or proposed: the proposal lines stay put,
-// the deltas repeat from the second iteration of the entry, and where
-// the reference iteration's first two deltas were not yet confident, a
-// confident proposal steps by the same d as the accesses and stays in
-// the chain of their lines.
+// shiftRun bounds k by how many further period iterations keep each
+// access of site ss, and at a stride level each proposal addr+q·d, in
+// the same level-0 line; every period iteration moves them by
+// Shift·elem. The access's delta d is Step·elem inside the strip entry
+// of trip iterations, and at its first iteration the distance from the
+// previous period iteration's last access. With those lines fixed,
+// every proposal of a skipped iteration lands in a line the reference
+// iteration touched or proposed, even when the reference iteration was
+// its loop entry's first: a proposal the reference iteration did not
+// make has d equal to Step·elem, so it lands on the accesses'
+// arithmetic chain, whose points these bounds keep in accessed lines.
 func (lv *level) shiftRun(k int64, si *siteInfo, ss *trace.StripSite, trip int64) int64 {
 	delta := ss.Shift * si.elem
 	if delta == 0 {
