@@ -45,17 +45,30 @@
 // # Steady strips
 //
 // Most leaf-loop iterations touch the lines the previous iteration
-// touched. After replaying an iteration, the simulator checks whether
-// it was a fixed point: nothing in flight at any level when it started,
-// every access a level-0 hit, and no prefetch issued. Such an iteration
-// fills, evicts and delivers nothing. Re-hitting the same lines leaves
-// each set's recency order as it was, and the dirty bits are already
-// set. Deeper levels are not probed, and every prefetch proposal is
-// filtered again as resident or buffered. So each following iteration
-// that touches the same level-0 lines (and, with a stride prefetcher,
-// proposes the same lines) repeats it exactly. The simulator adds those
-// iterations' counts and cycles in one step, in O(sites). With no cache
-// levels every iteration is a fixed point.
+// touched, or lines already resident. After replaying an iteration, the
+// simulator checks whether it was a fixed point: nothing in flight at
+// any level when it started, every access a level-0 hit, and no
+// prefetch issued. Such an iteration fills, evicts and delivers nothing,
+// and deeper levels are not probed. The following iterations do the
+// same for as long as every access hits level 0 and every prefetch
+// proposal is filtered as resident or buffered: nothing then changes
+// which lines are resident or buffered. The simulator takes that window
+// in one step. It walks the sites' line crossings in iteration order
+// and stops at the first into a line that is not resident, or whose
+// next-line proposals line+1 .. line+degree are neither resident nor
+// buffered. A stride proposal addr+q·d is the site's own access q
+// iterations later, so with a stride prefetcher the lines must be
+// resident through degree iterations past the window, whatever the
+// site's confidence. The counts and cycles are added per site. Only the
+// recency order and the dirty bits change. Every access hit, so each
+// set ends ordered by its lines' last touches, and touching each line
+// once in order of its last touch (iteration, site), setting the dirty
+// bit for write sites, leaves the same state: the lines sites left, in
+// crossing order, then each site's final line, in site order. A window
+// in which no site crossed re-hits the lines of the iteration before it
+// in the same order, so it changes nothing and costs O(sites); one with
+// crossings costs O(crossings), at most sites × level-0 lines. With no
+// cache levels every iteration is a fixed point.
 //
 // # Steady periods
 //
@@ -87,6 +100,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mhla/internal/model"
 	"mhla/internal/platform"
@@ -220,11 +234,7 @@ func ConfigFor(plat *platform.Platform, ways, lineBytes int) Config {
 
 // floorPow2 returns the largest power of two <= v (v >= 1).
 func floorPow2(v int64) int64 {
-	p := int64(1)
-	for p*2 <= v {
-		p *= 2
-	}
-	return p
+	return 1 << (63 - bits.LeadingZeros64(uint64(v)))
 }
 
 // LevelStats are the counted events of one cache level.
@@ -409,6 +419,8 @@ type simState struct {
 	// per-site energies of one strip or one period body.
 	stepped, periods int64
 	charges          []repeated
+	// runs is the strip skip's scratch of per-site line walks.
+	runs []siteRun
 	// period is the replay state when the current period iteration's
 	// first strip began.
 	period mark
@@ -478,6 +490,7 @@ func newSimState(ws *workspace.Workspace, plat *platform.Platform, cfg Config) *
 	probes := make([]charge, len(refs)*nlev)
 	st.sites = make([]siteInfo, len(refs))
 	st.charges = make([]repeated, len(refs))
+	st.runs = make([]siteRun, len(refs))
 	for _, ref := range refs {
 		arr, write := ref.Access.Array, ref.Access.Kind == model.Write
 		s := &st.sites[ref.Position]
@@ -713,14 +726,10 @@ func (st *simState) steadySince(m mark, n int64) bool {
 
 // skip jumps over up to left iterations after iteration it of strip s,
 // which replayed at a fixed point (see Steady strips in the package
-// doc), and returns how many it skipped. It stops where a site's
-// level-0 line or stride proposal moves, and where the energy sum
-// could not take another round exactly (repeatAdd). A stride site
-// needs no confidence built up inside the strip entry: the skip also
-// stops before any proposal addr+q·d leaves the site's own line (the
-// first that does puts addr+(q-1)·d within d of the line's edge), and
-// that line is resident, so every proposal is filtered whether the two
-// deltas agree or not.
+// doc), and returns how many it skipped. It stops before the first line
+// crossing the window cannot take (crossRun), and where the energy sum
+// could not take another round exactly (repeatAdd). A window in which
+// some site crossed then replays its recency effect (touchWindow).
 func (st *simState) skip(s *trace.Strip, it, left int64) int64 {
 	var l0 *level
 	if len(st.levels) > 0 {
@@ -728,6 +737,8 @@ func (st *simState) skip(s *trace.Strip, it, left int64) int64 {
 	}
 	k := left
 	charges := st.charges[:len(s.Sites)]
+	runs := st.runs[:len(s.Sites)]
+	next := 0 // the site crossing first
 	var cycles int64
 	for j := range s.Sites {
 		ss := &s.Sites[j]
@@ -735,19 +746,22 @@ func (st *simState) skip(s *trace.Strip, it, left int64) int64 {
 		c := si.mem
 		if l0 != nil {
 			c = si.probe[0]
-			addr, d := si.base+(ss.Linear+it*ss.Step)*si.elem, ss.Step*si.elem
-			k = min(k, lineRun(addr, d, l0.lineShift))
-			if l0.stride != nil && d != 0 {
-				for q := int64(1); q <= int64(l0.cfg.PrefetchDegree); q++ {
-					k = min(k, lineRun(addr+q*d, d, l0.lineShift))
-				}
-			}
-			if k == 0 {
-				return 0
+			r := &runs[j]
+			r.addr, r.d, r.write = si.base+(ss.Linear+it*ss.Step)*si.elem, ss.Step*si.elem, si.write
+			r.seed(l0.lineShift)
+			if r.at < runs[next].at {
+				next = j
 			}
 		}
 		charges[j] = repeated{c.energy, 1}
 		cycles += c.cycles
+	}
+	var first int64 // the step of the window's first crossing
+	if l0 != nil {
+		first = runs[next].at
+		if k = l0.crossRun(runs, next, k); k == 0 {
+			return 0
+		}
 	}
 	if st.energy, k = repeatAdd(st.energy, charges, k); k == 0 {
 		return 0
@@ -761,15 +775,126 @@ func (st *simState) skip(s *trace.Strip, it, left int64) int64 {
 	}
 	l0.stats.Accesses += n
 	l0.stats.Hits += n
+	if first <= k {
+		l0.touchWindow(runs, k)
+	}
 	if l0.stride != nil {
 		for j := range s.Sites {
-			ss := &s.Sites[j]
-			si := &st.sites[ss.Position]
-			e := &l0.stride[ss.Position]
-			e.last, e.stride = si.base+(ss.Linear+(it+k)*ss.Step)*si.elem, ss.Step*si.elem
+			r := &runs[j]
+			e := &l0.stride[s.Sites[j].Position]
+			e.last, e.stride = r.addr+k*r.d, r.d
 		}
 	}
 	return k
+}
+
+// siteRun is one site's walk across level-0 lines in a steady strip
+// window, in steps counted from the reference iteration: the site's
+// access at step t is at byte addr+t·d. line is the line it is in
+// before step at, where it next enters another line (MaxInt64 when d
+// is 0: never).
+type siteRun struct {
+	addr, d  int64
+	at, line int64
+	write    bool
+}
+
+// seed starts the walk at the reference iteration.
+func (r *siteRun) seed(shift uint) {
+	r.line, r.at = r.addr>>shift, math.MaxInt64
+	if r.d != 0 {
+		r.at = lineRun(r.addr, r.d, shift) + 1
+	}
+}
+
+// entering is the line the site enters at step at.
+func (r *siteRun) entering(shift uint) int64 { return (r.addr + r.at*r.d) >> shift }
+
+// cross moves the site into the line it enters at step at.
+func (r *siteRun) cross(shift uint) {
+	a := r.addr + r.at*r.d
+	r.line = a >> shift
+	r.at += lineRun(a, r.d, shift) + 1
+}
+
+// nextCrossing is the index of the site crossing next, the first in
+// site order among those crossing at the same step: the order of the
+// crossings in the trace.
+func nextCrossing(runs []siteRun) int {
+	j := 0
+	for i := 1; i < len(runs); i++ {
+		if runs[i].at < runs[j].at {
+			j = i
+		}
+	}
+	return j
+}
+
+// crossRun bounds k by how many iterations after the reference one the
+// window of a steady strip can skip, walking the sites' line crossings
+// in trace order from site next's. A skipped iteration must hit level 0
+// on every access and issue nothing, so every line a site enters must
+// be enterable. A stride proposal addr+q·d is the site's own access q
+// steps later, so with a stride prefetcher the lines through step
+// k+degree must be: every proposal is then filtered as resident,
+// whether the site's deltas agree or not.
+func (lv *level) crossRun(runs []siteRun, next int, k int64) int64 {
+	var ahead int64
+	if lv.stride != nil {
+		ahead = int64(lv.cfg.PrefetchDegree)
+	}
+	for {
+		r := &runs[next]
+		if r.at > k+ahead {
+			return k
+		}
+		if !lv.enterable(r.entering(lv.lineShift)) {
+			return max(0, r.at-1-ahead)
+		}
+		r.cross(lv.lineShift)
+		next = nextCrossing(runs)
+	}
+}
+
+// enterable reports whether a skipped iteration may step into line: it
+// is resident (a negative line never is), and every line a next-line
+// prefetcher proposes from it is resident or buffered. Nothing is in
+// flight during a steady window, so that filters every proposal.
+func (lv *level) enterable(line int64) bool {
+	if line < 0 || !lv.cache.contains(line) {
+		return false
+	}
+	if lv.cfg.Prefetcher == PrefetchNextLine {
+		for q := int64(1); q <= int64(lv.cfg.PrefetchDegree); q++ {
+			if !lv.cache.contains(line+q) && !lv.pfb.contains(line+q) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// touchWindow replays the recency effect of k skipped iterations in
+// which some site crossed into another line. Every access hit, so each
+// set ends ordered by its lines' last touches: touching each line once,
+// in order of its last touch (iteration, site), leaves the same order.
+// That is each line a site left, in crossing order, then each site's
+// final line, in site order; a write site sets the dirty bit.
+func (lv *level) touchWindow(runs []siteRun, k int64) {
+	for j := range runs {
+		runs[j].seed(lv.lineShift)
+	}
+	for {
+		r := &runs[nextCrossing(runs)]
+		if r.at > k {
+			break
+		}
+		lv.cache.access(r.line, r.write)
+		r.cross(lv.lineShift)
+	}
+	for j := range runs {
+		lv.cache.access(runs[j].line, runs[j].write)
+	}
 }
 
 // skipPeriod jumps over up to the iterations left after the current
@@ -912,11 +1037,14 @@ func repeatAdd(x float64, cs []repeated, k int64) (float64, int64) {
 	if !(x >= 0 && x <= math.MaxFloat64) {
 		return x, 0
 	}
-	_, e := math.Frexp(x)
-	if x < 0x1p-1021 {
-		e = -1021 // zero, the subnormals and the first normal binade share u = 2^-1074
+	// u = 2^(E-1075) for x's biased exponent E; zero, the subnormals
+	// and the first normal binade share E = 1, u = 2^-1074.
+	var u float64
+	if e := max(math.Float64bits(x)>>52, 1); e > 52 {
+		u = math.Float64frombits((e - 52) << 52)
+	} else {
+		u = math.Float64frombits(1 << (e - 1)) // a subnormal
 	}
-	u := math.Ldexp(1, e-53)
 	hi := u * mant
 	var r int64
 	for _, c := range cs {
@@ -928,7 +1056,7 @@ func repeatAdd(x float64, cs []repeated, k int64) (float64, int64) {
 			return x, 0
 		}
 		if rq := int64(math.RoundToEven(q)); rq > 0 {
-			if c.n > (mant-1-r)/rq {
+			if over, add := bits.Mul64(uint64(c.n), uint64(rq)); over != 0 || add > uint64(mant-1-r) {
 				return x, 0 // the round alone would leave the binade
 			}
 			r += c.n * rq
@@ -938,7 +1066,9 @@ func repeatAdd(x float64, cs []repeated, k int64) (float64, int64) {
 		return x, k
 	}
 	xu := int64(x / u)
-	k = min(k, (mant-1-xu)/r)
+	if over, add := bits.Mul64(uint64(k), uint64(r)); over != 0 || add > uint64(mant-1-xu) {
+		k = (mant - 1 - xu) / r
+	}
 	return float64(xu+k*r) * u, k
 }
 

@@ -2,6 +2,7 @@ package cachesim
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"mhla/internal/model"
@@ -392,6 +393,28 @@ func TestConfigFor(t *testing.T) {
 	cfg = ConfigFor(tiny, 0, 0)
 	if err := cfg.Validate(tiny); err != nil {
 		t.Fatalf("tiny config invalid: %v", err)
+	}
+}
+
+// TestFloorPow2: the largest power of two at or below v, up to the
+// int64 range's end, where doubling a power of two overflows.
+func TestFloorPow2(t *testing.T) {
+	for _, c := range []struct{ v, want int64 }{
+		{1, 1}, {2, 2}, {3, 2}, {4096, 4096}, {4097, 4096},
+		{1<<62 - 1, 1 << 61}, {1 << 62, 1 << 62}, {math.MaxInt64, 1 << 62},
+	} {
+		if got := floorPow2(c.v); got != c.want {
+			t.Errorf("floorPow2(%d) = %d, want %d", c.v, got, c.want)
+		}
+	}
+	// A layer that large still derives a geometry within its capacity.
+	for _, capacity := range []int64{1 << 62, math.MaxInt64} {
+		plat := testPlat()
+		plat.Layers[0].Capacity = capacity
+		lv := ConfigFor(plat, 0, 0).Levels[0]
+		if lv.Sets != 1<<55 || lv.Ways != 4 || lv.LineBytes != 32 {
+			t.Errorf("capacity %d: derived %+v, want 2^55 sets x 4 ways x 32 B", capacity, lv)
+		}
 	}
 }
 

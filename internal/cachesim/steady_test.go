@@ -221,6 +221,68 @@ func periodProgram(t *testing.T) *workspace.Workspace {
 	return ws
 }
 
+// residentProgram builds strips whose steady windows cross into lines
+// already resident at level 0. Warm-up loops read arrays a, b and c, so
+// their lines (and, with a next-line prefetcher, buffered lines past
+// c's end) are in place; then a period re-walks them: a read site and a
+// write site sharing b's lines with a read site walking b backwards,
+// reads of a 2 bytes apart and of c 8 bytes apart (more than a line of
+// up to 4 bytes), the c site's stride lookahead running past the trip
+// end into d's lines, which no warm-up touched. Reading d then evicts,
+// so the recency order the windows left decides which lines of a and b
+// the re-reads after it find, and the dirty bits decide the write-backs.
+// A last loop reads a, which sits at address 0, backwards to its first
+// element: its stride lookahead runs below address 0.
+func residentProgram(t *testing.T) *workspace.Workspace {
+	t.Helper()
+	a := &model.Array{Name: "a", Dims: []int{64}, ElemSize: 1, Input: true}
+	b := &model.Array{Name: "b", Dims: []int{32}, ElemSize: 2, Input: true, Output: true}
+	c := &model.Array{Name: "c", Dims: []int{256}, ElemSize: 1, Input: true}
+	d := &model.Array{Name: "d", Dims: []int{64}, ElemSize: 1, Input: true}
+	ix := func(k int, v string, coef int) []model.Expr {
+		return []model.Expr{model.Affine(k, model.Term{Var: v, Coef: coef})}
+	}
+	read := func(arr *model.Array, idx []model.Expr) model.Node {
+		return &model.Access{Array: arr, Kind: model.Read, Index: idx}
+	}
+	loop := func(v string, trip int, body ...model.Node) model.Node {
+		return &model.Loop{Var: v, Trip: trip, Body: body}
+	}
+	p := &model.Program{
+		Name:   "resident",
+		Arrays: []*model.Array{a, b, c, d},
+		Blocks: []*model.Block{
+			{Name: "warm", Body: []model.Node{
+				loop("i", 64, read(a, ix(0, "i", 1))),
+				loop("i", 32, read(b, ix(0, "i", 1))),
+				loop("i", 256, read(c, ix(0, "i", 1))),
+			}},
+			{Name: "steady", Body: []model.Node{
+				loop("r", 3, loop("i", 32,
+					read(a, ix(0, "i", 2)),
+					read(b, ix(0, "i", 1)),
+					&model.Access{Array: b, Kind: model.Write, Index: ix(0, "i", 1)},
+					read(b, ix(31, "i", -1)),
+					read(c, ix(0, "i", 8)),
+				)),
+			}},
+			{Name: "evict", Body: []model.Node{
+				loop("i", 64, read(d, ix(0, "i", 1))),
+				loop("i", 64, read(a, ix(0, "i", 1))),
+				loop("i", 32, read(b, ix(0, "i", 1))),
+			}},
+			{Name: "down", Body: []model.Node{
+				loop("i", 64, read(a, ix(63, "i", -1))),
+			}},
+		},
+	}
+	ws, err := workspace.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws
+}
+
 // TestSteadySkipMatchesReference requires the steady-strip and
 // steady-period replay to render the same Result.JSON bytes as the
 // per-access reference: on the /v1/simulate pool at paper scale on the
@@ -229,7 +291,9 @@ func periodProgram(t *testing.T) *workspace.Workspace {
 // seeded geometry under each level-0 prefetcher, on a program of
 // negative and line-sized steps through every line size, and on the
 // period program through every line size, prefetcher, degree 1-3 and
-// arrival latencies 0 and 4.
+// arrival latencies 0 and 4, and on the resident program through every
+// line size to 64 bytes with 1, 2 and 4 sets and the same prefetchers,
+// degrees and latencies.
 func TestSteadySkipMatchesReference(t *testing.T) {
 	for _, name := range poolApps {
 		app, err := apps.ByName(name)
@@ -283,6 +347,26 @@ func TestSteadySkipMatchesReference(t *testing.T) {
 						cfg.Levels[i].Prefetcher, cfg.Levels[i].PrefetchDegree, cfg.Levels[i].PrefetchLatency = kind, degree, latency
 					}
 					matchReference(t, fmt.Sprintf("periods %d B %s degree %d latency %d", line, kind, degree, latency), ws, plat, cfg)
+				}
+			}
+		}
+	}
+	ws = residentProgram(t)
+	for line := 1; line <= 64; line *= 2 {
+		for _, sets := range []int{1, 2, 4} {
+			for _, kind := range []PrefetcherKind{PrefetchNone, PrefetchNextLine, PrefetchStride} {
+				for degree := 1; degree <= 3; degree++ {
+					for _, latency := range []int{0, 4} {
+						if kind == PrefetchNone && (degree > 1 || latency > 0) {
+							continue
+						}
+						// 384 bytes hold a, b and c but not d as well.
+						cfg := Config{Levels: []LevelConfig{{
+							Sets: sets, Ways: max(1, 384/(sets*line)), LineBytes: line,
+							Prefetcher: kind, PrefetchDegree: degree, PrefetchLatency: latency,
+						}}}
+						matchReference(t, fmt.Sprintf("resident %d B %d sets %s degree %d latency %d", line, sets, kind, degree, latency), ws, plat, cfg)
+					}
 				}
 			}
 		}
@@ -487,10 +571,10 @@ func TestRepeatAdd(t *testing.T) {
 var (
 	steppedPool = map[string]int64{
 		"anchor":   31110,
-		"lru":      641277,
-		"nextline": 932636,
-		"stride":   985136,
-		"window":   2812339,
+		"lru":      474167,
+		"nextline": 764896,
+		"stride":   721829,
+		"window":   2722667,
 	}
 	periodsPool = map[string]int64{
 		"anchor":   154812,

@@ -53,6 +53,9 @@ func SRAMLatency(capacity int64) int {
 	lat := 1
 	for c := int64(8 * 1024); c < capacity; c *= 8 {
 		lat++
+		if c > math.MaxInt64/8 {
+			break // the next step passes every capacity
+		}
 	}
 	return lat
 }

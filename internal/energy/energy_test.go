@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -43,6 +44,7 @@ func TestSRAMLatencySteps(t *testing.T) {
 		want int
 	}{
 		{256, 1}, {8 * 1024, 1}, {8*1024 + 1, 2}, {64 * 1024, 2}, {64*1024 + 1, 3},
+		{1 << 61, 17}, {1<<61 + 1, 18}, {1 << 62, 18}, {math.MaxInt64, 18},
 	}
 	for _, c := range cases {
 		if got := SRAMLatency(c.cap); got != c.want {

@@ -59,17 +59,19 @@ func (req *simulateRequest) cacheConfig(plat *mhla.Platform) (mhla.CacheConfig, 
 	cfg.MaxAccesses = req.MaxAccesses
 	if req.Levels == nil {
 		cfg.Levels = mhla.CacheConfigFor(plat, 0, 0).Levels
+		for i, lv := range cfg.Levels {
+			if apiErr := geometryLimits(i, lv.Sets, lv.Ways, lv.LineBytes); apiErr != nil {
+				return cfg, apiErr
+			}
+		}
 		return cfg, nil
 	}
 	if len(*req.Levels) > maxSimLevels {
 		return cfg, badRequest("bad_request", "%d cache levels exceed the limit of %d", len(*req.Levels), maxSimLevels)
 	}
 	for i, lv := range *req.Levels {
-		if lv.Sets > maxSimSets || lv.Ways > maxSimWays || lv.LineBytes > maxSimLineBytes ||
-			int64(lv.Sets)*int64(lv.Ways) > maxSimSlots {
-			return cfg, badRequest("invalid_option",
-				"level %d geometry exceeds the limits (sets <= %d, ways <= %d, sets x ways <= %d, line_bytes <= %d)",
-				i, maxSimSets, maxSimWays, maxSimSlots, maxSimLineBytes)
+		if apiErr := geometryLimits(i, lv.Sets, lv.Ways, lv.LineBytes); apiErr != nil {
+			return cfg, apiErr
 		}
 		if lv.PrefetchEntries > maxSimEntries || lv.PrefetchDegree > maxSimDegree || lv.PrefetchLatency > maxSimLatency {
 			return cfg, badRequest("invalid_option",
@@ -91,6 +93,18 @@ func (req *simulateRequest) cacheConfig(plat *mhla.Platform) (mhla.CacheConfig, 
 		})
 	}
 	return cfg, nil
+}
+
+// geometryLimits applies the intake limits to the geometry of cache
+// level i, requested or derived from the platform.
+func geometryLimits(i, sets, ways, lineBytes int) *apiError {
+	if sets > maxSimSets || ways > maxSimWays || lineBytes > maxSimLineBytes ||
+		int64(sets)*int64(ways) > maxSimSlots {
+		return badRequest("invalid_option",
+			"level %d geometry exceeds the limits (sets <= %d, ways <= %d, sets x ways <= %d, line_bytes <= %d)",
+			i, maxSimSets, maxSimWays, maxSimSlots, maxSimLineBytes)
+	}
+	return nil
 }
 
 // mapSimulateError translates a simulate failure into the typed wire

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -202,6 +203,29 @@ func TestSimulateSlotsBoundedAtIntake(t *testing.T) {
 	levels[0].Ways = maxSimSlots / maxSimSets
 	if _, apiErr := req.cacheConfig(nil); apiErr != nil {
 		t.Fatalf("sets x ways at the bound: %+v", apiErr)
+	}
+}
+
+// TestSimulateDerivedSlotsBoundedAtIntake: without levels the hierarchy
+// is derived from the platform, and an l1_bytes whose derived level
+// would allocate more line slots than one level may is rejected by the
+// intake mapping too, up to the int64 range's end, without allocating
+// the level or hanging in the derivation.
+func TestSimulateDerivedSlotsBoundedAtIntake(t *testing.T) {
+	req := &simulateRequest{}
+	for _, l1 := range []int64{1 << 30, 1 << 40, 1 << 62, math.MaxInt64} {
+		sel := platformSelection{L1Bytes: l1}
+		plat, apiErr := sel.resolve()
+		if apiErr != nil {
+			t.Fatalf("l1_bytes %d: %+v", l1, apiErr)
+		}
+		if _, apiErr := req.cacheConfig(plat); apiErr == nil || apiErr.code != "invalid_option" {
+			t.Errorf("l1_bytes %d: error %+v, want invalid_option", l1, apiErr)
+		}
+	}
+	// 2^25 bytes derive 2^18 sets x 4 ways of 32 B: 2^20 slots, the bound.
+	if _, apiErr := req.cacheConfig(mhla.TwoLevel(1 << 25)); apiErr != nil {
+		t.Fatalf("derived sets x ways at the bound: %+v", apiErr)
 	}
 }
 
