@@ -2,9 +2,12 @@ package assign
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
+	"mhla/internal/apps"
+	"mhla/internal/energy"
 	"mhla/internal/model"
 	"mhla/internal/platform"
 	"mhla/internal/reuse"
@@ -457,4 +460,55 @@ func TestObjectiveAndEngineStrings(t *testing.T) {
 	if MinEDP.Score(c) != 200 {
 		t.Error("EDP score broken")
 	}
+}
+
+// TestChainOptionsOneBuffer: chainOptions carves every option out of
+// one backing buffer, and must still enumerate exactly the options of
+// a per-option recursion, in the same order, over the paper
+// applications on two- and three-level platforms. Each option's levels
+// and layers are capped at their length, so an append to one option
+// reallocates instead of writing into the next option's share.
+func TestChainOptionsOneBuffer(t *testing.T) {
+	for _, app := range apps.All() {
+		an := analyze(t, app.Build(apps.Paper))
+		for _, plat := range []*platform.Platform{energy.TwoLevel(app.L1), energy.ThreeLevel(app.L1, 8*app.L1)} {
+			for _, ch := range an.Chains {
+				got, want := chainOptions(plat, ch), referenceChainOptions(plat, ch)
+				if len(got) != len(want) {
+					t.Fatalf("%s %s chain %s: %d options, want %d", app.Name, plat.Name, ch.ID, len(got), len(want))
+				}
+				for oi, op := range got {
+					if !slices.Equal(op.levels, want[oi].levels) || !slices.Equal(op.layers, want[oi].layers) {
+						t.Fatalf("%s %s chain %s: option %d is %v/%v, want %v/%v",
+							app.Name, plat.Name, ch.ID, oi, op.levels, op.layers, want[oi].levels, want[oi].layers)
+					}
+					if cap(op.levels) != len(op.levels) || cap(op.layers) != len(op.layers) {
+						t.Fatalf("%s %s chain %s: option %d has spare capacity", app.Name, plat.Name, ch.ID, oi)
+					}
+				}
+			}
+		}
+	}
+}
+
+// referenceChainOptions is chainOptions with two fresh slices per
+// option.
+func referenceChainOptions(plat *platform.Platform, ch *reuse.Chain) []option {
+	opts := []option{{}}
+	var rec func(minLevel, maxLayerExcl int, levels, layers []int)
+	rec = func(minLevel, maxLayerExcl int, levels, layers []int) {
+		for lv := minLevel; lv <= ch.Depth(); lv++ {
+			for _, ly := range plat.OnChipLayers() {
+				if ly >= maxLayerExcl || ch.Candidate(lv).Bytes > plat.Layers[ly].Capacity {
+					continue
+				}
+				nl := append(slices.Clone(levels), lv)
+				ny := append(slices.Clone(layers), ly)
+				opts = append(opts, option{levels: nl, layers: ny})
+				rec(lv+1, ly, nl, ny)
+			}
+		}
+	}
+	rec(0, len(plat.Layers), nil, nil)
+	return opts
 }

@@ -43,7 +43,8 @@ func (o Objective) contribScore(c contrib) float64 {
 // chainContrib computes the access and transfer cost of one chain
 // under the given home and selection (full stalls, no extensions).
 // The exact engines call it only from buildTables — the DFS hot loop
-// reads the precomputed chainContribTab instead.
+// reads the precomputed chainContribTab instead; the greedy calls it
+// for each chain a move touches.
 func chainContrib(plat *platform.Platform, policy reuse.Policy, ch *reuse.Chain, home int, levels, layers []int) contrib {
 	var c contrib
 	// CPU accesses.
@@ -429,7 +430,13 @@ func (s *space) expandRoots() []rootNode {
 	st := newSearchState(s)
 	frontier := []rootNode{{acc: s.base}}
 	for depth := 0; depth < s.levels() && len(frontier) < expandTargetTasks; depth++ {
-		next := make([]rootNode, 0, 2*len(frontier))
+		// Every child holds depth+1 decisions: they are appended to one
+		// arena per level, sized for every option of every frontier
+		// node, and the children are sliced out of it once the level is
+		// complete.
+		nopts := s.optionCount(depth)
+		next := make([]rootNode, 0, len(frontier)*nopts)
+		arena := make([]int, 0, (depth+1)*cap(next))
 		for _, n := range frontier {
 			if s.prune {
 				if s.pruneSubtree(s.boundAt(depth, n.acc), s.seedScore) {
@@ -437,16 +444,20 @@ func (s *space) expandRoots() []rootNode {
 				}
 			}
 			st.applyPrefix(n.decisions)
-			for oi, nopts := 0, s.optionCount(depth); oi < nopts; oi++ {
+			for oi := 0; oi < nopts; oi++ {
 				if !st.apply(depth, oi) {
 					continue
 				}
 				acc := n.acc.plus(st.contribAt(depth, oi))
 				st.undo(depth, oi)
-				decisions := append(append(make([]int, 0, depth+1), n.decisions...), oi)
-				next = append(next, rootNode{decisions: decisions, acc: acc})
+				arena = append(append(arena, n.decisions...), oi)
+				next = append(next, rootNode{acc: acc})
 			}
 			st.rewindPrefix(n.decisions)
+		}
+		for i := range next {
+			lo, hi := i*(depth+1), (i+1)*(depth+1)
+			next[i].decisions = arena[lo:hi:hi]
 		}
 		frontier = next
 	}

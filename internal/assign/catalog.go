@@ -25,10 +25,15 @@ func arrayHomes(plat *platform.Platform, arr *model.Array) []int {
 // the on-chip layers (including the empty selection), in pre-order,
 // skipping copies that exceed their layer's capacity outright while
 // recursing. The order is the search's option order, so it fixes every
-// tie-break downstream.
+// tie-break downstream. A first walk counts the options and their
+// levels; the second carves every option's levels and layers out of
+// one backing buffer, capped with full slice expressions so that an
+// append to one option can never write into the next.
 func chainOptions(plat *platform.Platform, ch *reuse.Chain) []option {
 	onChip := plat.OnChipLayers()
-	opts := []option{{}}
+	var opts []option
+	var buf []int
+	n, words := 1, 0
 	var rec func(minLevel, maxLayerExcl int, levels, layers []int)
 	rec = func(minLevel, maxLayerExcl int, levels, layers []int) {
 		for lv := minLevel; lv <= ch.Depth(); lv++ {
@@ -40,13 +45,25 @@ func chainOptions(plat *platform.Platform, ch *reuse.Chain) []option {
 				if cand.Bytes > plat.Layers[ly].Capacity {
 					continue
 				}
-				nl := append(append([]int(nil), levels...), lv)
-				ny := append(append([]int(nil), layers...), ly)
-				opts = append(opts, option{levels: nl, layers: ny})
+				nl, ny := append(levels, lv), append(layers, ly)
+				if k := len(nl); opts == nil { // the counting walk
+					n, words = n+1, words+2*k
+				} else {
+					op := option{levels: buf[:k:k], layers: buf[k : 2*k : 2*k]}
+					copy(op.levels, nl)
+					copy(op.layers, ny)
+					opts, buf = append(opts, op), buf[2*k:]
+				}
 				rec(lv+1, ly, nl, ny)
 			}
 		}
 	}
-	rec(0, len(plat.Layers), nil, nil)
+	// A selection holds at most one copy per level; path is the
+	// walk's levels/layers stack.
+	d := ch.Depth() + 1
+	path := make([]int, 2*d)
+	rec(0, len(plat.Layers), path[:0:d], path[d:d])
+	opts, buf = make([]option, 1, n), make([]int, words)
+	rec(0, len(plat.Layers), path[:0:d], path[d:d])
 	return opts
 }

@@ -260,10 +260,12 @@ func TestDifferentialGreedyNeverBeatsExact(t *testing.T) {
 // TestDifferentialSeedReplay: the greedy assignment must replay onto
 // the exact engines' decision tables on every scenario. Branch and
 // bound installs it as its seed: the materialized seed equals greedy's
-// assignment decision for decision, and its folded score matches the
-// objective score of greedy's evaluated cost. LNS starts its walk from
-// it instead of falling back to greedy's result (which would leave the
-// state count at greedy's).
+// assignment decision for decision, its folded score matches the
+// objective score of greedy's evaluated cost, and it is bit-identical
+// to the score greedy reported last, since both come from the same
+// contribution fold (a greedy that makes no move reports no score).
+// LNS starts its walk from it instead of falling back to greedy's
+// result (which would leave the state count at greedy's).
 func TestDifferentialSeedReplay(t *testing.T) {
 	for seed := int64(0); seed < diffSeeds(); seed++ {
 		sc := diffConfig.Generate(seed)
@@ -273,9 +275,20 @@ func TestDifferentialSeedReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seedA, score := assign.GreedySeed(context.Background(), workspace.FromAnalysis(an), sc.Platform, sc.Options)
+			ws := workspace.FromAnalysis(an)
+			seedA, score := assign.GreedySeed(context.Background(), ws, sc.Platform, sc.Options)
 			if seedA == nil {
 				t.Fatal("greedy seed did not install")
+			}
+			opts := sc.Options
+			opts.Engine = assign.Greedy
+			var last *assign.Progress
+			opts.Progress = func(p assign.Progress) { last = &p }
+			if _, err := assign.Search(context.Background(), ws, sc.Platform, opts); err != nil {
+				t.Fatal(err)
+			}
+			if last != nil && math.Float64bits(last.BestScore) != math.Float64bits(score) {
+				t.Errorf("folded seed score %v != greedy's last reported score %v", score, last.BestScore)
 			}
 			gr := searchScenario(t, sc, assign.Greedy, 1)
 			if !assignmentsEqual(seedA, gr.Assignment) {

@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"context"
 	"slices"
-	"strings"
 	"unicode/utf8"
 
-	"mhla/internal/model"
 	"mhla/internal/platform"
-	"mhla/internal/reuse"
 	"mhla/internal/workspace"
 )
 
@@ -24,8 +21,9 @@ const maxGreedyIters = 10_000
 // ctx is cancelled before the search converges.
 //
 // Every candidate move is applied to one mutable position, checked
-// against the maintained layer peaks, scored and undone; nothing is
-// cloned per move. Only the final position becomes an Assignment.
+// against the maintained layer peaks, scored from the exact engines'
+// per-decision contributions and undone; nothing is cloned per move.
+// Only the final position becomes an Assignment.
 func greedySearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options) *Result {
 	g := newGreedy(ctx, ws, plat, opts)
 	g.curScore = g.score()
@@ -67,7 +65,6 @@ type greedy struct {
 	ws     *workspace.Workspace
 	plat   *platform.Platform
 	opts   Options
-	bg     int
 	onChip []int
 
 	occ *Occupancy
@@ -76,23 +73,11 @@ type greedy struct {
 	// levels and layers are each chain's selection (aligned with
 	// ws.Chains): ascending levels, strictly decreasing layers.
 	levels, layers [][]int
-
-	// byID lists the chain indices in chain-ID order, the order
-	// Evaluate walks the block transfers in; progArrays maps
-	// Program.Arrays (Evaluate's initial-fill order) to ws.Arrays
-	// indices.
-	byID, progArrays []int
-	// accessWords[ci*len(plat.Layers)+layer] is the CPU word accesses
-	// chain ci performs when it hits layer.
-	accessWords []int64
-	// xfer holds one L*L block per block-transfer stream (L layers):
-	// entry parent*L+layer is the stream's cost with the copy on layer
-	// below a parent on layer parent (filled for layer < parent only).
-	// The blocks of copy candidate (ci, lv) span
-	// xfer[xferAt[levelOff[ci]+lv]:xferAt[levelOff[ci]+lv+1]], in
-	// Evaluate's class order; streams with no transfers are left out.
-	levelOff, xferAt []int
-	xfer             []xferCost
+	// arrayC and chainC are the exact engines' cost contributions
+	// (arrayContrib, chainContrib) of every array's home and every
+	// chain's selection at the current position; apply and undo
+	// refresh the entries a move touches.
+	arrayC, chainC []contrib
 
 	states    int
 	curScore  float64
@@ -105,97 +90,41 @@ type greedy struct {
 }
 
 func newGreedy(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options) *greedy {
-	nlayers := len(plat.Layers)
 	g := &greedy{
-		ctx:         ctx,
-		ws:          ws,
-		plat:        plat,
-		opts:        opts,
-		bg:          plat.Background(),
-		onChip:      plat.OnChipLayers(),
-		occ:         newOccupancy(plat, ws.NBlocks, !opts.NoInPlace),
-		homes:       make([]int, len(ws.Arrays)),
-		levels:      make([][]int, len(ws.Chains)),
-		layers:      make([][]int, len(ws.Chains)),
-		byID:        make([]int, len(ws.Chains)),
-		progArrays:  make([]int, len(ws.Program.Arrays)),
-		accessWords: make([]int64, len(ws.Chains)*nlayers),
+		ctx:    ctx,
+		ws:     ws,
+		plat:   plat,
+		opts:   opts,
+		onChip: plat.OnChipLayers(),
+		occ:    newOccupancy(plat, ws.NBlocks, !opts.NoInPlace),
+		homes:  make([]int, len(ws.Arrays)),
+		levels: make([][]int, len(ws.Chains)),
+		layers: make([][]int, len(ws.Chains)),
+		arrayC: make([]contrib, len(ws.Arrays)),
+		chainC: make([]contrib, len(ws.Chains)),
 	}
+	// Every array starts on the background layer, whose arrayContrib
+	// is zero, so arrayC starts zeroed.
+	bg := plat.Background()
 	for ai := range ws.Arrays {
-		g.homes[ai] = g.bg
+		g.homes[ai] = bg
 		if ws.ArrayUsed[ai] {
-			g.occ.Place(g.bg, ws.ArrayObjs[ai])
+			g.occ.Place(bg, ws.ArrayObjs[ai])
 		}
 	}
-	depth, classes := 0, 0
+	depth := 0
 	for _, ch := range ws.Chains {
 		depth += ch.Depth() + 1
-		for _, cand := range ch.Levels {
-			classes += len(cand.Classes)
-		}
 	}
 	levelBuf, layerBuf := make([]int, depth), make([]int, depth)
-	g.levelOff, g.xferAt = make([]int, len(ws.Chains)), make([]int, 0, depth+1)
-	g.xfer = make([]xferCost, 0, classes*nlayers*nlayers)
 	off := 0
 	for ci, ch := range ws.Chains {
 		end := off + ch.Depth() + 1
 		g.levels[ci], g.layers[ci] = levelBuf[off:off:end], layerBuf[off:off:end]
-		g.levelOff[ci] = off
 		off = end
-		g.byID[ci] = ci
-		n := ch.AccessesPerExecution()
-		for layer := range plat.Layers {
-			g.accessWords[ci*nlayers+layer] = n * plat.Layers[layer].Words(int64(ch.Array.ElemSize))
-		}
-		for lv := 0; lv <= ch.Depth(); lv++ {
-			g.xferAt = append(g.xferAt, len(g.xfer))
-			g.addStreams(ch, lv)
-		}
-	}
-	g.xferAt = append(g.xferAt, len(g.xfer))
-	slices.SortFunc(g.byID, func(a, b int) int { return strings.Compare(ws.Chains[a].ID, ws.Chains[b].ID) })
-	for i, arr := range ws.Program.Arrays {
-		g.progArrays[i] = ws.ArrayIndex[arr.Name]
+		g.refreshChain(ci)
 	}
 	return g
-}
-
-// xferCost is the cost of one transfer stream between two given
-// layers: its transfer count, the energy of one transfer and the
-// cycles of all of them.
-type xferCost struct {
-	count  int64
-	energy float64
-	cycles int64
-}
-
-// addStreams appends the transfer streams of copy candidate (ch, lv)
-// to the xfer table.
-func (g *greedy) addStreams(ch *reuse.Chain, lv int) {
-	plat, nlayers := g.plat, len(g.plat.Layers)
-	cand := ch.Candidate(lv)
-	for class, uc := range cand.Classes {
-		size := cand.UpdateBytes(class, g.opts.Policy)
-		if uc.Count == 0 || size == 0 {
-			continue
-		}
-		base := len(g.xfer)
-		g.xfer = append(g.xfer, make([]xferCost, nlayers*nlayers)...)
-		for parent := range plat.Layers {
-			for layer := 0; layer < parent; layer++ {
-				src, dst := parent, layer
-				if ch.Kind == model.Write {
-					src, dst = layer, parent
-				}
-				g.xfer[base+parent*nlayers+layer] = xferCost{
-					count:  uc.Count,
-					energy: plat.TransferEnergy(src, dst, size),
-					cycles: uc.Count * plat.TransferCycles(src, dst, size),
-				}
-			}
-		}
-	}
 }
 
 // scan tries every structurally valid single move from the current
@@ -292,82 +221,64 @@ func (g *greedy) try(mv greedyMove) bool {
 // apply takes a move; undo reverts it.
 func (g *greedy) apply(mv greedyMove) {
 	if mv.chain < 0 {
-		g.homes[mv.array] = mv.layer
-		g.occ.moveArray(g.ws, mv.array, mv.from, mv.layer)
+		g.rehome(mv.array, mv.from, mv.layer)
 		return
 	}
 	ci := mv.chain
 	g.levels[ci] = slices.Insert(g.levels[ci], mv.pos, mv.level)
 	g.layers[ci] = slices.Insert(g.layers[ci], mv.pos, mv.layer)
 	g.occ.Place(mv.layer, g.ws.CandObjs[ci][mv.level])
+	g.refreshChain(ci)
 }
 
 func (g *greedy) undo(mv greedyMove) {
 	if mv.chain < 0 {
-		g.homes[mv.array] = mv.from
-		g.occ.moveArray(g.ws, mv.array, mv.layer, mv.from)
+		g.rehome(mv.array, mv.layer, mv.from)
 		return
 	}
 	ci := mv.chain
 	g.levels[ci] = slices.Delete(g.levels[ci], mv.pos, mv.pos+1)
 	g.layers[ci] = slices.Delete(g.layers[ci], mv.pos, mv.pos+1)
 	g.occ.Unplace(mv.layer, g.ws.CandObjs[ci][mv.level])
+	g.refreshChain(ci)
 }
 
-// score returns the objective score of the current position,
-// bit-identical to Objective.Score of Evaluate on the assignment built
-// from it. It adds in Evaluate's exact order and with its
-// expressions — CPU accesses over the chains in analysis order, block
-// transfers over the selected chains in chain-ID order, then levels,
-// then classes, initial fills over Program.Arrays — because the float
-// energy sum is not associative: per-decision subtotals (the exact
-// engines' contribution tables) could round differently, and the gain
-// threshold and the crit tie-break read those bits. Cycles are
-// integers and add in any order. With no time extensions nothing is
-// hidden, so Evaluate's DMA contention term is zero.
+// rehome moves array ai's home between layers and refreshes the
+// contributions of the array and of its chains, which read the home.
+func (g *greedy) rehome(ai, from, to int) {
+	g.homes[ai] = to
+	g.occ.moveArray(g.ws, ai, from, to)
+	g.arrayC[ai] = arrayContrib(g.plat, g.ws.Arrays[ai], to)
+	for ci, a := range g.ws.ChainArrayIdx {
+		if a == ai {
+			g.refreshChain(ci)
+		}
+	}
+}
+
+// refreshChain recomputes chain ci's contribution for its current
+// home and selection.
+func (g *greedy) refreshChain(ci int) {
+	home := g.homes[g.ws.ChainArrayIdx[ci]]
+	g.chainC[ci] = chainContrib(g.plat, g.opts.Policy, g.ws.Chains[ci], home, g.levels[ci], g.layers[ci])
+}
+
+// score returns the objective score of the current position, folded
+// from the cached contributions exactly as space.foldScore folds a
+// decision vector: the compute cycles, then the arrays in ws.Arrays
+// order, then the chains in analysis order. The greedy's scores are
+// therefore bit-identical to branch and bound's folded seed score and
+// leaf scores; they can differ from Objective.Score of Evaluate by a
+// few ulps, because the float energy sum is re-associated.
 func (g *greedy) score() float64 {
-	ws, plat, nlayers := g.ws, g.plat, len(g.plat.Layers)
-	cycles := ws.TotalCompute
-	var access, transfer, init float64
-	for ci, ch := range ws.Chains {
-		layer := g.homes[ws.ChainArrayIdx[ci]]
-		if sel := g.layers[ci]; len(sel) > 0 {
-			layer = sel[len(sel)-1]
-		}
-		nw := g.accessWords[ci*nlayers+layer]
-		isWrite := ch.Kind == model.Write
-		cycles += nw * plat.AccessCycles(layer, isWrite)
-		access += float64(nw) * plat.AccessEnergy(layer, isWrite)
+	acc := contrib{cycles: g.ws.TotalCompute}
+	for _, c := range g.arrayC {
+		acc = acc.plus(c)
 	}
-	for _, ci := range g.byID {
-		parent := g.homes[ws.ChainArrayIdx[ci]]
-		for i, lv := range g.levels[ci] {
-			layer := g.layers[ci][i]
-			pair := parent*nlayers + layer
-			at := g.levelOff[ci] + lv
-			for k := g.xferAt[at] + pair; k < g.xferAt[at+1]; k += nlayers * nlayers {
-				x := &g.xfer[k]
-				cycles += x.cycles
-				transfer += float64(x.count) * x.energy
-			}
-			parent = layer
-		}
+	for _, c := range g.chainC {
+		acc = acc.plus(c)
 	}
-	for _, ai := range g.progArrays {
-		arr, home := ws.Arrays[ai], g.homes[ai]
-		if home == g.bg {
-			continue
-		}
-		if arr.Input {
-			cycles += plat.TransferCycles(g.bg, home, arr.Bytes())
-			init += plat.TransferEnergy(g.bg, home, arr.Bytes())
-		}
-		if arr.Output {
-			cycles += plat.TransferCycles(home, g.bg, arr.Bytes())
-			init += plat.TransferEnergy(home, g.bg, arr.Bytes())
-		}
-	}
-	return g.opts.Objective.Score(Cost{Cycles: cycles, Energy: access + transfer + init})
+	return g.opts.Objective.contribScore(acc)
 }
 
 // keyLess reports whether move a's tie-break key sorts before move

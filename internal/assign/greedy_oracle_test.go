@@ -1,11 +1,12 @@
 package assign
 
-// The clone-per-move greedy engine, kept verbatim as the reference
-// oracle of the incremental one in greedy.go: every candidate move
-// clones the whole assignment, re-checks capacity with a
-// from-scratch Fits and re-evaluates with Evaluate. The differential
-// test (greedy_differential_test.go) requires the production engine
-// to match it decision for decision, bit for bit.
+// The clone-per-move greedy engine, kept as the reference oracle of
+// the incremental one in greedy.go: every candidate move clones the
+// whole assignment, re-checks capacity with a from-scratch Fits and
+// rescores the clone from scratch with oracleScore, the exact engines'
+// contribution fold. The differential test
+// (greedy_differential_test.go) requires the production engine to
+// match it decision for decision, bit for bit.
 
 import (
 	"context"
@@ -34,13 +35,12 @@ type oracleMove struct {
 func oracleGreedySearch(ctx context.Context, ws *workspace.Workspace, plat *platform.Platform, opts Options) *Result {
 	cur := NewInWorkspace(ws, plat, opts.Policy)
 	cur.InPlace = !opts.NoInPlace
-	curCost := cur.Evaluate(EvalOptions{})
-	curScore := opts.Objective.Score(curCost)
+	curScore := oracleScore(cur, opts.Objective)
 	states := 0
 
 	for iter := 0; iter < maxGreedyIters; iter++ {
 		var best *Assignment
-		var bestCost Cost
+		var bestScore float64
 		bestCrit := 0.0
 		bestKey := ""
 		for _, mv := range oracleEnumerateMoves(cur) {
@@ -53,8 +53,8 @@ func oracleGreedySearch(ctx context.Context, ws *workspace.Workspace, plat *plat
 				continue
 			}
 			states++
-			c := next.Evaluate(EvalOptions{})
-			gain := curScore - opts.Objective.Score(c)
+			score := oracleScore(next, opts.Objective)
+			gain := curScore - score
 			if gain <= 1e-9 {
 				continue
 			}
@@ -63,19 +63,37 @@ func oracleGreedySearch(ctx context.Context, ws *workspace.Workspace, plat *plat
 				crit = gain / float64(mv.bytes)
 			}
 			if best == nil || crit > bestCrit || (crit == bestCrit && mv.key < bestKey) {
-				best, bestCost, bestCrit, bestKey = next, c, crit, mv.key
+				best, bestScore, bestCrit, bestKey = next, score, crit, mv.key
 			}
 		}
 		if best == nil {
 			break
 		}
-		cur, curCost = best, bestCost
-		curScore = opts.Objective.Score(curCost)
+		cur, curScore = best, bestScore
 		if opts.Progress != nil {
 			opts.Progress(Progress{Phase: PhaseAssign, Engine: Greedy, States: states, Iter: iter + 1, BestScore: curScore})
 		}
 	}
-	return &Result{Assignment: cur, Cost: curCost, States: states, Complete: true, Engine: Greedy}
+	return &Result{Assignment: cur, Cost: cur.Evaluate(EvalOptions{}), States: states, Complete: true, Engine: Greedy}
+}
+
+// oracleScore folds the assignment's objective score from scratch
+// through arrayContrib and chainContrib: the compute cycles, then every
+// array's home in workspace order, then every chain's selection in
+// analysis order.
+func oracleScore(a *Assignment, obj Objective) float64 {
+	acc := contrib{cycles: a.ws.TotalCompute}
+	for _, arr := range a.ws.Arrays {
+		acc = acc.plus(arrayContrib(a.Platform, arr, a.ArrayHome[arr.Name]))
+	}
+	for _, ch := range a.ws.Chains {
+		var levels, layers []int
+		if ca := a.Chains[ch.ID]; ca != nil {
+			levels, layers = ca.Levels, ca.Layers
+		}
+		acc = acc.plus(chainContrib(a.Platform, a.Policy, ch, a.ArrayHome[ch.Array.Name], levels, layers))
+	}
+	return obj.contribScore(acc)
 }
 
 // oracleEnumerateMoves lists every structurally valid single move from the

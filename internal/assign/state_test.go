@@ -18,6 +18,7 @@ package assign
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -217,15 +218,54 @@ func TestSearchStateContribMatchesEvaluate(t *testing.T) {
 		if acc.cycles != cost.Cycles {
 			t.Errorf("seed %d: accumulated cycles %d != evaluated %d", seed, acc.cycles, cost.Cycles)
 		}
-		// Energy folds float additions in a different order than
-		// Evaluate, so allow ulp-level slack (the engines compare only
-		// contribution-folded scores against each other, never against
-		// Evaluate directly).
-		slack := 1e-6 * (1 + cost.Energy)
+		// The fold and Evaluate add the same n energy terms in
+		// different orders (the folded contributions add zero terms
+		// on top, which is exact). Any summation order of n terms lies
+		// within (n-1)·2⁻⁵³·Σ|terms| of the exact sum to first order,
+		// so the two differ by at most twice that.
+		terms := energyTerms(a)
+		var sum float64
+		for _, e := range terms {
+			sum += math.Abs(e)
+		}
+		slack := 2 * float64(max(len(terms)-1, 0)) * 0x1p-53 * sum
 		if diff := acc.energy - cost.Energy; diff > slack || diff < -slack {
-			t.Errorf("seed %d: accumulated energy %g != evaluated %g", seed, acc.energy, cost.Energy)
+			t.Errorf("seed %d: accumulated energy %g != evaluated %g (bound %g over %d terms)",
+				seed, acc.energy, cost.Energy, slack, len(terms))
 		}
 	}
+}
+
+// energyTerms lists the energy terms Evaluate adds for the assignment
+// with no time extensions: one CPU-access term per chain, one term per
+// block-transfer stream, and the initial-fill and final write-back
+// terms of every array homed on-chip.
+func energyTerms(a *Assignment) []float64 {
+	var terms []float64
+	for _, ch := range a.Analysis.Chains {
+		layer := a.AccessLayer(ch)
+		words := a.Platform.Layers[layer].Words(int64(ch.Array.ElemSize))
+		terms = append(terms, float64(ch.AccessesPerExecution()*words)*a.Platform.AccessEnergy(layer, ch.Kind == model.Write))
+	}
+	for _, st := range a.Streams() {
+		src, dst := st.Parent, st.Layer
+		if st.Write {
+			src, dst = st.Layer, st.Parent
+		}
+		terms = append(terms, float64(st.Count)*a.Platform.TransferEnergy(src, dst, st.Bytes))
+	}
+	bg := a.Platform.Background()
+	for _, arr := range a.Analysis.Program.Arrays {
+		if home := a.ArrayHome[arr.Name]; home != bg {
+			if arr.Input {
+				terms = append(terms, a.Platform.TransferEnergy(bg, home, arr.Bytes()))
+			}
+			if arr.Output {
+				terms = append(terms, a.Platform.TransferEnergy(home, bg, arr.Bytes()))
+			}
+		}
+	}
+	return terms
 }
 
 // TestLookupOption: every enumerated option must resolve to its own
